@@ -1,0 +1,55 @@
+"""Byte-for-byte golden outputs of every CLI subcommand, in CSV and JSON.
+
+Each case runs ``spindemon.cli.main`` on the committed inputs in
+``tests/golden/`` and compares the file it writes with the committed
+golden.  A refactor that keeps behaviour leaves every golden unchanged; a
+change that alters output on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says why in CHANGES.md.
+"""
+
+import os
+from pathlib import Path
+
+import pytest
+
+from spindemon.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Paths in argv are relative to GOLDEN, so the fit metadata ("data") does
+# not depend on where the repository lives.
+CASES = {
+    "simulate-shot": ["simulate-shot", "--config", "tobs.cfg", "--shots", "12"],
+    "sweep-tobs-amplifier": ["sweep-tobs", "--config", "tobs.cfg"],
+    "sweep-tobs-ideal": ["sweep-tobs", "--config", "tobs-ideal.cfg"],
+    "sweep-bias-on": ["sweep-bias", "--config", "bias.cfg"],
+    "sweep-bias-off": ["sweep-bias", "--config", "bias.cfg", "--demon-off"],
+    "fit": ["fit", "--data", "fit-data.csv"],
+    "project": ["project"],
+    "budget": ["budget", "--f-init", "0.989", "--f-control", "0.995",
+               "--f-readout", "0.9999"],
+    "histogram": ["histogram", "--shots", "2000", "--seed", "3"],
+}
+PARAMS = [(name, fmt) for name in CASES for fmt in ("csv", "json")]
+
+
+def render(name: str, fmt: str, out: Path) -> None:
+    rc = main(CASES[name] + ["--format", fmt, "--out", str(out)])
+    assert rc == 0, f"{name} exited {rc}"
+
+
+@pytest.mark.parametrize("name,fmt", PARAMS, ids=[f"{n}.{f}" for n, f in PARAMS])
+def test_golden_output(name, fmt, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / f"{name}.{fmt}"
+    render(name, fmt, out)
+    assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+if __name__ == "__main__":
+    os.chdir(GOLDEN)
+    for name, fmt in PARAMS:
+        render(name, fmt, GOLDEN / f"{name}.{fmt}")
