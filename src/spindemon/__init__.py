@@ -22,23 +22,12 @@ from .ancilla import (
     visibility,
 )
 from .demon import (
-    ConditionalDensity,
     DemonConfig,
-    DemonMachine,
-    DemonPhase,
-    PosteriorState,
     batch_posterior,
-    conditional_evolution,
     corrected_posterior,
-    demon_tick,
     likelihood_no_blip,
-    liouvillian,
     marginal_likelihood,
-    measurement_strength,
     optimal_read_time,
-    posterior_step,
-    sequence_complete,
-    unconditioned_evolution,
 )
 from .fitting import FitConvergenceError, FitResult, fidelity_model, fit_fidelity_curve
 from .harness import (
@@ -64,7 +53,6 @@ from .physics import (
     build_rates,
     effective_temperature,
     fermi_occupation,
-    zeeman_splitting,
 )
 from .telegraph import (
     AmplifierParams,

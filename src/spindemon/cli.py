@@ -11,17 +11,13 @@ import argparse
 import csv
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, ancilla, output
 from .config import ConfigError, load_config
 from .fitting import FitConvergenceError, fit_fidelity_curve
-from .harness import (
-    projection_999,
-    run_initialization_shot,
-    sweep_bias,
-    sweep_tobs,
-)
+from .harness import _run_shots, projection_999, sweep_bias, sweep_tobs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,9 +91,10 @@ def _load(args) -> tuple:
     if args.shots is not None:
         overrides["shots"] = args.shots
     if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
+        try:
+            cfg = replace(cfg, **overrides)
+        except ValueError as exc:
+            raise ConfigError(f"bad --seed/--shots override: {exc}") from exc
     return cfg, cfg_hash
 
 
@@ -136,7 +133,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate-shot":
             cfg, cfg_hash = _load(args)
-            records = [run_initialization_shot(cfg, i) for i in range(cfg.shots)]
+            records = _run_shots(cfg, cfg.rates, cfg.demon.required_samples)
             meta = output.build_metadata(cfg_hash, cfg.master_seed)
             with _open_out(args.out) as fh:
                 output.write_shots(fh, records, args.format, meta)
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
             cfg, cfg_hash = _load(args)
             if cfg.sweep is None or cfg.sweep.variable != "mu_d":
                 raise ConfigError("sweep-bias needs sweep.variable = mu_d in the config")
-            demon_on = cfg.sweep.demon_on and not args.demon_off
+            demon_on = not args.demon_off
             results = sweep_bias(cfg, demon_on=demon_on)
             _report_abandoned(results)
             meta = output.build_metadata(
@@ -172,24 +169,21 @@ def main(argv=None) -> int:
             with _open_out(args.out) as fh:
                 output.write_projection(fh, rows, args.format, meta)
         elif args.command == "budget":
+            cfg, cfg_hash = _load(args)
             budget = ancilla.total_fidelity(args.f_init, args.f_control, args.f_readout)
+            meta = output.build_metadata(cfg_hash, cfg.master_seed)
             with _open_out(args.out) as fh:
-                fh.write("stage,fidelity\n")
-                fh.write(f"init,{budget.f_init!r}\n")
-                fh.write(f"control,{budget.f_control!r}\n")
-                fh.write(f"readout,{budget.f_readout!r}\n")
-                fh.write(f"total,{budget.f_total!r}\n")
+                output.write_budget(fh, budget, args.format, meta)
         elif args.command == "histogram":
             cfg, cfg_hash = _load(args)
-            reads = cfg.shots if args.shots is None else args.shots
             histogram = ancilla.simulate_nuclear_histogram(
                 args.p_up_given_up,
                 args.p_up_given_down,
                 args.shots_per_read,
-                reads,
+                cfg.shots,
                 seed=cfg.master_seed,
             )
-            meta = output.build_metadata(cfg_hash, cfg.master_seed, {"reads": reads})
+            meta = output.build_metadata(cfg_hash, cfg.master_seed, {"reads": cfg.shots})
             with _open_out(args.out) as fh:
                 output.write_histogram(fh, histogram, args.format, meta)
             if args.threshold is not None:

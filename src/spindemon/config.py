@@ -20,7 +20,6 @@ their defaults:
     amplifier.threshold            blip threshold S_th in (0, 1) (0.3)
     amplifier.sample_period_s      digitizer period T_s, s (1e-5)
     demon.required_samples         silent samples needed to trigger (1000)
-    demon.trigger_duration_s       trigger output hold time, s (1e-5)
     demon.latency_s                trigger assertion latency, s (1e-7)
     run.shots                      shots per point (10000)
     run.master_seed                master RNG seed (1)
@@ -31,12 +30,12 @@ their defaults:
     sweep.variable                 't_obs' or 'mu_d' (t_obs)
     sweep.grid                     comma-separated grid values; seconds for
                                    t_obs, ueV for mu_d
-    sweep.demon_on                 true/false, bias sweeps only (true)
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 from .demon import DemonConfig
@@ -62,7 +61,6 @@ _DEFAULTS: dict[str, str] = {
     "amplifier.threshold": "0.3",
     "amplifier.sample_period_s": "1e-5",
     "demon.required_samples": "1000",
-    "demon.trigger_duration_s": "1e-5",
     "demon.latency_s": "1e-7",
     "run.shots": "10000",
     "run.master_seed": "1",
@@ -72,7 +70,6 @@ _DEFAULTS: dict[str, str] = {
     "run.detector": "amplifier",
     "sweep.variable": "t_obs",
     "sweep.grid": "1e-3,2e-3,3e-3,5e-3,7e-3,10e-3,15e-3,20e-3",
-    "sweep.demon_on": "true",
 }
 
 
@@ -108,15 +105,6 @@ def _as_int(values: dict[str, str], key: str) -> int:
         raise ConfigError(f"{key}: not an integer: {values[key]!r}") from exc
 
 
-def _as_bool(values: dict[str, str], key: str) -> bool:
-    lowered = values[key].strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: not a boolean: {values[key]!r}")
-
-
 def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
     """Resolve raw strings (plus defaults) into a validated ExperimentConfig."""
     values = dict(_DEFAULTS)
@@ -148,13 +136,7 @@ def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
             if target <= 0.0:
                 raise ConfigError("rates.in_total_per_s must be > 0")
             scale = target / build_rates(physics).in_total
-            physics = TunnelModelParams(
-                base_rate_down=physics.base_rate_down * scale,
-                asymmetry=physics.asymmetry,
-                donor_potential=physics.donor_potential,
-                zeeman=zeeman,
-                reservoir=reservoir,
-            )
+            physics = replace(physics, base_rate_down=physics.base_rate_down * scale)
         elif not base_rate_text:
             raise ConfigError(
                 "give physics.base_rate_down_per_s or rates.in_total_per_s"
@@ -166,18 +148,12 @@ def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
         )
         demon = DemonConfig(
             required_samples=_as_int(values, "demon.required_samples"),
-            sample_period=amplifier.sample_period,
-            trigger_duration=_as_float(values, "demon.trigger_duration_s"),
             latency=_as_float(values, "demon.latency_s"),
         )
         grid = tuple(
             float(part) for part in values["sweep.grid"].split(",") if part.strip()
         )
-        sweep = SweepSpec(
-            variable=values["sweep.variable"].strip(),
-            grid=grid,
-            demon_on=_as_bool(values, "sweep.demon_on"),
-        )
+        sweep = SweepSpec(variable=values["sweep.variable"].strip(), grid=grid)
         return ExperimentConfig(
             physics=physics,
             amplifier=amplifier,

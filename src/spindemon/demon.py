@@ -1,24 +1,18 @@
-"""Real-time negative-result monitor: posterior updates, trigger machine,
-and the conditional/unconditioned master-equation views.
+"""Real-time negative-result monitor: trigger settings and the posterior.
 
 The monitor gains information from the absence of tunneling: every silent
 sample multiplies the spin likelihoods by exp(-T_s * out_rate), sharpening
-the spin-down posterior.  A hardware-style state machine turns a run of
-silent samples into a trigger event.  The same dynamics can be written as a
-three-state master equation; conditioning on no ionization reproduces the
-discrete Bayesian update exactly.
+the spin-down posterior.  The demon is a counter that triggers after a run
+of ``required_samples`` silent samples, so the delivered belief is the
+closed-form posterior after that many samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
-import numpy as np
-from scipy.linalg import expm
-
-from .physics import RateSet, bare_init_fidelity_from_rates
+from .physics import RateSet
 from .telegraph import DonorState
 
 
@@ -34,109 +28,23 @@ def _logit(p: float) -> float:
 
 
 @dataclass(frozen=True)
-class PosteriorState:
-    """Spin-down belief after a number of silent samples.
-
-    Attributes:
-        p_down: posterior spin-down probability.
-        samples_seen: number of consecutive silent samples incorporated.
-        t_obs: observation time samples_seen * T_s in seconds.
-    """
-
-    p_down: float
-    samples_seen: int = 0
-    t_obs: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_down <= 1.0):
-            raise ValueError(f"p_down must be in [0, 1], got {self.p_down}")
-        if self.samples_seen < 0:
-            raise ValueError("samples_seen must be >= 0")
-
-
-class DemonPhase(Enum):
-    OBSERVATION = "observation"
-    TRIGGER = "trigger"
-    POST_TRIGGER_WAIT = "post_trigger_wait"
-
-
-@dataclass(frozen=True)
 class DemonConfig:
-    """Trigger-machine settings.
+    """Trigger settings.
 
     Attributes:
         required_samples: consecutive silent samples needed to trigger (>= 1).
-        sample_period: T_s in seconds.
-        trigger_duration: how long the trigger output is held, in seconds;
-            rounded up to at least one sample period.
         latency: hardware delay between the counter completing and the
             trigger edge appearing, added to trigger timestamps.
     """
 
     required_samples: int
-    sample_period: float
-    trigger_duration: float = 0.0
     latency: float = 100e-9
 
     def __post_init__(self):
         if self.required_samples < 1:
             raise ValueError("required_samples must be >= 1")
-        if self.sample_period <= 0.0:
-            raise ValueError("sample_period must be > 0")
-        if self.trigger_duration < 0.0 or self.latency < 0.0:
-            raise ValueError("trigger_duration and latency must be >= 0")
-
-    @property
-    def hold_ticks(self) -> int:
-        """Number of sample periods the trigger output stays asserted."""
-        return max(1, math.ceil(self.trigger_duration / self.sample_period - 1e-9))
-
-
-@dataclass(frozen=True)
-class DemonMachine:
-    """Value-semantic trigger state machine.
-
-    The counter is only nonzero in the observation phase; hold_remaining
-    counts the asserted ticks left in the trigger phase.
-    """
-
-    phase: DemonPhase = DemonPhase.OBSERVATION
-    counter: int = 0
-    hold_remaining: int = 0
-
-
-def demon_tick(
-    machine: DemonMachine, blip: bool, config: DemonConfig
-) -> tuple[DemonMachine, bool]:
-    """Advance the machine by one sample; return (new machine, output level).
-
-    In observation the counter increments on a silent sample and resets on a
-    blip; reaching required_samples enters the trigger phase, whose output
-    stays asserted for hold_ticks samples before parking in post-trigger
-    wait.  Ticks received while waiting are legal no-ops; the machine
-    returns to observation only via ``sequence_complete``.
-    """
-    if machine.phase is DemonPhase.OBSERVATION:
-        if blip:
-            return replace(machine, counter=0), False
-        counter = machine.counter + 1
-        if counter >= config.required_samples:
-            remaining = config.hold_ticks - 1
-            if remaining > 0:
-                return DemonMachine(DemonPhase.TRIGGER, 0, remaining), True
-            return DemonMachine(DemonPhase.POST_TRIGGER_WAIT, 0, 0), True
-        return replace(machine, counter=counter), False
-    if machine.phase is DemonPhase.TRIGGER:
-        remaining = machine.hold_remaining - 1
-        if remaining > 0:
-            return DemonMachine(DemonPhase.TRIGGER, 0, remaining), True
-        return DemonMachine(DemonPhase.POST_TRIGGER_WAIT, 0, 0), True
-    return machine, False
-
-
-def sequence_complete(machine: DemonMachine) -> DemonMachine:
-    """External pulse-sequence-done event; re-arms the observation phase."""
-    return DemonMachine(DemonPhase.OBSERVATION, 0, 0)
+        if self.latency < 0.0:
+            raise ValueError("latency must be >= 0")
 
 
 def likelihood_no_blip(spin: DonorState, rates: RateSet, sample_period: float) -> float:
@@ -151,36 +59,6 @@ def likelihood_no_blip(spin: DonorState, rates: RateSet, sample_period: float) -
     else:
         raise ValueError("likelihood is defined for loaded spins only")
     return math.exp(-sample_period * out)
-
-
-def posterior_step(
-    prev: PosteriorState,
-    blip: bool,
-    rates: RateSet,
-    sample_period: float,
-    reload_prior: float | None = None,
-) -> PosteriorState:
-    """One Bayes update of the spin-down belief.
-
-    A silent sample reweights the belief by the no-blip likelihoods of each
-    spin.  A blip projects the electron out of the donor: the previous
-    state is lost, a fresh electron reloads, and the belief resets to the
-    reload prior (by default the loading-rate fraction of ``rates``) with
-    the sample counter cleared.
-    """
-    if blip:
-        if reload_prior is None:
-            reload_prior = bare_init_fidelity_from_rates(rates)
-        return PosteriorState(p_down=reload_prior, samples_seen=0, t_obs=0.0)
-    p = prev.p_down
-    if p in (0.0, 1.0):
-        updated = p  # certainty is a fixed point of the update
-    else:
-        like_down = likelihood_no_blip(DonorState.DOWN, rates, sample_period)
-        like_up = likelihood_no_blip(DonorState.UP, rates, sample_period)
-        updated = like_down * p / (like_down * p + like_up * (1.0 - p))
-    n = prev.samples_seen + 1
-    return PosteriorState(p_down=updated, samples_seen=n, t_obs=n * sample_period)
 
 
 def batch_posterior(
@@ -230,87 +108,6 @@ def optimal_read_time(rates: RateSet) -> tuple[float, float]:
     t_star = math.log(rates.out_up / rates.out_down) / gap
     contrast = math.exp(-rates.out_down * t_star) - math.exp(-rates.out_up * t_star)
     return t_star, contrast
-
-
-@dataclass(frozen=True)
-class ConditionalDensity:
-    """Normalized occupation vector (p_up, p_down, p_ionized)."""
-
-    p_up: float
-    p_down: float
-    p_ionized: float = 0.0
-
-    def __post_init__(self):
-        for value in (self.p_up, self.p_down, self.p_ionized):
-            if value < -1e-12:
-                raise ValueError("occupations must be >= 0")
-        total = self.p_up + self.p_down + self.p_ionized
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"occupations must sum to 1, got {total}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_up, self.p_down, self.p_ionized])
-
-
-def liouvillian(rates: RateSet) -> np.ndarray:
-    """Generator matrix of the three-state master equation.
-
-    Basis order (up, down, ionized); columns sum to zero, so probability is
-    conserved.
-    """
-    return np.array(
-        [
-            [-rates.relax - rates.out_up, rates.excite, rates.in_up],
-            [rates.relax, -rates.out_down - rates.excite, rates.in_down],
-            [rates.out_up, rates.out_down, -rates.in_up - rates.in_down],
-        ]
-    )
-
-
-def unconditioned_evolution(rho0, rates: RateSet, t: float) -> np.ndarray:
-    """Propagate an occupation vector for time t under the full generator.
-
-    Uses the matrix exponential of the 3x3 Liouvillian (scaling-and-squaring);
-    spin relaxation/excitation rates are honored.  Probability is conserved
-    to floating-point accuracy.
-    """
-    rho0 = np.asarray(rho0, dtype=float)
-    if rho0.shape != (3,):
-        raise ValueError("rho0 must be a 3-vector")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    return expm(liouvillian(rates) * t) @ rho0
-
-
-def conditional_evolution(
-    rho0: ConditionalDensity, rates: RateSet, t_obs: float
-) -> ConditionalDensity:
-    """State after observing no tunneling for t_obs, renormalized.
-
-    With no spin flips, the loaded components decay independently and the
-    conditional state is proportional to
-        ((1 - p) exp(-out_up t), p exp(-out_down t), 0).
-    The calculation is shifted by the slower rate so arbitrarily long times
-    stay finite.
-    """
-    if rates.relax != 0.0 or rates.excite != 0.0:
-        raise ValueError("conditional evolution requires zero spin-flip rates")
-    if abs(rho0.p_ionized) > 1e-12:
-        raise ValueError("conditional evolution starts from a loaded state")
-    if t_obs < 0.0:
-        raise ValueError("t_obs must be >= 0")
-    shift = min(rates.out_up, rates.out_down) * t_obs
-    a = rho0.p_up * math.exp(-(rates.out_up * t_obs - shift))
-    b = rho0.p_down * math.exp(-(rates.out_down * t_obs - shift))
-    norm = a + b
-    if norm <= 0.0:
-        raise ValueError("conditional state vanished; degenerate input")
-    return ConditionalDensity(p_up=a / norm, p_down=b / norm, p_ionized=0.0)
-
-
-def measurement_strength(rho: ConditionalDensity) -> float:
-    """Projection of the conditional state onto spin-down."""
-    return rho.p_down
 
 
 def corrected_posterior(

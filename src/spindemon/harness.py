@@ -7,15 +7,15 @@ digitized sensor until it sees the required run of silent samples.  The shot
 engine is event driven: between tunneling events the amplifier output is a
 single exponential, so the blip/no-blip status of every sample in the gap is
 resolved analytically instead of sample by sample.  Its output is identical
-to rendering the trace on a substep grid, decimating, and stepping the
-trigger machine (the tests cross-check this), but runs in time proportional
-to the number of tunneling events.
+to rendering the trace on a substep grid, decimating, and counting silent
+samples one at a time (the tests cross-check this), but runs in time
+proportional to the number of tunneling events.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
@@ -32,7 +32,6 @@ from .physics import (
 from .telegraph import (
     AmplifierParams,
     DonorState,
-    EventTimeline,
     gillespie_step,
     missed_blip_probability,
     rise_time,
@@ -51,7 +50,6 @@ class SweepSpec:
 
     variable: str
     grid: tuple[float, ...]
-    demon_on: bool = True
 
     def __post_init__(self):
         if self.variable not in ("t_obs", "mu_d"):
@@ -69,7 +67,8 @@ class ExperimentConfig:
     detector selects the measurement chain: "amplifier" is the full
     low-pass/threshold/decimation model; "ideal" latches any ionization in a
     sample period into that sample's blip (no missed events), which isolates
-    estimator behavior from detection loss.
+    estimator behavior from detection loss.  Sensor noise acts on the
+    amplifier output, so noise_std > 0 requires the amplifier detector.
     """
 
     physics: TunnelModelParams
@@ -88,12 +87,16 @@ class ExperimentConfig:
             raise ValueError("shots must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.abandon_factor <= 0.0:
             raise ValueError("abandon_factor must be > 0")
         if self.detector not in ("amplifier", "ideal"):
             raise ValueError("detector must be 'amplifier' or 'ideal'")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
+        if self.noise_std > 0.0 and self.detector == "ideal":
+            raise ValueError("noise_std > 0 requires detector 'amplifier'")
 
     @property
     def rates(self) -> RateSet:
@@ -120,18 +123,20 @@ class ShotRecord:
     observed_duration: float
 
     @property
-    def missed_blip_occurred(self) -> bool:
-        """Whether any ionization escaped the detector entirely."""
-        return self.n_missed_sampled > 0
-
-    @property
     def succeeded(self) -> bool:
         return self.triggered and self.spin_at_trigger is DonorState.DOWN
 
 
 @dataclass
 class SweepResult:
-    """One grid point of a sweep: Monte Carlo outcome plus the analytic curve."""
+    """One grid point of a sweep: Monte Carlo outcome plus the analytic curve.
+
+    analytic is a lower bound on the monitored fidelity, not a prediction:
+    the posterior less the sub-rise-time miss probability.  Events missed
+    between samples are not in that probability, so the Monte Carlo sits
+    above it: 0.99699 against 0.99368 at the 20 ms operating point with
+    100 000 shots.
+    """
 
     grid_value: float
     shots: int
@@ -184,11 +189,6 @@ def _live_events(
         t += dt
         state = new_state
         yield t, state
-
-
-def timeline_events(timeline: EventTimeline) -> Iterator[tuple[float, DonorState]]:
-    """Adapter so a pre-generated trajectory can drive the detector."""
-    yield from timeline.events
 
 
 def run_detection(
@@ -488,7 +488,11 @@ def _draw_load_spin(cfg: ExperimentConfig, rates: RateSet, shot_index: int) -> D
 def _analytic_fidelity(
     cfg: ExperimentConfig, rates: RateSet, n_required: int, demon_on: bool
 ) -> float:
-    """Posterior-minus-detection-loss prediction for one sweep point."""
+    """Lower bound on one sweep point's fidelity: posterior less P_miss.
+
+    P_miss counts only ionizations shorter than the rise time; see
+    SweepResult.analytic.
+    """
     prior = bare_init_fidelity_from_rates(rates)
     if not demon_on or n_required == 0:
         return prior

@@ -1,10 +1,10 @@
 """CSV and JSON writers for harness results.
 
 CSV schemas are fixed: sweeps write (grid_value, shots, successes, median,
-p25, p75, analytic); fits write (param, estimate, std_error).  JSON files
-mirror the CSV rows and add a metadata header with the config hash, seed,
-and package version.  Floats are serialized with repr so identical runs
-produce byte-identical files.
+p25, p75, analytic); fits write (param, estimate, std_error); budgets write
+(stage, fidelity).  JSON files mirror the CSV rows and add a metadata header
+with the config hash, seed, and package version.  Floats are serialized with
+repr so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 from typing import IO, Iterable
 
 from . import __version__
-from .ancilla import NuclearHistogram
+from .ancilla import FidelityBudget, NuclearHistogram
 from .fitting import FitResult
 from .harness import ProjectionScenario, ShotRecord, SweepResult
 
@@ -31,6 +31,7 @@ SHOT_COLUMNS = (
     "n_missed_sampled",
 )
 PROJECTION_COLUMNS = ("label", "cutoff_hz", "in_rate_total", "t_rise_s", "p_miss", "plateau")
+BUDGET_COLUMNS = ("stage", "fidelity")
 
 
 def build_metadata(cfg_hash: str, master_seed: int, extra: dict | None = None) -> dict:
@@ -135,6 +136,19 @@ def write_projection(stream, rows: list[ProjectionScenario], fmt: str, metadata:
         _write_json(stream, PROJECTION_COLUMNS, data, metadata)
     else:
         _write_csv(stream, PROJECTION_COLUMNS, data)
+
+
+def write_budget(stream, budget: FidelityBudget, fmt: str, metadata: dict) -> None:
+    rows = [
+        ["init", budget.f_init],
+        ["control", budget.f_control],
+        ["readout", budget.f_readout],
+        ["total", budget.f_total],
+    ]
+    if fmt == "json":
+        _write_json(stream, BUDGET_COLUMNS, rows, metadata)
+    else:
+        _write_csv(stream, BUDGET_COLUMNS, rows)
 
 
 def write_histogram(stream, histogram: NuclearHistogram, fmt: str, metadata: dict,

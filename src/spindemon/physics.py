@@ -170,11 +170,6 @@ def fermi_occupation(energy: float, reservoir: ReservoirParams) -> float:
     return min(max(f, _OCC_FLOOR), _OCC_CEIL)
 
 
-def zeeman_splitting(zeeman: ZeemanParams) -> float:
-    """Spin splitting h * gamma * B in ueV."""
-    return zeeman.splitting
-
-
 def build_rates(params: TunnelModelParams) -> RateSet:
     """Construct the four tunnel rates from the asymmetry model.
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 

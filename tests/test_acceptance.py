@@ -13,6 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import (
+    ConditionalDensity,
+    PosteriorState,
+    conditional_evolution,
+    first_trigger,
+    liouvillian,
+    posterior_step,
+    window_scan_trigger,
+)
 from spindemon.ancilla import (
     ControlParams,
     QndParams,
@@ -22,18 +31,7 @@ from spindemon.ancilla import (
     total_fidelity,
     visibility,
 )
-from spindemon.demon import (
-    ConditionalDensity,
-    DemonConfig,
-    DemonMachine,
-    PosteriorState,
-    batch_posterior,
-    conditional_evolution,
-    demon_tick,
-    liouvillian,
-    optimal_read_time,
-    posterior_step,
-)
+from spindemon.demon import DemonConfig, batch_posterior, optimal_read_time
 from spindemon.fitting import fidelity_model, fit_fidelity_curve
 from spindemon.harness import (
     ExperimentConfig,
@@ -89,7 +87,7 @@ def operating_point() -> ExperimentConfig:
     return ExperimentConfig(
         physics=params,
         amplifier=AMP,
-        demon=DemonConfig(required_samples=2000, sample_period=AMP.sample_period),
+        demon=DemonConfig(required_samples=2000),
         shots=100000,
         master_seed=2024,
         sweep=SweepSpec(variable="t_obs", grid=(20e-3,)),
@@ -294,31 +292,17 @@ def test_criterion_11_property_suites():
         scale = np.max(np.abs(gen))
         assert np.max(np.abs(gen.sum(axis=0))) <= 1e-12 * scale
 
-    # Trigger machine against a linear-scan oracle.
+    # Counter-only trigger against a linear scan over sample windows.
     for _ in range(10000):
         n_req = int(rng.integers(1, 15))
-        cfg = DemonConfig(required_samples=n_req, sample_period=1e-5)
         blips = list(rng.random(int(rng.integers(1, 100))) < rng.uniform(0.05, 0.9))
-        machine = DemonMachine()
-        first = None
-        for i, blip in enumerate(blips, start=1):
-            machine, asserted = demon_tick(machine, bool(blip), cfg)
-            if asserted and first is None:
-                first = i
-        run = 0
-        oracle = None
-        for i, blip in enumerate(blips, start=1):
-            run = 0 if blip else run + 1
-            if run >= n_req:
-                oracle = i
-                break
-        assert first == oracle
+        assert first_trigger(blips, n_req) == window_scan_trigger(blips, n_req)
 
     # Parallel sweeps are byte-identical to serial ones.
     cfg = replace(
         operating_point(),
         shots=400,
-        demon=DemonConfig(required_samples=100, sample_period=AMP.sample_period),
+        demon=DemonConfig(required_samples=100),
         sweep=SweepSpec(variable="t_obs", grid=(5e-4, 1e-3)),
     )
     import io

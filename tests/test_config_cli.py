@@ -84,6 +84,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.txt")
 
+    @pytest.mark.parametrize("key", ["demon.trigger_duration_s", "sweep.demon_on"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(f"{key} = 1\n")
+
 
 class TestCli:
     def write_config(self, tmp_path, text=FAST_CONFIG):
@@ -123,6 +128,15 @@ class TestCli:
             "spin_at_trigger", "n_ionizations", "n_missed_subrise",
             "n_missed_sampled",
         }
+
+    def test_simulate_shot_worker_independent(self, tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            cfg = self.write_config(tmp_path, FAST_CONFIG + f"run.workers = {workers}\n")
+            out = tmp_path / f"shots-{workers}.csv"
+            assert main(["simulate-shot", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_sweep_tobs_csv_and_json(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -216,6 +230,20 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key = 1\n")
         assert main(["simulate-shot", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate-shot", "sweep-tobs", "histogram"])
+    @pytest.mark.parametrize("override", [["--shots", "0"], ["--shots", "-5"], ["--seed", "-1"]])
+    def test_invalid_override_exits_2(self, tmp_path, capsys, command, override):
+        cfg = self.write_config(tmp_path)
+        assert main([command, "--config", str(cfg), *override]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_noise_with_ideal_detector_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, FAST_CONFIG + "run.detector = ideal\nrun.noise_std = 0.05\n"
+        )
+        assert main(["sweep-tobs", "--config", str(cfg)]) == 2
+        assert "noise_std" in capsys.readouterr().err
 
     def test_histogram_csv_and_visibility(self, tmp_path, capsys):
         out = tmp_path / "hist.csv"

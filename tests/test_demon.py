@@ -3,24 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from spindemon.demon import (
+from oracles import (
     ConditionalDensity,
-    DemonConfig,
-    DemonMachine,
-    DemonPhase,
     PosteriorState,
-    batch_posterior,
     conditional_evolution,
-    corrected_posterior,
-    demon_tick,
-    likelihood_no_blip,
+    first_trigger,
     liouvillian,
-    marginal_likelihood,
-    measurement_strength,
-    optimal_read_time,
     posterior_step,
-    sequence_complete,
+    trigger_tick,
     unconditioned_evolution,
+    window_scan_trigger,
+)
+from spindemon.demon import (
+    batch_posterior,
+    corrected_posterior,
+    likelihood_no_blip,
+    marginal_likelihood,
+    optimal_read_time,
 )
 from spindemon.physics import RateSet
 from spindemon.telegraph import DonorState, sample_trajectory
@@ -210,86 +209,40 @@ class TestOptimalReadTime:
             optimal_read_time(RateSet(out_up=1.0, out_down=2.0, in_up=0.0, in_down=0.0))
 
 
-def oracle_first_trigger(blips, n_required):
-    """Index (1-based) of the sample completing the first silent run."""
-    run = 0
-    for i, blip in enumerate(blips, start=1):
-        run = 0 if blip else run + 1
-        if run >= n_required:
-            return i
-    return None
-
-
 class TestDemonMachine:
-    CFG = DemonConfig(required_samples=5, sample_period=TS)
-
-    def run_stream(self, blips, cfg=None):
-        cfg = cfg or self.CFG
-        machine = DemonMachine()
-        first = None
-        for i, blip in enumerate(blips, start=1):
-            machine, asserted = demon_tick(machine, blip, cfg)
-            if asserted and first is None:
-                first = i
-        return machine, first
-
     def test_trigger_at_exact_count(self):
-        _, first = self.run_stream([False] * 5)
-        assert first == 5
+        assert first_trigger([False] * 5, 5) == 5
 
     def test_blip_resets_counter(self):
         blips = [False, False, True] + [False] * 5
-        _, first = self.run_stream(blips)
-        assert first == 3 + 5
+        assert first_trigger(blips, 5) == 3 + 5
 
     def test_no_trigger_without_run(self):
         blips = [False, False, False, False, True] * 10
-        _, first = self.run_stream(blips)
-        assert first is None
+        assert first_trigger(blips, 5) is None
 
     def test_fuzz_against_linear_scan(self):
         rng = np.random.default_rng(33)
         for _ in range(2000):
             n_req = int(rng.integers(1, 12))
-            cfg = DemonConfig(required_samples=n_req, sample_period=TS)
             blips = list(rng.random(int(rng.integers(1, 120))) < rng.uniform(0.05, 0.9))
-            _, first = self.run_stream(blips, cfg)
-            assert first == oracle_first_trigger(blips, n_req)
-
-    def test_hold_duration_and_wait(self):
-        cfg = DemonConfig(required_samples=2, sample_period=TS, trigger_duration=3 * TS)
-        machine = DemonMachine()
-        outputs = []
-        for blip in [False, False, False, False, False, True, False]:
-            machine, asserted = demon_tick(machine, blip, cfg)
-            outputs.append(asserted)
-        # Asserted for 3 ticks from the trigger sample, then parked waiting.
-        assert outputs == [False, True, True, True, False, False, False]
-        assert machine.phase is DemonPhase.POST_TRIGGER_WAIT
-        machine = sequence_complete(machine)
-        assert machine.phase is DemonPhase.OBSERVATION
-        assert machine.counter == 0
+            assert first_trigger(blips, n_req) == window_scan_trigger(blips, n_req)
 
     def test_counter_invariants(self):
+        # The counter equals the current silent run length, re-armed at
+        # zero by each trigger, and never reaches n_required.
         rng = np.random.default_rng(34)
-        cfg = DemonConfig(required_samples=7, sample_period=TS, trigger_duration=2 * TS)
-        machine = DemonMachine()
+        n_req = 7
+        counter = run = 0
         for _ in range(500):
-            machine, _ = demon_tick(machine, bool(rng.random() < 0.3), cfg)
-            assert machine.counter <= cfg.required_samples
-            if machine.phase is not DemonPhase.OBSERVATION:
-                assert machine.counter == 0
-            if rng.random() < 0.05:
-                machine = sequence_complete(machine)
-
-    def test_wait_ticks_are_noops(self):
-        cfg = DemonConfig(required_samples=1, sample_period=TS)
-        machine, asserted = demon_tick(DemonMachine(), False, cfg)
-        assert asserted
-        for blip in (True, False, True):
-            machine, asserted = demon_tick(machine, blip, cfg)
-            assert not asserted
-            assert machine.phase is DemonPhase.POST_TRIGGER_WAIT
+            blip = bool(rng.random() < 0.3)
+            run = 0 if blip else run + 1
+            counter, fired = trigger_tick(counter, blip, n_req)
+            assert 0 <= counter < n_req
+            assert fired == (run == n_req)
+            if fired:
+                run = 0
+            assert counter == run
 
 
 class TestConditionalEvolution:
@@ -321,13 +274,13 @@ class TestConditionalEvolution:
             b = (1.0 - prior) * math.exp(-FIG2_RATES.out_up * t)
             expected = a / (a + b)
             out = conditional_evolution(rho, FIG2_RATES, t)
-            assert measurement_strength(out) == pytest.approx(expected, abs=1e-13)
+            assert out.p_down == pytest.approx(expected, abs=1e-13)
 
     def test_no_information_at_certainty(self):
         for prior in (0.0, 1.0):
             rho = ConditionalDensity(p_up=1.0 - prior, p_down=prior)
             values = [
-                measurement_strength(conditional_evolution(rho, FIG2_RATES, t))
+                conditional_evolution(rho, FIG2_RATES, t).p_down
                 for t in (0.0, 0.01, 0.1, 1.0)
             ]
             assert all(v == prior for v in values)

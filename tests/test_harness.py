@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spindemon.demon import DemonConfig, DemonMachine, batch_posterior, demon_tick
+from oracles import first_trigger
+from spindemon.demon import DemonConfig, batch_posterior
 from spindemon.harness import (
     ExperimentConfig,
     SweepSpec,
@@ -16,7 +17,6 @@ from spindemon.harness import (
     run_initialization_shot,
     sweep_bias,
     sweep_tobs,
-    timeline_events,
 )
 from spindemon.output import build_metadata, write_sweep
 from spindemon.physics import (
@@ -60,7 +60,7 @@ def make_config(n_required=500, shots=2000, seed=11, detector="amplifier", **kwa
     return ExperimentConfig(
         physics=paper_point_physics(),
         amplifier=AMP,
-        demon=DemonConfig(required_samples=n_required, sample_period=AMP.sample_period),
+        demon=DemonConfig(required_samples=n_required),
         shots=shots,
         master_seed=seed,
         detector=detector,
@@ -71,7 +71,7 @@ def make_config(n_required=500, shots=2000, seed=11, detector="amplifier", **kwa
 class TestEngineMatchesReferenceChain:
     def test_blips_and_trigger_identical(self):
         # The event-driven detector must reproduce the rendered chain
-        # (render -> decimate -> threshold -> trigger machine) exactly.
+        # (render -> decimate -> threshold -> silent-sample counter) exactly.
         rng = np.random.default_rng(42)
         for _ in range(120):
             rates = RateSet(
@@ -93,16 +93,10 @@ class TestEngineMatchesReferenceChain:
 
             substep = amp.sample_period / 100
             trace = digitize(render_sensor_trace(tl, amp, substep), amp, substep)
-            cfg = DemonConfig(required_samples=n_req, sample_period=amp.sample_period)
-            machine = DemonMachine()
-            trig_ref = None
-            for n, blip in enumerate(trace.blips, start=1):
-                machine, asserted = demon_tick(machine, bool(blip), cfg)
-                if asserted and trig_ref is None:
-                    trig_ref = n
+            trig_ref = first_trigger(trace.blips, n_req)
 
             det = run_detection(
-                timeline_events(tl),
+                tl.events,
                 amp=amp,
                 n_required=n_req,
                 horizon=len(trace.blips) * amp.sample_period,
@@ -293,7 +287,7 @@ class TestSweepBias:
         return ExperimentConfig(
             physics=physics,
             amplifier=AMP,
-            demon=DemonConfig(required_samples=n_required, sample_period=AMP.sample_period),
+            demon=DemonConfig(required_samples=n_required),
             shots=shots,
             master_seed=seed,
             sweep=SweepSpec(variable="mu_d", grid=tuple(grid)),
