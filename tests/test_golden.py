@@ -23,8 +23,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # not depend on where the repository lives.
 CASES = {
     "simulate-shot": ["simulate-shot", "--config", "tobs.cfg", "--shots", "12"],
+    "simulate-shot-noisy": ["simulate-shot", "--config", "tobs-noisy.cfg", "--shots", "12"],
     "sweep-tobs-amplifier": ["sweep-tobs", "--config", "tobs.cfg"],
     "sweep-tobs-ideal": ["sweep-tobs", "--config", "tobs-ideal.cfg"],
+    "sweep-tobs-noisy": ["sweep-tobs", "--config", "tobs-noisy.cfg"],
     "sweep-bias-on": ["sweep-bias", "--config", "bias.cfg"],
     "sweep-bias-off": ["sweep-bias", "--config", "bias.cfg", "--demon-off"],
     "fit": ["fit", "--data", "fit-data.csv"],
