@@ -57,12 +57,6 @@ from .physics import (
 from .telegraph import (
     AmplifierParams,
     DonorState,
-    EventTimeline,
-    SampledTrace,
-    digitize,
-    dump_trace_csv,
     missed_blip_probability,
-    render_sensor_trace,
     rise_time,
-    sample_trajectory,
 )

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate-shot, sweep-tobs, sweep-bias, fit, project, budget,
-histogram.  Exit codes: 0 success, 2 configuration error, 3 fit
-non-convergence.
+histogram.  Exit codes: 0 success, 2 configuration error or any other
+rejected input, 3 fit non-convergence.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, ancilla, output
+from . import __version__, ancilla, harness, output
 from .config import ConfigError, load_config
 from .fitting import FitConvergenceError, fit_fidelity_curve
-from .harness import _run_shots, projection_999, sweep_bias, sweep_tobs
+from .harness import projection_999, sweep_bias, sweep_tobs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,14 +110,14 @@ def _read_fit_data(path: Path) -> list[tuple[float, float, float]]:
                 raise ConfigError(
                     f"{path}: need grid_value (or t_obs), shots, successes columns"
                 )
-            rows = [
-                (
-                    float(row[t_col]),
-                    float(row[names["successes"]]),
-                    float(row[names["shots"]]),
-                )
-                for row in reader
-            ]
+            rows = []
+            for row in reader:
+                fields = (row[t_col], row[names["successes"]], row[names["shots"]])
+                if None in fields:
+                    raise ConfigError(f"{path}: line {reader.line_num}: missing field")
+                rows.append(tuple(float(value) for value in fields))
+    except ConfigError:
+        raise
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate-shot":
             cfg, cfg_hash = _load(args)
-            records = _run_shots(cfg, cfg.rates, cfg.demon.required_samples)
+            records = harness._run_shots(cfg, cfg.rates, cfg.demon.required_samples)
             meta = output.build_metadata(cfg_hash, cfg.master_seed)
             with _open_out(args.out) as fh:
                 output.write_shots(fh, records, args.format, meta)
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
                 )
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and every rejected input value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FitConvergenceError as exc:

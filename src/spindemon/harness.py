@@ -2,14 +2,15 @@
 projections, and derived-quantity helpers.
 
 One shot follows the hardware cycle: the donor starts ionized (empty pulse),
-an electron loads from the reservoir, and the trigger machine watches the
-digitized sensor until it sees the required run of silent samples.  The shot
-engine is event driven: between tunneling events the amplifier output is a
-single exponential, so the blip/no-blip status of every sample in the gap is
+an electron loads from the reservoir, and a counter watches the digitized
+sensor until it sees the required run of silent samples.  The shot engine
+is event driven: between tunneling events the amplifier output is a single
+exponential, so the blip/no-blip status of every sample in the gap is
 resolved analytically instead of sample by sample.  Its output is identical
 to rendering the trace on a substep grid, decimating, and counting silent
-samples one at a time (the tests cross-check this), but runs in time
-proportional to the number of tunneling events.
+samples one at a time (``tests/oracles.py`` holds that reference chain and
+the tests cross-check the two), but runs in time proportional to the number
+of tunneling events.
 """
 
 from __future__ import annotations
@@ -197,8 +198,6 @@ def run_detection(
     amp: AmplifierParams,
     n_required: int,
     horizon: float,
-    initial_state: DonorState = DonorState.IONIZED,
-    initial_level: float | None = None,
     latency: float = 0.0,
     detector: str = "amplifier",
     noise_std: float = 0.0,
@@ -207,10 +206,11 @@ def run_detection(
 ) -> _Detection:
     """Consume a transition stream and run the trigger logic over its samples.
 
-    Samples sit at t = n * T_s, n = 1, 2, ...  The trigger fires at the
-    sample completing ``n_required`` consecutive silent samples; the loaded
-    state is then evaluated ``latency`` seconds after that sample instant.
-    Processing stops at the trigger or at ``horizon``, whichever is first.
+    The donor starts ionized with the amplifier output settled at 1.  Samples
+    sit at t = n * T_s, n = 1, 2, ...  The trigger fires at the sample
+    completing ``n_required`` consecutive silent samples; the loaded state is
+    then evaluated ``latency`` seconds after that sample instant.  Processing
+    stops at the trigger or at ``horizon``, whichever is first.
     """
     ts = amp.sample_period
     s_th = amp.threshold
@@ -220,8 +220,8 @@ def run_detection(
     if noisy and rng is None:
         raise ValueError("noise_std > 0 requires an rng")
 
-    state = initial_state
-    level = (1.0 if state is DonorState.IONIZED else 0.0) if initial_level is None else initial_level
+    state = DonorState.IONIZED
+    level = 1.0
     seg_start = 0.0
 
     counter = 0
@@ -304,32 +304,21 @@ def run_detection(
             next_sample = n_last + 1
             return
 
-        if x == 1.0:
-            if level > s_th:
-                n_cross = n_first  # already above threshold
-            else:
-                t_c = seg_start + math.log((1.0 - level) / (1.0 - s_th)) / omega
-                n_cross = int(t_c / ts) + 1
-                n_cross = max(n_first, min(n_cross, n_last + 1))
-                while n_cross <= n_last and value_at(n_cross) <= s_th:
-                    n_cross += 1
-                while n_cross > n_first and value_at(n_cross - 1) > s_th:
-                    n_cross -= 1
-            emit_run(n_first, n_cross - n_first, False)
-            emit_run(n_cross, n_last - n_cross + 1, True)
+        # The output moves monotonically from level toward x, so the samples
+        # split at one crossing: silent then blips while rising, blips then
+        # silent while falling.
+        rising = x == 1.0
+        if (level > s_th) == rising:
+            n_cross = n_first  # the threshold is already behind
         else:
-            if level <= s_th:
-                n_cross = n_first  # already below: everything silent
-            else:
-                t_c = seg_start + math.log(level / s_th) / omega
-                n_cross = int(math.ceil(t_c / ts))
-                n_cross = max(n_first, min(n_cross, n_last + 1))
-                while n_cross <= n_last and value_at(n_cross) > s_th:
-                    n_cross += 1
-                while n_cross > n_first and value_at(n_cross - 1) <= s_th:
-                    n_cross -= 1
-            emit_run(n_first, n_cross - n_first, True)
-            emit_run(n_cross, n_last - n_cross + 1, False)
+            t_c = seg_start + math.log((x - level) / (x - s_th)) / omega
+            n_cross = max(n_first, min(int(t_c / ts) + 1, n_last + 1))
+            while n_cross <= n_last and (value_at(n_cross) > s_th) != rising:
+                n_cross += 1
+            while n_cross > n_first and (value_at(n_cross - 1) > s_th) == rising:
+                n_cross -= 1
+        emit_run(n_first, n_cross - n_first, not rising)
+        emit_run(n_cross, n_last - n_cross + 1, rising)
         next_sample = n_last + 1
 
     def finalize_episode() -> None:
@@ -421,8 +410,6 @@ def run_initialization_shot(
         amp=cfg.amplifier,
         n_required=n_required,
         horizon=horizon,
-        initial_state=DonorState.IONIZED,
-        initial_level=1.0,
         latency=cfg.demon.latency,
         detector=cfg.detector,
         noise_std=cfg.noise_std,
@@ -577,7 +564,7 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
     The base tunnel rate is held fixed while the potential moves, so the
     rates change only through the reservoir occupations.  Without monitoring
     the fidelity is the loading fraction itself (the tuning-dependent bare
-    curve); with monitoring the trigger machine runs at the configured
+    curve); with monitoring the silent-sample counter runs at the configured
     observation length.
     """
     if cfg.sweep is None or cfg.sweep.variable != "mu_d":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import IO, Iterable
+from typing import IO
 
 from . import __version__
 from .ancilla import FidelityBudget, NuclearHistogram
@@ -86,56 +86,39 @@ def _projection_row(row: ProjectionScenario) -> list:
     return [row.label, row.cutoff, row.in_rate_total, row.t_rise, row.p_miss, row.plateau]
 
 
-def _write_csv(stream: IO[str], columns: tuple[str, ...], rows: Iterable[list]) -> None:
+def _write(
+    stream: IO[str], columns: tuple[str, ...], rows: list[list], fmt: str, metadata: dict
+) -> None:
+    """Write rows as CSV, or as JSON under a metadata header when fmt is "json"."""
+    if fmt == "json":
+        payload = {
+            "metadata": metadata,
+            "rows": [dict(zip(columns, row)) for row in rows],
+        }
+        json.dump(payload, stream, indent=2, sort_keys=True)
+        stream.write("\n")
+        return
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(value) for value in row])
 
 
-def _write_json(
-    stream: IO[str], columns: tuple[str, ...], rows: Iterable[list], metadata: dict
-) -> None:
-    payload = {
-        "metadata": metadata,
-        "rows": [dict(zip(columns, row)) for row in rows],
-    }
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
 def write_sweep(stream, results: list[SweepResult], fmt: str, metadata: dict) -> None:
-    rows = [_sweep_row(r) for r in results]
-    if fmt == "json":
-        meta = dict(metadata)
-        meta["abandoned_total"] = sum(r.n_abandoned for r in results)
-        _write_json(stream, SWEEP_COLUMNS, rows, meta)
-    else:
-        _write_csv(stream, SWEEP_COLUMNS, rows)
+    meta = dict(metadata, abandoned_total=sum(r.n_abandoned for r in results))
+    _write(stream, SWEEP_COLUMNS, [_sweep_row(r) for r in results], fmt, meta)
 
 
 def write_fit(stream, fit: FitResult, fmt: str, metadata: dict) -> None:
-    rows = _fit_rows(fit)
-    if fmt == "json":
-        _write_json(stream, FIT_COLUMNS, rows, metadata)
-    else:
-        _write_csv(stream, FIT_COLUMNS, rows)
+    _write(stream, FIT_COLUMNS, _fit_rows(fit), fmt, metadata)
 
 
 def write_shots(stream, records: list[ShotRecord], fmt: str, metadata: dict) -> None:
-    rows = [_shot_row(r) for r in records]
-    if fmt == "json":
-        _write_json(stream, SHOT_COLUMNS, rows, metadata)
-    else:
-        _write_csv(stream, SHOT_COLUMNS, rows)
+    _write(stream, SHOT_COLUMNS, [_shot_row(r) for r in records], fmt, metadata)
 
 
 def write_projection(stream, rows: list[ProjectionScenario], fmt: str, metadata: dict) -> None:
-    data = [_projection_row(r) for r in rows]
-    if fmt == "json":
-        _write_json(stream, PROJECTION_COLUMNS, data, metadata)
-    else:
-        _write_csv(stream, PROJECTION_COLUMNS, data)
+    _write(stream, PROJECTION_COLUMNS, [_projection_row(r) for r in rows], fmt, metadata)
 
 
 def write_budget(stream, budget: FidelityBudget, fmt: str, metadata: dict) -> None:
@@ -145,17 +128,11 @@ def write_budget(stream, budget: FidelityBudget, fmt: str, metadata: dict) -> No
         ["readout", budget.f_readout],
         ["total", budget.f_total],
     ]
-    if fmt == "json":
-        _write_json(stream, BUDGET_COLUMNS, rows, metadata)
-    else:
-        _write_csv(stream, BUDGET_COLUMNS, rows)
+    _write(stream, BUDGET_COLUMNS, rows, fmt, metadata)
 
 
 def write_histogram(stream, histogram: NuclearHistogram, fmt: str, metadata: dict,
                     bins: int | None = None) -> None:
     centers, counts = histogram.histogram(bins)
     rows = [[float(c), int(n)] for c, n in zip(centers, counts)]
-    if fmt == "json":
-        _write_json(stream, ("bin_center", "count"), rows, metadata)
-    else:
-        _write_csv(stream, ("bin_center", "count"), rows)
+    _write(stream, ("bin_center", "count"), rows, fmt, metadata)

@@ -1,10 +1,13 @@
 """Reference views of the demon that the tests check the program against.
 
 The package computes the posterior in one closed form
-(``spindemon.demon.batch_posterior``) and counts silent samples inline in
-the shot engine.  The views here are independent routes to the same
-numbers:
+(``spindemon.demon.batch_posterior``) and resolves each shot's samples in
+closed form between tunneling events (``spindemon.harness.run_detection``).
+The views here are independent routes to the same numbers:
 
+- the rendered sensor chain: a trajectory, its amplifier output on a
+  substep grid, point decimation and threshold comparison;
+- the ideal detector's samples, read off the trajectory directly;
 - a counter-only trigger, stepped one sample at a time, and a window scan
   that finds the same trigger sample without counting;
 - the sequential Bayes update, one silent sample at a time;
@@ -16,13 +19,183 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import expm
 
 from spindemon.demon import likelihood_no_blip
+from spindemon.harness import _live_events
 from spindemon.physics import RateSet, bare_init_fidelity_from_rates
-from spindemon.telegraph import DonorState
+from spindemon.telegraph import AmplifierParams, DonorState
+
+_LEVEL = {DonorState.UP: 0.0, DonorState.DOWN: 0.0, DonorState.IONIZED: 1.0}
+
+
+@dataclass
+class EventTimeline:
+    """Time-ordered state transitions of one trajectory.
+
+    events holds (time, new_state) pairs with strictly increasing times in
+    (0, duration]; consecutive states always differ.
+    """
+
+    initial_state: DonorState
+    events: list[tuple[float, DonorState]]
+    duration: float
+
+    def state_at(self, t: float) -> DonorState:
+        """State occupied at time t (events are effective at their timestamp)."""
+        state = self.initial_state
+        for when, new_state in self.events:
+            if when > t:
+                break
+            state = new_state
+        return state
+
+    def segments(self) -> Iterator[tuple[float, float, DonorState]]:
+        """Yield (start, end, state) covering [0, duration]."""
+        start = 0.0
+        state = self.initial_state
+        for when, new_state in self.events:
+            yield start, when, state
+            start, state = when, new_state
+        yield start, self.duration, state
+
+
+@dataclass
+class SampledTrace:
+    """Digitized sensor samples and their threshold comparisons."""
+
+    samples: np.ndarray
+    blips: np.ndarray
+    sample_period: float
+
+
+def sample_trajectory(
+    rates,
+    initial: DonorState,
+    duration: float,
+    seed=None,
+    rng: np.random.Generator | None = None,
+) -> EventTimeline:
+    """The shot engine's transition stream, cut at ``duration``.
+
+    The events are the prefix of ``spindemon.harness._live_events`` below
+    ``duration``: the same Gillespie steps the shot engine consumes, drawn
+    in the same order.  The result is deterministic given the seed.
+
+    Args:
+        rates: RateSet with the tunnel (and optional spin-flip) rates.
+        initial: starting state.
+        duration: trajectory length in seconds (> 0).
+        seed: RNG seed (int or sequence) used when rng is not supplied.
+        rng: optional generator to draw from directly.
+    """
+    if duration <= 0.0:
+        raise ValueError("duration must be > 0")
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    stream = _live_events(rng, rates, initial)
+    events = list(takewhile(lambda event: event[0] < duration, stream))
+    return EventTimeline(initial_state=initial, events=events, duration=duration)
+
+
+def render_sensor_trace(
+    timeline: EventTimeline,
+    amp: AmplifierParams,
+    substep: float | None = None,
+    initial_level: float | None = None,
+) -> np.ndarray:
+    """Amplifier output on a fixed substep grid.
+
+    The ideal telegraph input (1 ionized, 0 neutral) is piecewise constant,
+    so the first-order response is evaluated in closed form per segment;
+    values at the grid points are exact for any substep, which only sets the
+    reporting resolution.
+
+    Args:
+        timeline: trajectory to render.
+        amp: amplifier parameters; substep must be <= sample_period / 10.
+        substep: grid spacing in seconds (default sample_period / 100).
+        initial_level: amplifier output at t = 0; defaults to the telegraph
+            level of the initial state (signal assumed settled beforehand).
+
+    Returns:
+        Array of output values at t = k * substep, k = 0 .. floor(T/substep).
+    """
+    if substep is None:
+        substep = amp.sample_period / 100.0
+    if substep > amp.sample_period / 10.0 + 1e-18:
+        raise ValueError("substep too coarse: must be <= sample_period / 10")
+    omega = amp.angular_cutoff
+    n_points = int(math.floor(timeline.duration / substep + 1e-9)) + 1
+    times = np.arange(n_points) * substep
+    out = np.empty(n_points)
+
+    level = _LEVEL[timeline.initial_state] if initial_level is None else float(initial_level)
+    out[0] = level
+    idx = 1
+    for start, end, state in timeline.segments():
+        x = _LEVEL[state]
+        if idx < n_points:
+            hi = np.searchsorted(times, end, side="right")
+            if hi > idx:
+                out[idx:hi] = x + (level - x) * np.exp(-omega * (times[idx:hi] - start))
+                idx = hi
+        level = x + (level - x) * math.exp(-omega * (end - start))
+        if idx >= n_points:
+            break
+    return out
+
+
+def digitize(
+    raw: np.ndarray,
+    amp: AmplifierParams,
+    substep: float | None = None,
+    noise_std: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> SampledTrace:
+    """Point-decimate a rendered trace at t = n * sample_period.
+
+    Instantaneous values are picked with no anti-alias filtering, matching a
+    plain decimating acquisition.  Samples exactly at the threshold are not
+    blips (strict comparison).  Optional additive Gaussian noise is applied
+    to the picked samples for robustness studies; it is off by default.
+    """
+    if substep is None:
+        substep = amp.sample_period / 100.0
+    stride = amp.sample_period / substep
+    stride_int = round(stride)
+    if abs(stride - stride_int) > 1e-6 or stride_int < 1:
+        raise ValueError("sample_period must be an integer multiple of substep")
+    if len(raw) <= stride_int:
+        raise ValueError("trace shorter than one sample period")
+    samples = np.array(raw[stride_int::stride_int], dtype=float)
+    if noise_std > 0.0:
+        if rng is None:
+            rng = np.random.default_rng()
+        samples = samples + rng.normal(0.0, noise_std, size=samples.shape)
+    blips = samples > amp.threshold
+    return SampledTrace(samples=samples, blips=blips, sample_period=amp.sample_period)
+
+
+def ideal_blips(timeline: EventTimeline, sample_period: float, n_samples: int) -> np.ndarray:
+    """Blips of the ideal detector, read off the trajectory.
+
+    Sample n (1-based) is a blip exactly when the donor is ionized at some
+    instant in ((n - 1) T_s, n T_s].  Entry n - 1 of the result holds
+    sample n.
+    """
+    blips = np.zeros(n_samples, dtype=bool)
+    for start, end, state in timeline.segments():
+        if state is not DonorState.IONIZED:
+            continue
+        for n in range(1, n_samples + 1):
+            if start <= n * sample_period and end > (n - 1) * sample_period:
+                blips[n - 1] = True
+    return blips
 
 
 def trigger_tick(counter: int, blip: bool, n_required: int) -> tuple[int, bool]:

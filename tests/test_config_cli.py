@@ -245,6 +245,35 @@ class TestCli:
         assert main(["sweep-tobs", "--config", str(cfg)]) == 2
         assert "noise_std" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,files",
+        [
+            (["fit", "--data", "data.csv"],
+             {"data.csv": "grid_value,shots,successes\n0,10,8\n1e-3,10,9\n2e-3,10,9\n"}),
+            (["fit", "--data", "data.csv"],
+             {"data.csv": "grid_value,shots,successes\n0,10,8\n1e-3,10\n"}),
+            (["histogram", "--p-up-given-up", "1.5"], {}),
+            (["histogram", "--shots-per-read", "0"], {}),
+            (["histogram", "--shots", "2000", "--threshold", "0.99"], {}),
+            (["budget", "--f-init", "1.5", "--f-control", "0.995", "--f-readout", "0.9999"],
+             {}),
+            (["sweep-tobs", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nsweep.variable = mu_d\nsweep.grid = -100, 0\n"}),
+            (["sweep-tobs", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nsweep.grid = -1e-3, 1e-3\n"}),
+        ],
+        ids=["fit-3-rows", "fit-short-row", "histogram-probability", "histogram-zero-reads",
+             "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative"],
+    )
+    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(argv + ["--out", "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "Traceback" not in err
+
     def test_histogram_csv_and_visibility(self, tmp_path, capsys):
         out = tmp_path / "hist.csv"
         rc = main([

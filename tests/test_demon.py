@@ -10,6 +10,7 @@ from oracles import (
     first_trigger,
     liouvillian,
     posterior_step,
+    sample_trajectory,
     trigger_tick,
     unconditioned_evolution,
     window_scan_trigger,
@@ -22,7 +23,7 @@ from spindemon.demon import (
     optimal_read_time,
 )
 from spindemon.physics import RateSet
-from spindemon.telegraph import DonorState, sample_trajectory
+from spindemon.telegraph import DonorState
 
 TS = 1e-5
 FIG2_RATES = RateSet(out_up=100.0, out_down=1.0, in_up=500.0, in_down=1500.0)

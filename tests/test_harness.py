@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import first_trigger
+from oracles import (
+    digitize,
+    first_trigger,
+    ideal_blips,
+    render_sensor_trace,
+    sample_trajectory,
+)
 from spindemon.demon import DemonConfig, batch_posterior
 from spindemon.harness import (
     ExperimentConfig,
@@ -27,14 +33,7 @@ from spindemon.physics import (
     bare_init_fidelity_from_rates,
     build_rates,
 )
-from spindemon.telegraph import (
-    AmplifierParams,
-    DonorState,
-    digitize,
-    render_sensor_trace,
-    rise_time,
-    sample_trajectory,
-)
+from spindemon.telegraph import AmplifierParams, DonorState, rise_time
 
 AMP = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
 
@@ -100,7 +99,6 @@ class TestEngineMatchesReferenceChain:
                 amp=amp,
                 n_required=n_req,
                 horizon=len(trace.blips) * amp.sample_period,
-                initial_state=DonorState.IONIZED,
                 record_runs=True,
             )
             assert det.trigger_sample == trig_ref
@@ -111,6 +109,45 @@ class TestEngineMatchesReferenceChain:
             limit = det.trigger_sample or len(trace.blips)
             for n in range(1, limit + 1):
                 assert expanded[n] == bool(trace.blips[n - 1]), f"sample {n}"
+
+    def test_ideal_detector_blips_and_trigger_identical(self):
+        # The ideal detector latches any ionization inside a sample period
+        # into that sample's blip; the engine must agree with that rule read
+        # straight off the trajectory, sample by sample, up to the trigger.
+        rng = np.random.default_rng(43)
+        for _ in range(2000):
+            rates = RateSet(
+                out_up=10 ** rng.uniform(1, 4.5),
+                out_down=10 ** rng.uniform(-1, 3.5),
+                in_up=10 ** rng.uniform(2, 5.5),
+                in_down=10 ** rng.uniform(2, 5.5),
+            )
+            amp = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
+            n_req = int(rng.integers(3, 40))
+            n_samples = 60
+            tl = sample_trajectory(
+                rates, DonorState.IONIZED, n_samples * amp.sample_period,
+                seed=int(rng.integers(2**31)),
+            )
+            blips = ideal_blips(tl, amp.sample_period, n_samples)
+            trig_ref = first_trigger(blips, n_req)
+
+            det = run_detection(
+                tl.events,
+                amp=amp,
+                n_required=n_req,
+                horizon=n_samples * amp.sample_period,
+                detector="ideal",
+                record_runs=True,
+            )
+            assert det.trigger_sample == trig_ref
+            expanded = {}
+            for start, length, value in det.runs:
+                for k in range(start, start + length):
+                    expanded[k] = value
+            limit = det.trigger_sample or n_samples
+            for n in range(1, limit + 1):
+                assert expanded[n] == bool(blips[n - 1]), f"sample {n}"
 
 
 class TestRunInitializationShot:

@@ -1,9 +1,11 @@
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import spindemon
+from spindemon.cli import main
 
 
 def test_import_does_not_load_scipy():
@@ -19,3 +21,79 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# Module attributes that bench/tracer.py replaces to time each layer.  The
+# program must look each one up at call time; a name bound at import would
+# bypass the replacement and its per-layer metrics would silently read zero.
+TRACED = {
+    "harness": ("shot_rng", "gillespie_step", "run_detection", "run_initialization_shot",
+                "_run_shots", "_draw_load_spin", "_bootstrap_quartiles", "Pool",
+                "_sweep_point"),
+    "fitting": ("_gauss_newton",),
+    "cli": ("fit_fidelity_curve", "load_config"),
+    "output": ("write_sweep", "write_fit", "write_shots", "write_projection",
+               "write_budget", "write_histogram"),
+    "ancilla": ("simulate_nuclear_histogram", "visibility"),
+}
+RUN_CONFIG = """
+physics.temperature_k = 0.26
+rates.in_total_per_s = 2700
+demon.required_samples = 20
+run.shots = 8
+run.master_seed = 5
+sweep.grid = 0, 2e-4
+"""
+
+
+def _counting(calls, key, inner):
+    def counted(*args, **kwargs):
+        calls[key].append(args)
+        return inner(*args, **kwargs)
+
+    return counted
+
+
+def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
+    calls = {}
+    for module_name, names in TRACED.items():
+        module = importlib.import_module(f"spindemon.{module_name}")
+        for name in names:
+            key = f"{module_name}.{name}"
+            calls[key] = []
+            monkeypatch.setattr(module, name, _counting(calls, key, getattr(module, name)))
+
+    serial = tmp_path / "serial.cfg"
+    serial.write_text(RUN_CONFIG)
+    pooled = tmp_path / "pooled.cfg"
+    pooled.write_text(RUN_CONFIG + "run.workers = 2\n")
+    fit_data = Path(__file__).resolve().parent / "golden" / "fit-data.csv"
+    out = str(tmp_path / "out")
+    # Each run must reach every name listed with it, so that a name still
+    # reached from some other path cannot hide a bypass.
+    runs = [
+        (["simulate-shot", "--config", str(serial), "--shots", "1"],
+         ("harness.shot_rng", "harness.gillespie_step", "harness.run_detection",
+          "harness.run_initialization_shot", "harness._run_shots", "cli.load_config",
+          "output.write_shots")),
+        (["sweep-tobs", "--config", str(pooled)],
+         ("harness.Pool", "harness._sweep_point", "harness._draw_load_spin",
+          "harness._bootstrap_quartiles", "output.write_sweep")),
+        (["fit", "--data", str(fit_data)],
+         ("cli.fit_fidelity_curve", "fitting._gauss_newton", "output.write_fit")),
+        (["histogram", "--shots", "2000", "--threshold", "0.45"],
+         ("ancilla.simulate_nuclear_histogram", "ancilla.visibility",
+          "output.write_histogram")),
+        (["project"], ("output.write_projection",)),
+        (["budget", "--f-init", "0.989", "--f-control", "0.995", "--f-readout", "0.9999"],
+         ("output.write_budget",)),
+    ]
+    assert sorted(key for _, keys in runs for key in keys) == sorted(calls)
+    for argv, keys in runs:
+        before = {key: len(calls[key]) for key in keys}
+        assert main(argv + ["--out", out]) == 0, argv
+        assert [key for key in keys if len(calls[key]) == before[key]] == [], argv
+
+    # The tracer reads the config and n_required from these positions.
+    cfg, _, _, n_required = calls["harness.run_initialization_shot"][0]
+    assert n_required == cfg.demon.required_samples

@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import EventTimeline, digitize, render_sensor_trace, sample_trajectory
 from spindemon.physics import RateSet
 from spindemon.telegraph import (
     AmplifierParams,
     DonorState,
-    EventTimeline,
-    digitize,
-    dump_trace_csv,
     missed_blip_probability,
-    render_sensor_trace,
     rise_time,
-    sample_trajectory,
 )
 
 AMP = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
@@ -279,20 +275,3 @@ class TestEndToEndMissRate:
             assert crossed == (dt > T_RISE)
             checked += 1
         assert checked > 250
-
-
-class TestTraceDump:
-    def test_csv_columns_and_sampling_rows(self, tmp_path):
-        r = RateSet(out_up=1037.5, out_down=67.3, in_up=26.1, in_down=2673.9)
-        tl = sample_trajectory(r, DonorState.IONIZED, 3e-4, seed=17)
-        path = tmp_path / "trace.csv"
-        dump_trace_csv(path, tl, AMP)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time_s,raw,sampled,blip"
-        rows = [line.split(",") for line in lines[1:]]
-        sampled_rows = [row for row in rows if row[2] != ""]
-        assert len(sampled_rows) == 30  # 3e-4 / 1e-5 samples
-        for row in sampled_rows:
-            assert row[3] in ("0", "1")
-        unsampled = [row for row in rows if row[2] == ""]
-        assert all(row[3] == "" for row in unsampled)
