@@ -106,21 +106,19 @@ def render_sensor_trace(
     timeline: EventTimeline,
     amp: AmplifierParams,
     substep: float | None = None,
-    initial_level: float | None = None,
 ) -> np.ndarray:
     """Amplifier output on a fixed substep grid.
 
     The ideal telegraph input (1 ionized, 0 neutral) is piecewise constant,
     so the first-order response is evaluated in closed form per segment;
     values at the grid points are exact for any substep, which only sets the
-    reporting resolution.
+    reporting resolution.  The output at t = 0 is settled at the initial
+    state's telegraph level.
 
     Args:
         timeline: trajectory to render.
         amp: amplifier parameters; substep must be <= sample_period / 10.
         substep: grid spacing in seconds (default sample_period / 100).
-        initial_level: amplifier output at t = 0; defaults to the telegraph
-            level of the initial state (signal assumed settled beforehand).
 
     Returns:
         Array of output values at t = k * substep, k = 0 .. floor(T/substep).
@@ -134,7 +132,7 @@ def render_sensor_trace(
     times = np.arange(n_points) * substep
     out = np.empty(n_points)
 
-    level = _LEVEL[timeline.initial_state] if initial_level is None else float(initial_level)
+    level = _LEVEL[timeline.initial_state]
     out[0] = level
     idx = 1
     for start, end, state in timeline.segments():

@@ -23,19 +23,6 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# Module attributes that bench/tracer.py replaces to time each layer.  The
-# program must look each one up at call time; a name bound at import would
-# bypass the replacement and its per-layer metrics would silently read zero.
-TRACED = {
-    "harness": ("shot_rng", "gillespie_step", "run_detection", "run_initialization_shot",
-                "_run_shots", "_draw_load_spin", "_bootstrap_quartiles", "Pool",
-                "_sweep_point"),
-    "fitting": ("_gauss_newton",),
-    "cli": ("fit_fidelity_curve", "load_config"),
-    "output": ("write_sweep", "write_fit", "write_shots", "write_projection",
-               "write_budget", "write_histogram"),
-    "ancilla": ("simulate_nuclear_histogram", "visibility"),
-}
 RUN_CONFIG = """
 physics.temperature_k = 0.26
 rates.in_total_per_s = 2700
@@ -55,22 +42,16 @@ def _counting(calls, key, inner):
 
 
 def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
-    calls = {}
-    for module_name, names in TRACED.items():
-        module = importlib.import_module(f"spindemon.{module_name}")
-        for name in names:
-            key = f"{module_name}.{name}"
-            calls[key] = []
-            monkeypatch.setattr(module, name, _counting(calls, key, getattr(module, name)))
-
+    # bench/tracer.py times each layer by replacing these spindemon module
+    # attributes.  The program must look each one up at call time: a name
+    # bound at import bypasses the replacement, and its per-layer metrics
+    # silently read zero.  Each run must reach every name listed with it, so
+    # that a name still reached from another path cannot hide a bypass.
     serial = tmp_path / "serial.cfg"
     serial.write_text(RUN_CONFIG)
     pooled = tmp_path / "pooled.cfg"
     pooled.write_text(RUN_CONFIG + "run.workers = 2\n")
     fit_data = Path(__file__).resolve().parent / "golden" / "fit-data.csv"
-    out = str(tmp_path / "out")
-    # Each run must reach every name listed with it, so that a name still
-    # reached from some other path cannot hide a bypass.
     runs = [
         (["simulate-shot", "--config", str(serial), "--shots", "1"],
          ("harness.shot_rng", "harness.gillespie_step", "harness.run_detection",
@@ -88,7 +69,15 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
         (["budget", "--f-init", "0.989", "--f-control", "0.995", "--f-readout", "0.9999"],
          ("output.write_budget",)),
     ]
-    assert sorted(key for _, keys in runs for key in keys) == sorted(calls)
+    calls = {}
+    for _, keys in runs:
+        for key in keys:
+            module_name, name = key.split(".")
+            module = importlib.import_module(f"spindemon.{module_name}")
+            calls[key] = []
+            monkeypatch.setattr(module, name, _counting(calls, key, getattr(module, name)))
+
+    out = str(tmp_path / "out")
     for argv, keys in runs:
         before = {key: len(calls[key]) for key in keys}
         assert main(argv + ["--out", out]) == 0, argv
