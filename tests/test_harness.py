@@ -110,6 +110,60 @@ class TestEngineMatchesReferenceChain:
             for n in range(1, limit + 1):
                 assert expanded[n] == bool(trace.blips[n - 1]), f"sample {n}"
 
+    def test_noisy_detector_blips_and_trigger_identical(self):
+        # The engine draws one noise value per sample, for samples 1, 2, ...
+        # in order, which is the order digitize adds noise to the rendered
+        # trace; with generators of the same seed both chains must see the
+        # same noisy samples, however the engine splits its draws.
+        rng = np.random.default_rng(44)
+        n_triggered = 0
+        for case in range(600):
+            rates = RateSet(
+                out_up=10 ** rng.uniform(1, 4.5),
+                out_down=10 ** rng.uniform(-1, 3.5),
+                in_up=10 ** rng.uniform(2, 4.5),
+                in_down=10 ** rng.uniform(2, 4.5),
+            )
+            amp = AmplifierParams(
+                cutoff=10 ** rng.uniform(4, 5.5),
+                threshold=rng.uniform(0.1, 0.9),
+                sample_period=1e-5,
+            )
+            n_req = int(rng.integers(3, 40))
+            noise_std = rng.uniform(0.01, 0.3)
+            duration = 60 * amp.sample_period
+            tl = sample_trajectory(
+                rates, DonorState.IONIZED, duration, seed=int(rng.integers(2**31))
+            )
+
+            substep = amp.sample_period / 100
+            trace = digitize(
+                render_sensor_trace(tl, amp, substep), amp, substep,
+                noise_std=noise_std, rng=np.random.default_rng(case),
+            )
+            trig_ref = first_trigger(trace.blips, n_req)
+
+            det = run_detection(
+                tl.events,
+                amp=amp,
+                n_required=n_req,
+                horizon=len(trace.blips) * amp.sample_period,
+                noise_std=noise_std,
+                rng=np.random.default_rng(case),
+                record_runs=True,
+            )
+            assert det.trigger_sample == trig_ref
+            n_triggered += trig_ref is not None
+            expanded = {}
+            for start, length, value in det.runs:
+                for k in range(start, start + length):
+                    expanded[k] = value
+            limit = det.trigger_sample or len(trace.blips)
+            for n in range(1, limit + 1):
+                assert expanded[n] == bool(trace.blips[n - 1]), f"sample {n}"
+        # Both outcomes must be exercised for the comparison to mean much.
+        assert 100 < n_triggered < 500
+
     def test_ideal_detector_blips_and_trigger_identical(self):
         # The ideal detector latches any ionization inside a sample period
         # into that sample's blip; the engine must agree with that rule read
