@@ -183,11 +183,15 @@ def main(argv=None) -> int:
                 cfg.shots,
                 seed=cfg.master_seed,
             )
+            # Visibility rejects data that are not bimodal; check before any
+            # output is written so that an exit 2 leaves no file behind.
+            vis = None
+            if args.threshold is not None:
+                vis = ancilla.visibility(histogram, args.threshold)
             meta = output.build_metadata(cfg_hash, cfg.master_seed, {"reads": cfg.shots})
             with _open_out(args.out) as fh:
                 output.write_histogram(fh, histogram, args.format, meta)
-            if args.threshold is not None:
-                vis = ancilla.visibility(histogram, args.threshold)
+            if vis is not None:
                 print(
                     f"visibility={vis.visibility!r} overlap={vis.overlap!r} "
                     f"f_low={vis.f_low!r} f_high={vis.f_high!r}",

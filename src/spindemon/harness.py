@@ -69,7 +69,10 @@ class ExperimentConfig:
     low-pass/threshold/decimation model; "ideal" latches any ionization in a
     sample period into that sample's blip (no missed events), which isolates
     estimator behavior from detection loss.  Sensor noise acts on the
-    amplifier output, so noise_std > 0 requires the amplifier detector.
+    amplifier output, so noise_std > 0 requires the amplifier detector.  The
+    noise is drawn from the shot's generator only up to the trigger sample,
+    in chunks no longer than the required run, so a triggered shot's cost
+    does not grow with abandon_factor (see run_detection).
     """
 
     physics: TunnelModelParams
@@ -211,6 +214,14 @@ def run_detection(
     completing ``n_required`` consecutive silent samples; the loaded state is
     then evaluated ``latency`` seconds after that sample instant.  Processing
     stops at the trigger or at ``horizon``, whichever is first.
+
+    With noise, ``rng`` draws one value per sample in sample order, walking
+    each inter-event segment in chunks of at most ``n_required - counter``
+    samples, so no draw reaches past the trigger and none is longer than
+    ``n_required``.  If an event falls inside the latency window, the rest of
+    the trigger segment is drawn and discarded before that event is read,
+    so a transition stream drawing from the same generator continues as if
+    the whole segment had been drawn.
     """
     ts = amp.sample_period
     s_th = amp.threshold
@@ -219,6 +230,8 @@ def run_detection(
     noisy = noise_std > 0.0 and detector == "amplifier"
     if noisy and rng is None:
         raise ValueError("noise_std > 0 requires an rng")
+    if n_required < 1:
+        raise ValueError("n_required must be >= 1")
 
     state = DonorState.IONIZED
     level = 1.0
@@ -232,6 +245,7 @@ def run_detection(
     n_missed_subrise = 0
     n_missed_sampled = 0
     latched_until = 0  # ideal detector: last sample index covered by an ionization
+    undrawn = 0  # noisy detector: samples of the segment left undrawn at the trigger
 
     episode_active = False
     episode_out_time = 0.0
@@ -268,7 +282,7 @@ def run_detection(
 
     def process_segment(t_end: float) -> None:
         """Classify and feed every sample in (seg_start, t_end]."""
-        nonlocal next_sample
+        nonlocal next_sample, undrawn
         n_first = next_sample
         n_last = last_sample_at_or_before(t_end)
         if n_last < n_first:
@@ -290,17 +304,25 @@ def run_detection(
             return x + (level - x) * math.exp(-omega * (n * ts - seg_start))
 
         if noisy:
-            times = np.arange(n_first, n_last + 1) * ts
-            values = x + (level - x) * np.exp(-omega * (times - seg_start))
-            values = values + rng.normal(0.0, noise_std, size=values.shape)
-            blips = values > s_th
-            edges = np.flatnonzero(blips[1:] != blips[:-1]) + 1
-            start = 0
-            for edge in list(edges) + [len(blips)]:
-                emit_run(n_first + start, edge - start, bool(blips[start]))
-                if trigger_sample is not None:
-                    break
-                start = edge
+            # A chunk of n_required - counter samples either holds a blip,
+            # which resets the counter, or fires the trigger on its last
+            # sample, so no sample past the trigger is drawn.
+            n = n_first
+            while n <= n_last and trigger_sample is None:
+                size = min(n_last - n + 1, n_required - counter)
+                times = np.arange(n, n + size) * ts
+                values = x + (level - x) * np.exp(-omega * (times - seg_start))
+                values = values + rng.normal(0.0, noise_std, size=size)
+                blips = values > s_th
+                edges = np.flatnonzero(blips[1:] != blips[:-1]) + 1
+                start = 0
+                for edge in list(edges) + [size]:
+                    emit_run(n + start, edge - start, bool(blips[start]))
+                    if trigger_sample is not None:
+                        break
+                    start = edge
+                n += size
+            undrawn = n_last - n + 1
             next_sample = n_last + 1
             return
 
@@ -361,6 +383,11 @@ def run_detection(
         end_time = trigger_sample * ts + latency
         # Advance through any transitions inside the latency window.
         pending = item
+        if pending is not None and pending[0] <= end_time and undrawn:
+            # The events may come from the noise generator: draw the rest of
+            # the trigger segment so the next event sees the generator as it
+            # would be had the whole segment been drawn.
+            rng.normal(0.0, noise_std, size=undrawn)
         while pending is not None and pending[0] <= end_time:
             state = pending[1]
             pending = next(event_iter, None)

@@ -273,6 +273,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: " in err
         assert "Traceback" not in err
+        # A rejected run leaves no output that could pass for a good one.
+        assert not (tmp_path / "out.csv").exists()
 
     def test_histogram_csv_and_visibility(self, tmp_path, capsys):
         out = tmp_path / "hist.csv"

@@ -204,6 +204,79 @@ class TestEngineMatchesReferenceChain:
                 assert expanded[n] == bool(blips[n - 1]), f"sample {n}"
 
 
+class _CountingRng:
+    """Generator stand-in that records the size of every normal draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        return self.rng.normal(loc, scale, size=size)
+
+
+class TestNoiseDraws:
+    def test_draws_stop_at_trigger_whatever_the_horizon(self):
+        # One spin-down load and no further event: the last segment runs to
+        # the horizon, a thousand trigger lengths away, yet only the samples
+        # up to the trigger are drawn, and no single draw is longer than
+        # the required run.
+        n_req = 200
+        for seed in range(5):
+            rng = _CountingRng(seed)
+            det = run_detection(
+                [(3.5e-5, DonorState.DOWN)],
+                amp=AMP,
+                n_required=n_req,
+                horizon=1000 * n_req * AMP.sample_period,
+                noise_std=0.05,
+                rng=rng,
+            )
+            assert det.trigger_sample is not None
+            assert max(rng.sizes) <= n_req
+            assert sum(rng.sizes) == det.trigger_sample
+
+    def test_event_in_latency_window_sees_whole_segment_drawn(self):
+        # When the events come from the noise generator, an event read after
+        # a mid-segment trigger must find the generator as if every sample
+        # of the trigger segment had been drawn.
+        ts = AMP.sample_period
+        n_req = 50
+        latency = 20 * ts
+        t_load = 3.5e-5
+        for seed in range(5):
+            probe = run_detection(
+                [(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)],
+                amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
+                noise_std=0.05, rng=np.random.default_rng(seed),
+            )
+            trigger = probe.trigger_sample
+            t_next = (trigger + 10.5) * ts  # inside the latency window
+            rng = np.random.default_rng(seed)
+            seen = []
+
+            def events():
+                yield t_load, DonorState.DOWN
+                yield t_next, DonorState.IONIZED
+                seen.append(rng.bit_generator.state)
+                yield t_next + 1e-3, DonorState.DOWN
+
+            det = run_detection(
+                events(), amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
+                noise_std=0.05, rng=rng,
+            )
+            assert det.trigger_sample == trigger
+            assert det.state_at_trigger is DonorState.IONIZED
+            whole = np.random.default_rng(seed)
+            whole.normal(0.0, 0.05, size=trigger + 10)  # samples 1 .. trigger + 10
+            assert seen == [whole.bit_generator.state]
+
+    def test_n_required_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="n_required"):
+            run_detection([], amp=AMP, n_required=0, horizon=1e-3)
+
+
 class TestRunInitializationShot:
     def test_record_fields_and_latency(self):
         cfg = make_config(n_required=200, shots=1)
