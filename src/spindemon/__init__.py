@@ -36,8 +36,6 @@ from .harness import (
     ShotRecord,
     SweepResult,
     SweepSpec,
-    donor_potential_for_prior,
-    extract_chi,
     projection_999,
     run_initialization_shot,
     sweep_bias,
@@ -51,7 +49,9 @@ from .physics import (
     bare_init_fidelity_from_chi,
     bare_init_fidelity_from_rates,
     build_rates,
+    donor_potential_for_prior,
     effective_temperature,
+    extract_chi,
     fermi_occupation,
 )
 from .telegraph import (

@@ -109,9 +109,6 @@ def qnd_fidelity(params: QndParams) -> float:
 
 def total_fidelity(f_init: float, f_control: float, f_readout: float) -> FidelityBudget:
     """Combine the three stage fidelities into the experiment total."""
-    for value in (f_init, f_control, f_readout):
-        if not (0.0 <= value <= 1.0):
-            raise ValueError("fidelities must be in [0, 1]")
     return FidelityBudget(
         f_init=f_init,
         f_control=f_control,

@@ -43,8 +43,8 @@ class DemonConfig:
     def __post_init__(self):
         if self.required_samples < 1:
             raise ValueError("required_samples must be >= 1")
-        if self.latency < 0.0:
-            raise ValueError("latency must be >= 0")
+        if not 0.0 <= self.latency < math.inf:
+            raise ValueError("latency must be finite and >= 0")
 
 
 def likelihood_no_blip(spin: DonorState, rates: RateSet, sample_period: float) -> float:

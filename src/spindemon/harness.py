@@ -1,5 +1,5 @@
-"""Experiment orchestration: full initialization-cycle Monte Carlo, sweeps,
-projections, and derived-quantity helpers.
+"""Experiment orchestration: the initialization-cycle shot engine, the
+sweeps built on it, and the detection-loss projections.
 
 One shot follows the hardware cycle: the donor starts ionized (empty pulse),
 an electron loads from the reservoir, and a counter watches the digitized
@@ -26,7 +26,6 @@ from .demon import DemonConfig, batch_posterior
 from .physics import (
     RateSet,
     TunnelModelParams,
-    bare_init_fidelity_from_chi,
     bare_init_fidelity_from_rates,
     build_rates,
 )
@@ -57,6 +56,8 @@ class SweepSpec:
             raise ValueError("sweep variable must be 't_obs' or 'mu_d'")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
+        if not all(math.isfinite(value) for value in self.grid):
+            raise ValueError("sweep grid values must be finite")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("sweep grid must be sorted ascending")
 
@@ -69,10 +70,9 @@ class ExperimentConfig:
     low-pass/threshold/decimation model; "ideal" latches any ionization in a
     sample period into that sample's blip (no missed events), which isolates
     estimator behavior from detection loss.  Sensor noise acts on the
-    amplifier output, so noise_std > 0 requires the amplifier detector.  The
-    noise is drawn from the shot's generator only up to the trigger sample,
-    in chunks no longer than the required run, so a triggered shot's cost
-    does not grow with abandon_factor (see run_detection).
+    amplifier output, so noise_std > 0 requires the amplifier detector.  It is
+    drawn only up to the trigger (see run_detection), so a triggered shot's
+    cost does not grow with abandon_factor.
     """
 
     physics: TunnelModelParams
@@ -93,12 +93,12 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.abandon_factor <= 0.0:
-            raise ValueError("abandon_factor must be > 0")
+        if not 0.0 < self.abandon_factor < math.inf:
+            raise ValueError("abandon_factor must be finite and > 0")
         if self.detector not in ("amplifier", "ideal"):
             raise ValueError("detector must be 'amplifier' or 'ideal'")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be finite and >= 0")
         if self.noise_std > 0.0 and self.detector == "ideal":
             raise ValueError("noise_std > 0 requires detector 'amplifier'")
 
@@ -125,10 +125,6 @@ class ShotRecord:
     n_missed_subrise: int
     n_missed_sampled: int
     observed_duration: float
-
-    @property
-    def succeeded(self) -> bool:
-        return self.triggered and self.spin_at_trigger is DonorState.DOWN
 
 
 @dataclass
@@ -195,6 +191,55 @@ def _live_events(
         yield t, state
 
 
+def _last_sample(t: float, ts: float) -> int:
+    """Index of the last sample instant n * ts at or before t."""
+    n = int(t / ts)
+    while (n + 1) * ts <= t:
+        n += 1
+    while n > 0 and n * ts > t:
+        n -= 1
+    return n
+
+
+def _output(x: float, level: float, omega: float, dt: float) -> float:
+    """Noiseless amplifier output dt after it was at level, settling toward x."""
+    return x + (level - x) * math.exp(-omega * dt)
+
+
+def _noiseless_runs(
+    amp: AmplifierParams, detector: str, x: float, level: float, seg_start: float,
+    latched_until: int, n_first: int, n_last: int,
+) -> list[tuple[int, int, bool]]:
+    """(start, length, is_blip) runs, possibly empty, of samples n_first..n_last.
+
+    x is 1 while the donor is ionized and 0 while it is loaded.  The ideal
+    detector's blips last while the donor is ionized and then up to the
+    latched sample.  The amplifier output moves monotonically from level
+    toward x, so its samples split at one crossing: silent then blips while
+    rising, blips then silent while falling.
+    """
+    if detector == "ideal":
+        covered = n_last if x == 1.0 else min(latched_until, n_last)
+        start = max(n_first, covered + 1)
+        return [(n_first, covered - n_first + 1, True), (start, n_last - start + 1, False)]
+    ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
+    rising = x == 1.0
+    if (level > s_th) == rising:
+        n_cross = n_first  # the threshold is already behind
+    else:
+        t_c = seg_start + math.log((x - level) / (x - s_th)) / omega
+        n_cross = max(n_first, min(int(t_c / ts) + 1, n_last + 1))
+        while n_cross <= n_last and (
+            _output(x, level, omega, n_cross * ts - seg_start) > s_th
+        ) != rising:
+            n_cross += 1
+        while n_cross > n_first and (
+            _output(x, level, omega, (n_cross - 1) * ts - seg_start) > s_th
+        ) == rising:
+            n_cross -= 1
+    return [(n_first, n_cross - n_first, not rising), (n_cross, n_last - n_cross + 1, rising)]
+
+
 def run_detection(
     events: Iterable[tuple[float, DonorState]],
     *,
@@ -215,18 +260,26 @@ def run_detection(
     then evaluated ``latency`` seconds after that sample instant.  Processing
     stops at the trigger or at ``horizon``, whichever is first.
 
-    With noise, ``rng`` draws one value per sample in sample order, walking
-    each inter-event segment in chunks of at most ``n_required - counter``
-    samples, so no draw reaches past the trigger and none is longer than
-    ``n_required``.  If an event falls inside the latency window, the rest of
-    the trigger segment is drawn and discarded before that event is read,
-    so a transition stream drawing from the same generator continues as if
-    the whole segment had been drawn.
+    Each segment between events is walked in chunks, and each chunk becomes
+    a few (start_sample, length, is_blip) runs for the silent-sample counter:
+    a blip run resets it, a silent run adds to it or fires the trigger.
+    Without noise a chunk is the whole segment, split in closed form.  The
+    ideal detector latches: a sample is a blip when the donor is ionized at
+    any instant of ((n - 1) T_s, n T_s], so it misses no ionization.
+
+    With noise, ``rng`` draws one value per sample in sample order, in chunks
+    of ``n_required - counter`` samples.  Such a chunk either holds a blip or
+    fires the trigger on its last sample, so no draw reaches past the
+    trigger.  If an event falls inside the latency window, the rest of the
+    trigger segment is drawn and discarded before that event is read, so a
+    transition stream drawing from the same generator continues as if the
+    whole segment had been drawn.  With ``record_runs``, ``runs`` holds one
+    (start_sample, length, is_blip) tuple per nonempty run, up to and
+    including the one that fires the trigger.
     """
     ts = amp.sample_period
-    s_th = amp.threshold
     omega = amp.angular_cutoff
-    t_rise_det = 0.0 if detector == "ideal" else rise_time(amp.cutoff, s_th)
+    t_rise_det = 0.0 if detector == "ideal" else rise_time(amp.cutoff, amp.threshold)
     noisy = noise_std > 0.0 and detector == "amplifier"
     if noisy and rng is None:
         raise ValueError("noise_std > 0 requires an rng")
@@ -234,167 +287,90 @@ def run_detection(
         raise ValueError("n_required must be >= 1")
 
     state = DonorState.IONIZED
-    level = 1.0
+    level = 1.0  # amplifier output at seg_start
     seg_start = 0.0
-
+    n = 1  # next sample to classify
     counter = 0
-    next_sample = 1
     trigger_sample: int | None = None
-    n_resets = 0
-    n_ionizations = 0
-    n_missed_subrise = 0
-    n_missed_sampled = 0
+    n_resets = n_ionizations = n_missed_subrise = n_missed_sampled = 0
     latched_until = 0  # ideal detector: last sample index covered by an ionization
-    undrawn = 0  # noisy detector: samples of the segment left undrawn at the trigger
-
-    episode_active = False
-    episode_out_time = 0.0
+    # The ionization episode in progress: when it began, whether the donor
+    # has reloaded since, and how many blips it has shown.
+    episode_start: float | None = None
     episode_reloaded = False
-    episode_trues = 0
-
+    episode_blips = 0
     runs: list[tuple[int, int, bool]] | None = [] if record_runs else None
 
-    def emit_run(start_n: int, length: int, is_blip: bool) -> None:
-        nonlocal counter, trigger_sample, n_resets, episode_trues
-        if length <= 0 or trigger_sample is not None:
-            return
-        if runs is not None:
-            runs.append((start_n, length, is_blip))
-        if is_blip:
-            if counter > 0:
-                n_resets += 1
-            counter = 0
-            if episode_active:
-                episode_trues += length
-        else:
-            if counter + length >= n_required:
-                trigger_sample = start_n + (n_required - counter) - 1
-            else:
-                counter += length
-
-    def last_sample_at_or_before(t: float) -> int:
-        n = int(t / ts)
-        while (n + 1) * ts <= t:
-            n += 1
-        while n > 0 and n * ts > t:
-            n -= 1
-        return n
-
-    def process_segment(t_end: float) -> None:
-        """Classify and feed every sample in (seg_start, t_end]."""
-        nonlocal next_sample, undrawn
-        n_first = next_sample
-        n_last = last_sample_at_or_before(t_end)
-        if n_last < n_first:
-            return
+    events = iter(events)
+    while True:
+        item = next(events, None)
+        n_last = _last_sample(horizon if item is None else min(item[0], horizon), ts)
         x = 1.0 if state is DonorState.IONIZED else 0.0
-
-        if detector == "ideal":
-            if x == 1.0:
-                emit_run(n_first, n_last - n_first + 1, True)
-            else:
-                covered = min(latched_until, n_last)
-                emit_run(n_first, covered - n_first + 1, True)
-                start = max(n_first, covered + 1)
-                emit_run(start, n_last - start + 1, False)
-            next_sample = n_last + 1
-            return
-
-        def value_at(n: int) -> float:
-            return x + (level - x) * math.exp(-omega * (n * ts - seg_start))
-
-        if noisy:
-            # A chunk of n_required - counter samples either holds a blip,
-            # which resets the counter, or fires the trigger on its last
-            # sample, so no sample past the trigger is drawn.
-            n = n_first
-            while n <= n_last and trigger_sample is None:
+        while n <= n_last and trigger_sample is None:
+            if noisy:
                 size = min(n_last - n + 1, n_required - counter)
                 times = np.arange(n, n + size) * ts
                 values = x + (level - x) * np.exp(-omega * (times - seg_start))
-                values = values + rng.normal(0.0, noise_std, size=size)
-                blips = values > s_th
-                edges = np.flatnonzero(blips[1:] != blips[:-1]) + 1
-                start = 0
-                for edge in list(edges) + [size]:
-                    emit_run(n + start, edge - start, bool(blips[start]))
-                    if trigger_sample is not None:
-                        break
-                    start = edge
-                n += size
-            undrawn = n_last - n + 1
-            next_sample = n_last + 1
-            return
-
-        # The output moves monotonically from level toward x, so the samples
-        # split at one crossing: silent then blips while rising, blips then
-        # silent while falling.
-        rising = x == 1.0
-        if (level > s_th) == rising:
-            n_cross = n_first  # the threshold is already behind
-        else:
-            t_c = seg_start + math.log((x - level) / (x - s_th)) / omega
-            n_cross = max(n_first, min(int(t_c / ts) + 1, n_last + 1))
-            while n_cross <= n_last and (value_at(n_cross) > s_th) != rising:
-                n_cross += 1
-            while n_cross > n_first and (value_at(n_cross - 1) > s_th) == rising:
-                n_cross -= 1
-        emit_run(n_first, n_cross - n_first, not rising)
-        emit_run(n_cross, n_last - n_cross + 1, rising)
-        next_sample = n_last + 1
-
-    def finalize_episode() -> None:
-        nonlocal n_missed_sampled, episode_active
-        if episode_active and episode_reloaded and episode_trues == 0:
-            n_missed_sampled += 1
-        episode_active = False
-
-    event_iter = iter(events)
-    end_time = horizon
-    while trigger_sample is None:
-        item = next(event_iter, None)
-        event_time = horizon if item is None else min(item[0], horizon)
-        process_segment(event_time)
+                blips = values + rng.normal(0.0, noise_std, size=size) > amp.threshold
+                edges = [0, *(np.flatnonzero(blips[1:] != blips[:-1]) + 1).tolist(), size]
+                chunk = [(n + a, b - a, bool(blips[a])) for a, b in zip(edges, edges[1:])]
+            else:
+                size = n_last - n + 1
+                chunk = _noiseless_runs(
+                    amp, detector, x, level, seg_start, latched_until, n, n_last
+                )
+            for start, length, is_blip in chunk:
+                if length <= 0:
+                    continue
+                if runs is not None:
+                    runs.append((start, length, is_blip))
+                if is_blip:
+                    if counter > 0:
+                        n_resets += 1
+                    counter = 0
+                    episode_blips += length
+                elif counter + length >= n_required:
+                    trigger_sample = start + n_required - counter - 1
+                    break
+                else:
+                    counter += length
+            n += size
         if trigger_sample is not None or item is None or item[0] >= horizon:
             break
         event_time, new_state = item
         if detector == "ideal" and state is DonorState.IONIZED:
             latched_until = max(latched_until, int(math.ceil(event_time / ts - 1e-12)))
         else:
-            x = 1.0 if state is DonorState.IONIZED else 0.0
-            level = x + (level - x) * math.exp(-omega * (event_time - seg_start))
+            level = _output(x, level, omega, event_time - seg_start)
         if state is DonorState.IONIZED and new_state is not DonorState.IONIZED:
-            if episode_active:
+            if episode_start is not None:
                 episode_reloaded = True
-                if (event_time - episode_out_time) < t_rise_det:
+                if event_time - episode_start < t_rise_det:
                     n_missed_subrise += 1
         elif state is not DonorState.IONIZED and new_state is DonorState.IONIZED:
-            finalize_episode()
-            episode_active = True
-            episode_out_time = event_time
-            episode_reloaded = False
-            episode_trues = 0
+            if episode_reloaded and episode_blips == 0:
+                n_missed_sampled += 1
+            episode_start, episode_reloaded, episode_blips = event_time, False, 0
             n_ionizations += 1
         seg_start = event_time
         state = new_state
 
+    if episode_reloaded and episode_blips == 0:
+        n_missed_sampled += 1
+    end_time = horizon
     state_at_trigger: DonorState | None = None
     if trigger_sample is not None:
         end_time = trigger_sample * ts + latency
-        # Advance through any transitions inside the latency window.
-        pending = item
-        if pending is not None and pending[0] <= end_time and undrawn:
+        if item is not None and item[0] <= end_time and n <= n_last:
             # The events may come from the noise generator: draw the rest of
             # the trigger segment so the next event sees the generator as it
             # would be had the whole segment been drawn.
-            rng.normal(0.0, noise_std, size=undrawn)
-        while pending is not None and pending[0] <= end_time:
-            state = pending[1]
-            pending = next(event_iter, None)
+            rng.normal(0.0, noise_std, size=n_last - n + 1)
+        # Advance through any transitions inside the latency window.
+        while item is not None and item[0] <= end_time:
+            state = item[1]
+            item = next(events, None)
         state_at_trigger = state
-        finalize_episode()
-    else:
-        finalize_episode()
 
     return _Detection(
         trigger_sample=trigger_sample,
@@ -461,9 +437,7 @@ def _shot_batch(args) -> list[ShotRecord]:
     return [run_initialization_shot(cfg, i, rates, n_required) for i in indices]
 
 
-def _run_shots(
-    cfg: ExperimentConfig, rates: RateSet, n_required: int
-) -> list[ShotRecord]:
+def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int) -> list[ShotRecord]:
     indices = range(cfg.shots)
     if cfg.workers == 1:
         return [run_initialization_shot(cfg, i, rates, n_required) for i in indices]
@@ -500,7 +474,7 @@ def _draw_load_spin(cfg: ExperimentConfig, rates: RateSet, shot_index: int) -> D
 
 
 def _analytic_fidelity(
-    cfg: ExperimentConfig, rates: RateSet, n_required: int, demon_on: bool
+    cfg: ExperimentConfig, rates: RateSet, n_required: int, monitored: bool
 ) -> float:
     """Lower bound on one sweep point's fidelity: posterior less P_miss.
 
@@ -508,7 +482,7 @@ def _analytic_fidelity(
     SweepResult.analytic.
     """
     prior = bare_init_fidelity_from_rates(rates)
-    if not demon_on or n_required == 0:
+    if not monitored:
         return prior
     posterior = batch_posterior(prior, n_required, rates, cfg.amplifier.sample_period)
     if cfg.detector == "ideal":
@@ -528,24 +502,15 @@ def _sweep_point(
     n_required: int,
     demon_on: bool,
 ) -> SweepResult:
-    analytic = _analytic_fidelity(cfg, rates, n_required, demon_on)
-    if not demon_on or n_required == 0:
+    """Without monitoring every shot keeps its loaded spin and no shot is run."""
+    monitored = demon_on and n_required > 0
+    if monitored:
+        records = _run_shots(cfg, rates, n_required)
+        spins = [r.spin_at_trigger for r in records if r.triggered]
+    else:
+        records = []
         spins = [_draw_load_spin(cfg, rates, i) for i in range(cfg.shots)]
-        flags = np.array([s is DonorState.DOWN for s in spins], dtype=float)
-        median, p25, p75 = _bootstrap_quartiles(flags, cfg.master_seed, point_index)
-        return SweepResult(
-            grid_value=grid_value,
-            shots=cfg.shots,
-            successes=int(flags.sum()),
-            median=median,
-            p25=p25,
-            p75=p75,
-            analytic=analytic,
-            n_triggered=cfg.shots,
-        )
-    records = _run_shots(cfg, rates, n_required)
-    triggered = [r for r in records if r.triggered]
-    flags = np.array([r.succeeded for r in triggered], dtype=float)
+    flags = np.array([s is DonorState.DOWN for s in spins], dtype=float)
     median, p25, p75 = _bootstrap_quartiles(flags, cfg.master_seed, point_index)
     return SweepResult(
         grid_value=grid_value,
@@ -554,9 +519,9 @@ def _sweep_point(
         median=median,
         p25=p25,
         p75=p75,
-        analytic=analytic,
-        n_triggered=len(triggered),
-        n_abandoned=cfg.shots - len(triggered),
+        analytic=_analytic_fidelity(cfg, rates, n_required, monitored),
+        n_triggered=len(spins),
+        n_abandoned=cfg.shots - len(spins),
         n_ionizations=sum(r.n_ionizations for r in records),
         n_missed_subrise=sum(r.n_missed_subrise for r in records),
         n_missed_sampled=sum(r.n_missed_sampled for r in records),
@@ -606,49 +571,6 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
     return results
 
 
-def extract_chi(bare_deep_plunge_fidelity: float) -> float:
-    """Spin asymmetry implied by the deep-plunge no-monitoring fidelity.
-
-    Deep in the loaded regime both spin occupations saturate, so the bare
-    fidelity reduces to 1 / (1 + chi) and chi = (1 - F) / F.
-    """
-    if not (0.0 < bare_deep_plunge_fidelity < 1.0):
-        raise ValueError("fidelity must lie strictly inside (0, 1)")
-    return (1.0 - bare_deep_plunge_fidelity) / bare_deep_plunge_fidelity
-
-
-def donor_potential_for_prior(params: TunnelModelParams, prior_target: float) -> float:
-    """Donor potential at which the loading prior equals the target.
-
-    The loading prior rises monotonically with decreasing potential between
-    1 / (1 + chi) (deep plunge) and its empty-side limit, so a bisection of
-    the closed form is exact.  Used to place a measured prior inside the
-    rate model.
-    """
-    splitting = params.zeeman.splitting
-    span = 40.0 * splitting
-    lo, hi = -span, span
-
-    def prior_at(mu: float) -> float:
-        return bare_init_fidelity_from_chi(
-            params.asymmetry, splitting, params.reservoir, donor_potential=mu
-        )
-
-    p_lo, p_hi = prior_at(lo), prior_at(hi)
-    if not (min(p_lo, p_hi) <= prior_target <= max(p_lo, p_hi)):
-        raise ValueError(
-            f"prior {prior_target} unreachable: range [{min(p_lo, p_hi)}, {max(p_lo, p_hi)}]"
-        )
-    increasing = p_hi > p_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (prior_at(mid) < prior_target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def projection_999(
     cfg: ExperimentConfig,
     fast_cutoff: float = 300e3,
@@ -662,21 +584,13 @@ def projection_999(
     """
     amp = cfg.amplifier
     base_in = cfg.rates.in_total
-
-    def scenario(label: str, cutoff: float, in_rate: float) -> ProjectionScenario:
+    rows = []
+    for label, cutoff, in_rate in (
+        ("baseline", amp.cutoff, base_in),
+        ("faster_amplifier", fast_cutoff, base_in),
+        ("slower_loading", amp.cutoff, slow_in_rate),
+    ):
         t_r = rise_time(cutoff, amp.threshold)
         p_m = missed_blip_probability(t_r, in_rate)
-        return ProjectionScenario(
-            label=label,
-            cutoff=cutoff,
-            in_rate_total=in_rate,
-            t_rise=t_r,
-            p_miss=p_m,
-            plateau=1.0 - p_m,
-        )
-
-    return [
-        scenario("baseline", amp.cutoff, base_in),
-        scenario("faster_amplifier", fast_cutoff, base_in),
-        scenario("slower_loading", amp.cutoff, slow_in_rate),
-    ]
+        rows.append(ProjectionScenario(label, cutoff, in_rate, t_r, p_m, 1.0 - p_m))
+    return rows

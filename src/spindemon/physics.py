@@ -278,3 +278,46 @@ def effective_temperature(
         else:
             t_hi = t_mid
     return 0.5 * (t_lo + t_hi)
+
+
+def extract_chi(bare_deep_plunge_fidelity: float) -> float:
+    """Spin asymmetry implied by the deep-plunge no-monitoring fidelity.
+
+    Deep in the loaded regime both spin occupations saturate, so the bare
+    fidelity reduces to 1 / (1 + chi) and chi = (1 - F) / F.
+    """
+    if not (0.0 < bare_deep_plunge_fidelity < 1.0):
+        raise ValueError("fidelity must lie strictly inside (0, 1)")
+    return (1.0 - bare_deep_plunge_fidelity) / bare_deep_plunge_fidelity
+
+
+def donor_potential_for_prior(params: TunnelModelParams, prior_target: float) -> float:
+    """Donor potential at which the loading prior equals the target.
+
+    The loading prior rises monotonically with decreasing potential between
+    1 / (1 + chi) (deep plunge) and its empty-side limit, so a bisection of
+    the closed form is exact.  Used to place a measured prior inside the
+    rate model.
+    """
+    splitting = params.zeeman.splitting
+    span = 40.0 * splitting
+    lo, hi = -span, span
+
+    def prior_at(mu: float) -> float:
+        return bare_init_fidelity_from_chi(
+            params.asymmetry, splitting, params.reservoir, donor_potential=mu
+        )
+
+    p_lo, p_hi = prior_at(lo), prior_at(hi)
+    if not (min(p_lo, p_hi) <= prior_target <= max(p_lo, p_hi)):
+        raise ValueError(
+            f"prior {prior_target} unreachable: range [{min(p_lo, p_hi)}, {max(p_lo, p_hi)}]"
+        )
+    increasing = p_hi > p_lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (prior_at(mid) < prior_target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

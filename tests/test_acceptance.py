@@ -36,8 +36,6 @@ from spindemon.fitting import fidelity_model, fit_fidelity_curve
 from spindemon.harness import (
     ExperimentConfig,
     SweepSpec,
-    donor_potential_for_prior,
-    extract_chi,
     projection_999,
     sweep_tobs,
 )
@@ -49,7 +47,9 @@ from spindemon.physics import (
     ZeemanParams,
     bare_init_fidelity_from_rates,
     build_rates,
+    donor_potential_for_prior,
     effective_temperature,
+    extract_chi,
 )
 from spindemon.telegraph import AmplifierParams, missed_blip_probability, rise_time
 

@@ -84,6 +84,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.txt")
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("demon.latency_s", "inf"),
+            ("run.noise_std", "inf"),
+            ("run.abandon_factor", "inf"),
+            ("sweep.grid", "nan"),
+        ],
+    )
+    def test_non_finite_value_is_rejected(self, key, value):
+        # The nan cases of test_bad_input_exits_2_with_message cover the
+        # other half.  An infinite latency would drain the unbounded event
+        # stream, so it is checked here rather than through a run.
+        with pytest.raises(ConfigError, match="finite"):
+            build_experiment_config({key: value})
+
     @pytest.mark.parametrize("key", ["demon.trigger_duration_s", "sweep.demon_on"])
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -261,9 +277,18 @@ class TestCli:
              {"run.cfg": "run.shots = 5\nsweep.variable = mu_d\nsweep.grid = -100, 0\n"}),
             (["sweep-tobs", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 5\nsweep.grid = -1e-3, 1e-3\n"}),
+            (["sweep-tobs", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nsweep.grid = 1e-3, inf\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nrun.noise_std = nan\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nrun.abandon_factor = nan\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\ndemon.latency_s = nan\n"}),
         ],
         ids=["fit-3-rows", "fit-short-row", "histogram-probability", "histogram-zero-reads",
-             "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative"],
+             "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
+             "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan"],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.chdir(tmp_path)

@@ -16,6 +16,7 @@ from oracles import (
     window_scan_trigger,
 )
 from spindemon.demon import (
+    DemonConfig,
     batch_posterior,
     corrected_posterior,
     likelihood_no_blip,
@@ -208,6 +209,14 @@ class TestOptimalReadTime:
     def test_rejects_inverted_rates(self):
         with pytest.raises(ValueError):
             optimal_read_time(RateSet(out_up=1.0, out_down=2.0, in_up=0.0, in_down=0.0))
+
+
+class TestDemonConfig:
+    @pytest.mark.parametrize("latency", [math.inf, math.nan, -1e-7])
+    def test_latency_must_be_finite_and_nonnegative(self, latency):
+        # An infinite latency window would drain the unbounded event stream.
+        with pytest.raises(ValueError, match="latency"):
+            DemonConfig(required_samples=10, latency=latency)
 
 
 class TestDemonMachine:

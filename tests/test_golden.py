@@ -51,6 +51,12 @@ def test_golden_output(name, fmt, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+def test_goldens_hold_no_numpy_reprs():
+    # A numpy scalar that reaches the writers prints as "np.float64(...)".
+    for path in GOLDEN.iterdir():
+        assert "np." not in path.read_text(), path.name
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, fmt in PARAMS:

@@ -16,8 +16,6 @@ from spindemon.demon import DemonConfig, batch_posterior
 from spindemon.harness import (
     ExperimentConfig,
     SweepSpec,
-    donor_potential_for_prior,
-    extract_chi,
     projection_999,
     run_detection,
     run_initialization_shot,
@@ -32,6 +30,8 @@ from spindemon.physics import (
     ZeemanParams,
     bare_init_fidelity_from_rates,
     build_rates,
+    donor_potential_for_prior,
+    extract_chi,
 )
 from spindemon.telegraph import AmplifierParams, DonorState, rise_time
 
@@ -288,6 +288,15 @@ class TestRunInitializationShot:
         assert record.trigger_time == pytest.approx(
             n_trigger * AMP.sample_period + cfg.demon.latency, rel=1e-12
         )
+
+    def test_noisy_trigger_times_are_builtin_floats(self):
+        # Run bounds found by numpy must not leak numpy scalars into the
+        # record, where the writers would print them as "np.float64(...)".
+        cfg = make_config(n_required=50, shots=40, seed=7, noise_std=0.05)
+        for i in range(cfg.shots):
+            record = run_initialization_shot(cfg, i)
+            assert record.triggered
+            assert type(record.trigger_time) is float
 
     def test_frozen_rates_after_trigger_at_exact_count(self):
         # With tunneling-out switched off the electron stays put, so the
