@@ -167,11 +167,11 @@ def fit_fidelity_curve(data) -> FitResult:
     rows = [(float(t), float(s), float(n)) for t, s, n in data]
     if len(rows) < 4:
         raise ValueError("need at least 4 data points spanning rise and plateau")
-    t = np.array([r[0] for r in rows])
-    shots = np.array([r[2] for r in rows])
-    if np.any(shots <= 0):
-        raise ValueError("shots must be positive")
-    y = np.array([r[1] for r in rows]) / shots
+    t, successes, shots = (np.array(column) for column in zip(*rows))
+    valid = (shots > 0) & (successes >= 0) & (successes <= shots)
+    if not (np.isfinite(rows).all() and valid.all()):
+        raise ValueError("data must be finite, with shots > 0 and 0 <= successes <= shots")
+    y = successes / shots
 
     # Binomial weights 1/sigma from the observed fractions, clamped so
     # saturated points keep a finite variance.

@@ -11,11 +11,18 @@ to rendering the trace on a substep grid, decimating, and counting silent
 samples one at a time (``tests/oracles.py`` holds that reference chain and
 the tests cross-check the two), but runs in time proportional to the number
 of tunneling events.
+
+Shot i draws from a stream equal to ``default_rng([master_seed, i])``, so
+its outcome does not depend on the worker or the order.  That key's
+``SeedSequence`` hash is computed for blocks of consecutive shots at once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Iterable, Iterator
@@ -39,6 +46,11 @@ from .telegraph import (
 
 _BOOTSTRAP_STREAM = 0x0B007
 _LOAD_DRAW_STREAM = 0x10AD
+
+_SEED_BLOCK = 1024  # shot indices per cached SeedSequence hash block
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_BATCH_DIVISOR = 20
@@ -372,21 +384,63 @@ def run_detection(
             item = next(events, None)
         state_at_trigger = state
 
-    return _Detection(
-        trigger_sample=trigger_sample,
-        state_at_trigger=state_at_trigger,
-        n_resets=n_resets,
-        n_ionizations=n_ionizations,
-        n_missed_subrise=n_missed_subrise,
-        n_missed_sampled=n_missed_sampled,
-        end_time=end_time,
-        runs=runs,
-    )
+    return _Detection(trigger_sample, state_at_trigger, n_resets, n_ionizations,
+                      n_missed_subrise, n_missed_sampled, end_time, runs)
+
+
+def _hashmix(value: np.ndarray, k: int, init: int = _INIT_A, mult: int = _MULT_A):
+    """SeedSequence's k-th hash step; uint32 lanes wrap as its C code does."""
+    key = init * pow(mult, k, 1 << 32) & _MASK
+    value = (value ^ key) * (key * mult & _MASK)
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two words, on uint32 lanes."""
+    mixed = x * _MIX_L - y * _MIX_R
+    return mixed ^ (mixed >> 16)
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_block(prefix: tuple[int, ...], block: int) -> np.ndarray:
+    """Read-only uint64 rows; row i is what ``SeedSequence([*prefix, block *
+    _SEED_BLOCK + i])`` gives from ``generate_state(4, np.uint64)``."""
+    words = [np.full(_SEED_BLOCK, (x >> s) & _MASK, np.uint32)
+             for x in prefix for s in range(0, max(operator.index(x).bit_length(), 1), 32)]
+    words.append(np.arange(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK, dtype=np.uint32))
+    k = itertools.count()
+    padded = words[:4] + [np.zeros_like(words[0])] * (4 - len(words))
+    pool = [_hashmix(word, next(k)) for word in padded]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(k)))
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = _mix(pool[dst], _hashmix(word, next(k)))
+    state = np.stack([_hashmix(pool[i % 4], i, _INIT_B, _MULT_B) for i in range(8)], axis=1)
+    rows = state.astype("<u4").view("<u8").astype(np.uint64)
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass
+class _SeedRow(np.random.bit_generator.ISeedSequence):
+    row: np.ndarray  # PCG64 asks for 4 uint64 words: one row of _seed_block
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def _keyed_rng(prefix: tuple[int, ...], index: int) -> np.random.Generator:
+    """The generator ``default_rng([*prefix, index])``, seeded from a cached block."""
+    if not 0 <= index < 1 << 32 or min(prefix) < 0:  # let numpy hash or reject it
+        return np.random.default_rng([*prefix, index])
+    row = _seed_block(prefix, index // _SEED_BLOCK)[index % _SEED_BLOCK]
+    return np.random.Generator(np.random.PCG64(_SeedRow(row)))
 
 
 def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
-    """Counter-based per-shot generator: reproducible and order independent."""
-    return np.random.default_rng([master_seed, shot_index])
+    """Counter-based per-shot generator equal to ``default_rng([master_seed,
+    shot_index])``, its seed hash computed in blocks (``_seed_block``)."""
+    return _keyed_rng((master_seed,), shot_index)
 
 
 def run_initialization_shot(
@@ -468,7 +522,7 @@ def _bootstrap_quartiles(
 
 def _draw_load_spin(cfg: ExperimentConfig, rates: RateSet, shot_index: int) -> DonorState:
     """Spin of the first electron loaded from the ionized donor."""
-    rng = np.random.default_rng([cfg.master_seed, _LOAD_DRAW_STREAM, shot_index])
+    rng = _keyed_rng((cfg.master_seed, _LOAD_DRAW_STREAM), shot_index)
     _, state = gillespie_step(DonorState.IONIZED, rates, rng)
     return state
 

@@ -68,14 +68,13 @@ def gillespie_step(state: DonorState, rates, rng: np.random.Generator):
 
     Returns (inf, state) when the current state has no exit channel.
     """
-    channels = [(getattr(rates, name), dest) for name, dest in _TRANSITIONS[state]]
-    total = channels[0][0] + channels[1][0]
+    (name_a, dest_a), (name_b, dest_b) = _TRANSITIONS[state]
+    rate_a = getattr(rates, name_a)
+    total = rate_a + getattr(rates, name_b)
     if total <= 0.0:
         return math.inf, state
     dt = rng.exponential(1.0 / total)
-    if rng.random() * total < channels[0][0]:
-        return dt, channels[0][1]
-    return dt, channels[1][1]
+    return dt, dest_a if rng.random() * total < rate_a else dest_b
 
 
 def rise_time(cutoff: float, threshold: float) -> float:

@@ -268,6 +268,12 @@ class TestCli:
              {"data.csv": "grid_value,shots,successes\n0,10,8\n1e-3,10,9\n2e-3,10,9\n"}),
             (["fit", "--data", "data.csv"],
              {"data.csv": "grid_value,shots,successes\n0,10,8\n1e-3,10\n"}),
+            (["fit", "--data", "data.csv"],
+             {"data.csv": "grid_value,shots,successes\n0,100,80\n1e-3,100,90\nnan,100,95\n"
+                          "3e-3,100,97\n5e-3,100,98\n"}),
+            (["fit", "--data", "data.csv"],
+             {"data.csv": "grid_value,shots,successes\n0,100,80\n1e-3,100,120\n"
+                          "2e-3,100,95\n3e-3,100,97\n5e-3,100,98\n"}),
             (["histogram", "--p-up-given-up", "1.5"], {}),
             (["histogram", "--shots-per-read", "0"], {}),
             (["histogram", "--shots", "2000", "--threshold", "0.99"], {}),
@@ -286,7 +292,8 @@ class TestCli:
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 5\ndemon.latency_s = nan\n"}),
         ],
-        ids=["fit-3-rows", "fit-short-row", "histogram-probability", "histogram-zero-reads",
+        ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
+             "histogram-probability", "histogram-zero-reads",
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan"],
     )

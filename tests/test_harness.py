@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spindemon.harness as harness
 from oracles import (
     digitize,
     first_trigger,
@@ -12,13 +13,16 @@ from oracles import (
     render_sensor_trace,
     sample_trajectory,
 )
+from spindemon.cli import main
 from spindemon.demon import DemonConfig, batch_posterior
 from spindemon.harness import (
+    _LOAD_DRAW_STREAM,
     ExperimentConfig,
     SweepSpec,
     projection_999,
     run_detection,
     run_initialization_shot,
+    shot_rng,
     sweep_bias,
     sweep_tobs,
 )
@@ -386,6 +390,54 @@ class TestRunInitializationShot:
         assert all(r.triggered for r in quiet)
         # Strong noise causes spurious blips, delaying some triggers.
         assert sum(r.n_resets for r in noisy) > sum(r.n_resets for r in quiet)
+
+
+class TestShotStreams:
+    """The block-hashed generators are default_rng's, bit for bit."""
+
+    SEEDS = (0, 2**32 - 1, 2**32, 2**100 + 3, np.uint64(2**40 + 7))
+    # 2**32 needs a second entropy word and takes the default_rng fallback.
+    INDICES = (0, 1023, 1024, 2**32 - 1, 2**32)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_shot_stream_equals_default_rng(self, seed):
+        for index in self.INDICES:
+            expected = np.random.default_rng([seed, index]).bit_generator.state
+            assert shot_rng(seed, index).bit_generator.state == expected, index
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_load_draw_stream_equals_default_rng(self, seed):
+        prefix = (seed, _LOAD_DRAW_STREAM)
+        for index in self.INDICES:
+            expected = np.random.default_rng([*prefix, index]).bit_generator.state
+            assert harness._keyed_rng(prefix, index).bit_generator.state == expected, index
+
+    def test_cached_block_is_read_only(self):
+        block = harness._seed_block((7,), 0)
+        assert harness._seed_block((7,), 0) is block
+        assert block.shape == (harness._SEED_BLOCK, 4)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0
+
+    def test_block_and_worker_boundaries(self, tmp_path, monkeypatch):
+        # 2100 shots cross the hash blocks at 1024 and 2048; the pool's
+        # 175-shot chunks do not line up with them.
+        outputs = {}
+        for label, workers in (("serial", 1), ("pool", 3), ("default_rng", 1)):
+            if label == "default_rng":
+                monkeypatch.setattr(harness, "shot_rng",
+                                    lambda s, i: np.random.default_rng([s, i]))
+            cfg = tmp_path / f"{label}.cfg"
+            cfg.write_text(
+                "physics.temperature_k = 0.26\nrates.in_total_per_s = 2700\n"
+                f"demon.required_samples = 20\nrun.shots = 2100\nrun.workers = {workers}\n"
+            )
+            out = tmp_path / f"{label}.csv"
+            assert main(["simulate-shot", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs[label] = out.read_bytes()
+        assert outputs["serial"] == outputs["pool"]
+        assert outputs["serial"] == outputs["default_rng"]
 
 
 class TestSweepTobs:
