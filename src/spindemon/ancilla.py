@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OVERLAP_GRID_POINTS = 10_000
-
 
 @dataclass(frozen=True)
 class ControlParams:
@@ -182,16 +180,48 @@ class VisibilityResult:
     std_high: float
 
 
-def _gauss_pdf(x: np.ndarray, mean: float, std: float) -> np.ndarray:
-    return np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+def _gauss_mass(lo: float, hi: float, mean: float, std: float) -> float:
+    """Probability of N(mean, std) on [lo, hi]; erfc keeps the tails exact."""
+    a, b = ((x - mean) / (std * math.sqrt(2.0)) for x in (lo, hi))
+    if a > 0.0:
+        return 0.5 * (math.erfc(a) - math.erfc(b))
+    if b < 0.0:
+        return 0.5 * (math.erfc(-b) - math.erfc(-a))
+    return 0.5 * (math.erf(b) - math.erf(a))
+
+
+def _gauss_overlap(m1: float, s1: float, m2: float, s2: float) -> float:
+    """Integral over [0, 1] of the smaller of the densities N(m1, s1), N(m2, s2).
+
+    The log-ratio of the densities is a quadratic a x^2 + b x + c; its roots
+    are where they cross.  Between crossings one density is the smaller
+    throughout, so the integral is a sum of CDF differences.
+    """
+    a = 0.5 / s2**2 - 0.5 / s1**2
+    b = m1 / s1**2 - m2 / s2**2
+    c = 0.5 * m2**2 / s2**2 - 0.5 * m1**2 / s1**2 + math.log(s2 / s1)
+    crossings = []
+    disc = b * b - 4.0 * a * c
+    if disc >= 0.0 and (a or b):
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # no cancellation
+        crossings = [c / q] + ([q / a] if a else [])
+    edges = [0.0, *sorted(x for x in crossings if 0.0 < x < 1.0), 1.0]
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        log1 = -0.5 * ((mid - m1) / s1) ** 2 - math.log(s1)
+        log2 = -0.5 * ((mid - m2) / s2) ** 2 - math.log(s2)
+        m, s = (m1, s1) if log1 < log2 else (m2, s2)
+        total += _gauss_mass(lo, hi, m, s)
+    return min(max(total, 0.0), 1.0)
 
 
 def visibility(data, threshold: float) -> VisibilityResult:
     """Fit one Gaussian per side of the threshold and measure their overlap.
 
-    The two profiles are fit by sample moments, the overlap is the numeric
-    integral of min(g_low, g_high) on a fixed grid over the fraction axis,
-    and the visibility is 1 minus that overlap.  f_low / f_high are the
+    The two profiles are fit by sample moments, the overlap is the integral
+    of min(g_low, g_high) over the fraction axis [0, 1], in closed form, and
+    the visibility is 1 minus that overlap.  f_low / f_high are the
     threshold-classification fidelities of each fitted mode.
 
     Args:
@@ -216,10 +246,7 @@ def visibility(data, threshold: float) -> VisibilityResult:
         f_low = 1.0
         f_high = 1.0
     else:
-        grid = np.linspace(0.0, 1.0, OVERLAP_GRID_POINTS)
-        g_low = _gauss_pdf(grid, mean_low, std_low)
-        g_high = _gauss_pdf(grid, mean_high, std_high)
-        overlap = float(np.trapezoid(np.minimum(g_low, g_high), grid))
+        overlap = _gauss_overlap(mean_low, std_low, mean_high, std_high)
         f_low = 0.5 * (1.0 + math.erf((threshold - mean_low) / (std_low * math.sqrt(2.0))))
         f_high = 0.5 * (1.0 - math.erf((threshold - mean_high) / (std_high * math.sqrt(2.0))))
     return VisibilityResult(

@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate-shot":
             cfg, cfg_hash = _load(args)
-            records = harness._run_shots(cfg, cfg.rates, cfg.demon.required_samples)
+            records = harness._run_shots(cfg, cfg.rates, cfg.demon.required_samples).records()
             meta = output.build_metadata(cfg_hash, cfg.master_seed)
             with _open_out(args.out) as fh:
                 output.write_shots(fh, records, args.format, meta)

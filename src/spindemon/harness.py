@@ -12,8 +12,12 @@ samples one at a time (``tests/oracles.py`` holds that reference chain and
 the tests cross-check the two), but runs in time proportional to the number
 of tunneling events.
 
-Shot i draws from a stream equal to ``default_rng([master_seed, i])``, so
-its outcome does not depend on the worker or the order.  That key's
+The engine runs a block of shots as lanes: each shot's counter and the rest
+of its detection state are entries of numpy arrays, and each round advances
+every shot still running by one tunneling event, drawn by that shot's own
+Gillespie step.  Shot i draws from a stream equal to ``default_rng([
+master_seed, i])``, in the order it would on its own, so its outcome does
+not depend on the block, the worker or the order.  That key's
 ``SeedSequence`` hash is computed for blocks of consecutive shots at once.
 """
 
@@ -23,9 +27,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .telegraph import (
 _BOOTSTRAP_STREAM = 0x0B007
 _LOAD_DRAW_STREAM = 0x10AD
 
-_SEED_BLOCK = 1024  # shot indices per cached SeedSequence hash block
+_SEED_BLOCK = 1024  # shot indices per cached SeedSequence hash block and per lane block
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
@@ -178,14 +182,83 @@ class ProjectionScenario:
 
 @dataclass
 class _Detection:
-    trigger_sample: int | None
-    state_at_trigger: DonorState | None
-    n_resets: int
-    n_ionizations: int
-    n_missed_subrise: int
-    n_missed_sampled: int
-    end_time: float
-    runs: list[tuple[int, int, bool]] | None
+    """Outcome of every lane of one run_detection call, one entry per lane.
+
+    trigger_sample and state_at_trigger hold -1 for a lane that did not
+    trigger; state_at_trigger otherwise holds a DonorState value.
+    """
+
+    trigger_sample: np.ndarray
+    state_at_trigger: np.ndarray
+    n_resets: np.ndarray
+    n_ionizations: np.ndarray
+    n_missed_subrise: np.ndarray
+    n_missed_sampled: np.ndarray
+    end_time: np.ndarray
+    runs: list[list[tuple[int, int, bool]]] | None
+
+    @classmethod
+    def concatenate(cls, parts: list[_Detection]) -> _Detection:
+        """The lanes of ``parts`` in order, without their runs."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls) if f.name != "runs"), None)
+
+    def records(self, first_index: int = 0) -> list[ShotRecord]:
+        """One ShotRecord per lane, lane k being shot ``first_index + k``."""
+        columns = (getattr(self, f.name).tolist() for f in fields(self) if f.name != "runs")
+        records = []
+        for k, (trigger, state, resets, ionizations, subrise, sampled, end) in enumerate(
+            zip(*columns)
+        ):
+            triggered = trigger >= 0
+            records.append(ShotRecord(
+                shot_index=first_index + k,
+                triggered=triggered,
+                trigger_time=end if triggered else None,
+                n_resets=resets,
+                spin_at_trigger=DonorState(state) if triggered else None,
+                n_ionizations=ionizations,
+                n_missed_subrise=subrise,
+                n_missed_sampled=sampled,
+                observed_duration=end,
+            ))
+        return records
+
+
+_IONIZED = int(DonorState.IONIZED)  # array comparisons skip the enum lookup
+_NEIGHBOURS = np.array([[-1], [0]])  # the samples either side of a crossing
+_END = (math.inf, -1)  # what a lane reads once its event stream has ended
+_COUNTS = ("n_resets", "n_ionizations", "n_missed_subrise", "n_missed_sampled")
+
+
+class _Lanes:
+    """Detection state of the live lanes, one array entry per lane."""
+
+    def __init__(self, count: int):
+        self.lane = np.arange(count)  # position of the lane in the call
+        self.state = np.full(count, _IONIZED)
+        self.level = np.ones(count)  # amplifier output at seg_start
+        self.seg_start = np.zeros(count)
+        self.n = np.ones(count, np.int64)  # next sample to classify
+        self.counter = np.zeros(count, np.int64)
+        self.trigger_sample = np.full(count, -1)
+        self.latched_until = np.zeros(count, np.int64)  # ideal detector: last
+        # sample index covered by an ionization.  The ionization episode in
+        # progress, once there is one: when it began, whether the donor has
+        # reloaded since, and how many blips it has shown.
+        self.in_episode = np.zeros(count, bool)
+        self.episode_start = np.zeros(count)
+        self.episode_reloaded = np.zeros(count, bool)
+        self.episode_blips = np.zeros(count, np.int64)
+        self.n_resets = np.zeros(count, np.int64)
+        self.n_ionizations = np.zeros(count, np.int64)
+        self.n_missed_subrise = np.zeros(count, np.int64)
+        self.n_missed_sampled = np.zeros(count, np.int64)
+
+    def keep(self, lanes: np.ndarray) -> None:
+        """Keep only the lanes at positions ``lanes`` of the arrays."""
+        for name, value in vars(self).items():
+            setattr(self, name, value[lanes])
 
 
 def _live_events(
@@ -203,57 +276,125 @@ def _live_events(
         yield t, state
 
 
-def _last_sample(t: float, ts: float) -> int:
-    """Index of the last sample instant n * ts at or before t."""
-    n = int(t / ts)
-    while (n + 1) * ts <= t:
-        n += 1
-    while n > 0 and n * ts > t:
-        n -= 1
+def _last_sample(t: np.ndarray, ts: float) -> np.ndarray:
+    """Index of the last sample instant n * ts at or before each t."""
+    n = (t / ts).astype(np.int64)
+    while np.count_nonzero(up := (n + 1) * ts <= t):
+        n += up
+    while np.count_nonzero(down := (n * ts > t) & (n > 0)):
+        n -= down
     return n
 
 
-def _output(x: float, level: float, omega: float, dt: float) -> float:
+def _exp(a: np.ndarray) -> np.ndarray:
+    """exp of each entry as math.exp gives it; numpy's exp can differ in the
+    last bit, which moves a sample that sits at the threshold."""
+    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _output(x, level, omega: float, dt):
     """Noiseless amplifier output dt after it was at level, settling toward x."""
-    return x + (level - x) * math.exp(-omega * dt)
+    return x + (level - x) * _exp(-omega * dt)
 
 
-def _noiseless_runs(
-    amp: AmplifierParams, detector: str, x: float, level: float, seg_start: float,
-    latched_until: int, n_first: int, n_last: int,
-) -> list[tuple[int, int, bool]]:
-    """(start, length, is_blip) runs, possibly empty, of samples n_first..n_last.
+def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
+                    ionized: np.ndarray, n_last: np.ndarray):
+    """Two (start, length, is_blip) runs per lane, either possibly empty, that
+    together cover samples live.n .. n_last.
 
-    x is 1 while the donor is ionized and 0 while it is loaded.  The ideal
-    detector's blips last while the donor is ionized and then up to the
-    latched sample.  The amplifier output moves monotonically from level
-    toward x, so its samples split at one crossing: silent then blips while
-    rising, blips then silent while falling.
+    The ideal detector's blips last while the donor is ionized and then up
+    to the latched sample.  The amplifier output moves monotonically from
+    the lane's level toward 1 while the donor is ionized and toward 0 while
+    it is loaded, so its samples split at one crossing: silent then blips
+    while rising, blips then silent while falling.
     """
+    n = live.n
     if detector == "ideal":
-        covered = n_last if x == 1.0 else min(latched_until, n_last)
-        start = max(n_first, covered + 1)
-        return [(n_first, covered - n_first + 1, True), (start, n_last - start + 1, False)]
+        covered = np.where(ionized, n_last, np.minimum(live.latched_until, n_last))
+        start = np.maximum(n, covered + 1)
+        blips = np.ones(len(n), bool)
+        return (n, covered - n + 1, blips), (start, n_last - start + 1, ~blips)
     ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
-    rising = x == 1.0
-    if (level > s_th) == rising:
-        n_cross = n_first  # the threshold is already behind
-    else:
-        t_c = seg_start + math.log((x - level) / (x - s_th)) / omega
-        n_cross = max(n_first, min(int(t_c / ts) + 1, n_last + 1))
-        while n_cross <= n_last and (
-            _output(x, level, omega, n_cross * ts - seg_start) > s_th
-        ) != rising:
-            n_cross += 1
-        while n_cross > n_first and (
-            _output(x, level, omega, (n_cross - 1) * ts - seg_start) > s_th
-        ) == rising:
-            n_cross -= 1
-    return [(n_first, n_cross - n_first, not rising), (n_cross, n_last - n_cross + 1, rising)]
+    n_cross = n.copy()  # where the threshold is already behind
+    ahead = ((live.level > s_th) != ionized).nonzero()[0]
+    if len(ahead):
+        rising, first, last = ionized[ahead], n[ahead], n_last[ahead]
+        x, level, seg_start = rising * 1.0, live.level[ahead], live.seg_start[ahead]
+        t_c = seg_start + np.log((x - level) / (x - s_th)) / omega
+        cross = np.maximum(first, np.minimum((t_c / ts).astype(np.int64) + 1, last + 1))
+        # The closed form can be a sample off either way: check the samples
+        # on both sides of it, and step to the exact crossing if need be.
+        before, at = _output(x, level, omega, (cross + _NEIGHBOURS) * ts - seg_start) > s_th
+        off = ((at != rising) & (cross <= last)) | ((before == rising) & (cross > first))
+        if np.count_nonzero(off):
+            while np.count_nonzero(fwd := (cross <= last) & (
+                (_output(x, level, omega, cross * ts - seg_start) > s_th) != rising
+            )):
+                cross += fwd
+            while np.count_nonzero(back := (cross > first) & (
+                (_output(x, level, omega, (cross - 1) * ts - seg_start) > s_th) == rising
+            )):
+                cross -= back
+        n_cross[ahead] = cross
+    return (n, n_cross - n, ~ionized), (n_cross, n_last - n_cross + 1, ionized)
+
+
+def _noisy_runs(amp: AmplifierParams, noise_std: float, n_required: int, live: _Lanes,
+                rngs: list, pending: np.ndarray, ionized: np.ndarray, n_last: np.ndarray):
+    """Draw the next chunk of samples of each pending lane, split each chunk
+    into runs, and advance live.n past the chunks.
+
+    A chunk holds min(samples left in the segment, n_required - counter)
+    samples, so it either holds a blip or fires the trigger on its last
+    sample.  Returns one (start, length, is_blip) array triple per run
+    position: the k-th run of every chunk, length 0 for lanes without one.
+    """
+    ts, omega = amp.sample_period, amp.angular_cutoff
+    chunks = {}
+    for j in pending.tolist():
+        n = int(live.n[j])
+        size = int(min(n_last[j] - n + 1, n_required - live.counter[j]))
+        x, level, times = float(ionized[j]), live.level[j], np.arange(n, n + size) * ts
+        values = x + (level - x) * np.exp(-omega * (times - live.seg_start[j]))
+        blips = values + rngs[j].normal(0.0, noise_std, size=size) > amp.threshold
+        edges = [0, *(np.flatnonzero(blips[1:] != blips[:-1]) + 1).tolist(), size]
+        chunks[j] = [(n + a, b - a, bool(blips[a])) for a, b in zip(edges, edges[1:])]
+        live.n[j] = n + size
+    steps = []
+    for k in range(max(map(len, chunks.values()))):
+        start, length = np.zeros((2, len(live.n)), np.int64)
+        is_blip = np.zeros(len(live.n), bool)
+        for j, runs in chunks.items():
+            if k < len(runs):
+                start[j], length[j], is_blip[j] = runs[k]
+        steps.append((start, length, is_blip))
+    return steps
+
+
+def _feed(live: _Lanes, n_required: int, runs, start, length, is_blip) -> None:
+    """Feed each lane one (start, length, is_blip) run of samples.
+
+    A blip run resets the silent-sample counter; a silent run adds to it or
+    fires the trigger.  An empty run, or a lane that has fired, is skipped.
+    """
+    go = (length > 0) & (live.trigger_sample < 0)
+    if runs is not None:
+        for j in go.nonzero()[0].tolist():
+            runs[live.lane[j]].append((int(start[j]), int(length[j]), bool(is_blip[j])))
+    blip = go & is_blip
+    silent = go ^ blip
+    live.n_resets += blip & (live.counter > 0)
+    live.episode_blips += blip * length
+    total = live.counter + length
+    fire = silent & (total >= n_required)
+    if np.count_nonzero(fire):
+        live.trigger_sample[fire] = (start + (n_required - 1) - live.counter)[fire]
+    live.counter = np.where(silent, total, live.counter)
+    live.counter[blip] = 0
 
 
 def run_detection(
-    events: Iterable[tuple[float, DonorState]],
+    events: Sequence[Iterable[tuple[float, DonorState]]],
     *,
     amp: AmplifierParams,
     n_required: int,
@@ -261,131 +402,136 @@ def run_detection(
     latency: float = 0.0,
     detector: str = "amplifier",
     noise_std: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
     record_runs: bool = False,
 ) -> _Detection:
-    """Consume a transition stream and run the trigger logic over its samples.
+    """Run the trigger logic over the samples of several transition streams.
 
-    The donor starts ionized with the amplifier output settled at 1.  Samples
+    Each stream is one lane; the lanes share every other argument.  The
+    donor starts ionized with the amplifier output settled at 1.  Samples
     sit at t = n * T_s, n = 1, 2, ...  The trigger fires at the sample
-    completing ``n_required`` consecutive silent samples; the loaded state is
-    then evaluated ``latency`` seconds after that sample instant.  Processing
-    stops at the trigger or at ``horizon``, whichever is first.
+    completing ``n_required`` consecutive silent samples; the loaded state
+    is then evaluated ``latency`` seconds after that sample instant.  A lane
+    stops at its trigger or at ``horizon``, whichever is first.
 
-    Each segment between events is walked in chunks, and each chunk becomes
-    a few (start_sample, length, is_blip) runs for the silent-sample counter:
-    a blip run resets it, a silent run adds to it or fires the trigger.
-    Without noise a chunk is the whole segment, split in closed form.  The
-    ideal detector latches: a sample is a blip when the donor is ionized at
-    any instant of ((n - 1) T_s, n T_s], so it misses no ionization.
+    The lanes advance in rounds.  Each round reads the next event of every
+    live lane and turns the segment before it into (start_sample, length,
+    is_blip) runs for the silent-sample counters, with array arithmetic
+    over the lanes: a blip run resets a counter, a silent run adds to it or
+    fires the trigger.  Lanes that fired or reached the horizon then leave
+    the arrays, so a round costs in proportion to the lanes still live.
+    Without noise a segment is split in closed form.  The ideal detector
+    latches: a sample is a blip when the donor is ionized at any instant of
+    ((n - 1) T_s, n T_s], so it misses no ionization.
 
-    With noise, ``rng`` draws one value per sample in sample order, in chunks
-    of ``n_required - counter`` samples.  Such a chunk either holds a blip or
-    fires the trigger on its last sample, so no draw reaches past the
-    trigger.  If an event falls inside the latency window, the rest of the
-    trigger segment is drawn and discarded before that event is read, so a
-    transition stream drawing from the same generator continues as if the
-    whole segment had been drawn.  With ``record_runs``, ``runs`` holds one
-    (start_sample, length, is_blip) tuple per nonempty run, up to and
-    including the one that fires the trigger.
+    Each lane reads its events, and its generator in ``rngs`` draws its
+    noise, in the order a lone lane would, so a lane's outcome and the
+    state of its generator do not depend on the other lanes.  With noise,
+    a lane's generator draws one value per sample in sample order, in
+    chunks of ``n_required - counter`` samples.  Such a chunk either holds a
+    blip or fires the trigger on its last sample, so no draw reaches past
+    the trigger.  If an event falls inside the latency window, the rest of
+    the trigger segment is drawn and discarded before that event is read,
+    so a transition stream drawing from the same generator continues as if
+    the whole segment had been drawn.  With ``record_runs``, ``runs`` holds
+    each lane's (start_sample, length, is_blip) tuples, one per nonempty
+    run, up to and including the one that fires the trigger.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
     t_rise_det = 0.0 if detector == "ideal" else rise_time(amp.cutoff, amp.threshold)
     noisy = noise_std > 0.0 and detector == "amplifier"
-    if noisy and rng is None:
-        raise ValueError("noise_std > 0 requires an rng")
+    if noisy and rngs is None:
+        raise ValueError("noise_std > 0 requires an rng per lane")
     if n_required < 1:
         raise ValueError("n_required must be >= 1")
 
-    state = DonorState.IONIZED
-    level = 1.0  # amplifier output at seg_start
-    seg_start = 0.0
-    n = 1  # next sample to classify
-    counter = 0
-    trigger_sample: int | None = None
-    n_resets = n_ionizations = n_missed_subrise = n_missed_sampled = 0
-    latched_until = 0  # ideal detector: last sample index covered by an ionization
-    # The ionization episode in progress: when it began, whether the donor
-    # has reloaded since, and how many blips it has shown.
-    episode_start: float | None = None
-    episode_reloaded = False
-    episode_blips = 0
-    runs: list[tuple[int, int, bool]] | None = [] if record_runs else None
-
-    events = iter(events)
-    while True:
-        item = next(events, None)
-        n_last = _last_sample(horizon if item is None else min(item[0], horizon), ts)
-        x = 1.0 if state is DonorState.IONIZED else 0.0
-        while n <= n_last and trigger_sample is None:
-            if noisy:
-                size = min(n_last - n + 1, n_required - counter)
-                times = np.arange(n, n + size) * ts
-                values = x + (level - x) * np.exp(-omega * (times - seg_start))
-                blips = values + rng.normal(0.0, noise_std, size=size) > amp.threshold
-                edges = [0, *(np.flatnonzero(blips[1:] != blips[:-1]) + 1).tolist(), size]
-                chunk = [(n + a, b - a, bool(blips[a])) for a, b in zip(edges, edges[1:])]
-            else:
-                size = n_last - n + 1
-                chunk = _noiseless_runs(
-                    amp, detector, x, level, seg_start, latched_until, n, n_last
-                )
-            for start, length, is_blip in chunk:
-                if length <= 0:
-                    continue
-                if runs is not None:
-                    runs.append((start, length, is_blip))
-                if is_blip:
-                    if counter > 0:
-                        n_resets += 1
-                    counter = 0
-                    episode_blips += length
-                elif counter + length >= n_required:
-                    trigger_sample = start + n_required - counter - 1
-                    break
-                else:
-                    counter += length
-            n += size
-        if trigger_sample is not None or item is None or item[0] >= horizon:
-            break
-        event_time, new_state = item
-        if detector == "ideal" and state is DonorState.IONIZED:
-            latched_until = max(latched_until, int(math.ceil(event_time / ts - 1e-12)))
+    iters = [iter(stream) for stream in events]
+    rngs = list(rngs) if noisy else None
+    count = len(iters)
+    live = _Lanes(count)
+    result = _Detection(np.full(count, -1), np.full(count, -1),
+                        *(np.zeros(count, np.int64) for _ in _COUNTS),
+                        np.zeros(count), [[] for _ in iters] if record_runs else None)
+    while iters:
+        items = [next(it, _END) for it in iters]
+        t_event, new_state = np.fromiter(
+            itertools.chain.from_iterable(items), float, 2 * len(items)
+        ).reshape(-1, 2).T
+        new_state = new_state.astype(np.int64)
+        n_last = _last_sample(np.minimum(t_event, horizon), ts)
+        ionized = live.state == _IONIZED
+        if noisy:
+            while len(pending := ((live.n <= n_last) & (live.trigger_sample < 0)).nonzero()[0]):
+                for run in _noisy_runs(amp, noise_std, n_required, live, rngs, pending,
+                                       ionized, n_last):
+                    _feed(live, n_required, result.runs, *run)
         else:
-            level = _output(x, level, omega, event_time - seg_start)
-        if state is DonorState.IONIZED and new_state is not DonorState.IONIZED:
-            if episode_start is not None:
-                episode_reloaded = True
-                if event_time - episode_start < t_rise_det:
-                    n_missed_subrise += 1
-        elif state is not DonorState.IONIZED and new_state is DonorState.IONIZED:
-            if episode_reloaded and episode_blips == 0:
-                n_missed_sampled += 1
-            episode_start, episode_reloaded, episode_blips = event_time, False, 0
-            n_ionizations += 1
-        seg_start = event_time
-        state = new_state
+            for run in _noiseless_runs(amp, detector, live, ionized, n_last):
+                _feed(live, n_required, result.runs, *run)
+            live.n = np.maximum(live.n, n_last + 1)
 
-    if episode_reloaded and episode_blips == 0:
-        n_missed_sampled += 1
-    end_time = horizon
-    state_at_trigger: DonorState | None = None
-    if trigger_sample is not None:
-        end_time = trigger_sample * ts + latency
-        if item is not None and item[0] <= end_time and n <= n_last:
-            # The events may come from the noise generator: draw the rest of
-            # the trigger segment so the next event sees the generator as it
-            # would be had the whole segment been drawn.
-            rng.normal(0.0, noise_std, size=n_last - n + 1)
-        # Advance through any transitions inside the latency window.
-        while item is not None and item[0] <= end_time:
-            state = item[1]
-            item = next(events, None)
-        state_at_trigger = state
+        done = (live.trigger_sample >= 0) | (t_event >= horizon)
+        if np.count_nonzero(done):
+            ended = done.nonzero()[0]
+            lanes = live.lane[ended]
+            trigger = live.trigger_sample[ended]
+            fired = trigger >= 0
+            end_time = np.where(fired, trigger * ts + latency, horizon)
+            state = np.where(fired, live.state[ended], -1)
+            for k in (fired & (t_event[ended] <= end_time)).nonzero()[0].tolist():
+                j = ended[k]
+                if noisy and live.n[j] <= n_last[j]:
+                    # The events may come from the noise generator: draw the
+                    # rest of the trigger segment so the next event sees the
+                    # generator as it would be had the whole segment been drawn.
+                    rngs[j].normal(0.0, noise_std, size=int(n_last[j] - live.n[j] + 1))
+                # Advance through any transitions inside the latency window.
+                item = items[j]
+                while item[0] <= end_time[k]:
+                    state[k] = item[1]
+                    item = next(iters[j], _END)
+            live.n_missed_sampled[ended] += (
+                live.episode_reloaded[ended] & (live.episode_blips[ended] == 0)
+            )
+            result.trigger_sample[lanes] = trigger
+            result.state_at_trigger[lanes] = state
+            result.end_time[lanes] = end_time
+            for name in _COUNTS:
+                getattr(result, name)[lanes] = getattr(live, name)[ended]
+            kept = (~done).nonzero()[0]
+            live.keep(kept)
+            t_event, new_state, ionized = t_event[kept], new_state[kept], ionized[kept]
+            kept = kept.tolist()
+            iters = [iters[j] for j in kept]
+            if noisy:
+                rngs = [rngs[j] for j in kept]
 
-    return _Detection(trigger_sample, state_at_trigger, n_resets, n_ionizations,
-                      n_missed_subrise, n_missed_sampled, end_time, runs)
+        # Apply each remaining lane's event.
+        if detector == "ideal":
+            live.latched_until = np.where(ionized, np.maximum(
+                live.latched_until, np.ceil(t_event / ts - 1e-12).astype(np.int64)
+            ), live.latched_until)
+        else:
+            live.level = _output(ionized * 1.0, live.level, omega, t_event - live.seg_start)
+        ionizes = new_state == _IONIZED
+        reloads = ionized & ~ionizes & live.in_episode
+        ionizes &= ~ionized
+        if np.count_nonzero(reloads):
+            live.episode_reloaded |= reloads
+            live.n_missed_subrise += reloads & (t_event - live.episode_start < t_rise_det)
+        if np.count_nonzero(ionizes):
+            live.n_missed_sampled += (
+                ionizes & live.episode_reloaded & (live.episode_blips == 0)
+            )
+            live.in_episode |= ionizes
+            live.episode_start[ionizes] = t_event[ionizes]
+            live.episode_reloaded &= ~ionizes
+            live.episode_blips[ionizes] = 0
+            live.n_ionizations += ionizes
+        live.seg_start = t_event
+        live.state = new_state
+    return result
 
 
 def _hashmix(value: np.ndarray, k: int, init: int = _INIT_A, mult: int = _MULT_A):
@@ -443,6 +589,22 @@ def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
     return _keyed_rng((master_seed,), shot_index)
 
 
+def _shot_block(args) -> _Detection:
+    """Run the shots ``indices`` as the lanes of one run_detection call."""
+    cfg, rates, n_required, indices = args
+    rngs = [shot_rng(cfg.master_seed, i) for i in indices]
+    return run_detection(
+        [_live_events(rng, rates, DonorState.IONIZED) for rng in rngs],
+        amp=cfg.amplifier,
+        n_required=n_required,
+        horizon=cfg.abandon_factor * n_required * cfg.amplifier.sample_period,
+        latency=cfg.demon.latency,
+        detector=cfg.detector,
+        noise_std=cfg.noise_std,
+        rngs=rngs,
+    )
+
+
 def run_initialization_shot(
     cfg: ExperimentConfig,
     shot_index: int,
@@ -456,54 +618,31 @@ def run_initialization_shot(
     trigger within abandon_factor * t_obs is reported as abandoned rather
     than dropped.
     """
-    rng = shot_rng(cfg.master_seed, shot_index)
     if rates is None:
         rates = cfg.rates
     if n_required is None:
         n_required = cfg.demon.required_samples
-    horizon = cfg.abandon_factor * n_required * cfg.amplifier.sample_period
-    result = run_detection(
-        _live_events(rng, rates, DonorState.IONIZED),
-        amp=cfg.amplifier,
-        n_required=n_required,
-        horizon=horizon,
-        latency=cfg.demon.latency,
-        detector=cfg.detector,
-        noise_std=cfg.noise_std,
-        rng=rng,
-    )
-    triggered = result.trigger_sample is not None
-    return ShotRecord(
-        shot_index=shot_index,
-        triggered=triggered,
-        trigger_time=result.end_time if triggered else None,
-        n_resets=result.n_resets,
-        spin_at_trigger=result.state_at_trigger,
-        n_ionizations=result.n_ionizations,
-        n_missed_subrise=result.n_missed_subrise,
-        n_missed_sampled=result.n_missed_sampled,
-        observed_duration=result.end_time,
-    )
+    block = range(shot_index, shot_index + 1)
+    return _shot_block((cfg, rates, n_required, block)).records(shot_index)[0]
 
 
-def _shot_batch(args) -> list[ShotRecord]:
-    cfg, rates, n_required, indices = args
-    return [run_initialization_shot(cfg, i, rates, n_required) for i in indices]
+def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int) -> _Detection:
+    """Every shot of cfg, in blocks of up to _SEED_BLOCK lanes.
 
-
-def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int) -> list[ShotRecord]:
-    indices = range(cfg.shots)
-    if cfg.workers == 1:
-        return [run_initialization_shot(cfg, i, rates, n_required) for i in indices]
-    chunk = max(1, math.ceil(cfg.shots / (cfg.workers * 4)))
-    batches = [
-        (cfg, rates, n_required, list(indices[k : k + chunk]))
-        for k in range(0, cfg.shots, chunk)
+    A pool gets at least four blocks per worker, so that it stays busy.
+    Reduction in shot-index order keeps the result independent of the pool.
+    """
+    size = _SEED_BLOCK
+    if cfg.workers > 1:
+        size = min(size, math.ceil(cfg.shots / (cfg.workers * 4)))
+    blocks = [
+        (cfg, rates, n_required, range(k, min(k + size, cfg.shots)))
+        for k in range(0, cfg.shots, size)
     ]
+    if cfg.workers == 1:
+        return _Detection.concatenate([_shot_block(block) for block in blocks])
     with Pool(processes=cfg.workers) as pool:
-        parts = pool.map(_shot_batch, batches)
-    # Reduction in shot-index order keeps the result independent of the pool.
-    return [record for part in parts for record in part]
+        return _Detection.concatenate(pool.map(_shot_block, blocks))
 
 
 def _bootstrap_quartiles(
@@ -559,12 +698,14 @@ def _sweep_point(
     """Without monitoring every shot keeps its loaded spin and no shot is run."""
     monitored = demon_on and n_required > 0
     if monitored:
-        records = _run_shots(cfg, rates, n_required)
-        spins = [r.spin_at_trigger for r in records if r.triggered]
+        shots = _run_shots(cfg, rates, n_required)
+        spins = shots.state_at_trigger[shots.trigger_sample >= 0]
+        counts = {name: int(getattr(shots, name).sum())
+                  for name in ("n_ionizations", "n_missed_subrise", "n_missed_sampled")}
     else:
-        records = []
-        spins = [_draw_load_spin(cfg, rates, i) for i in range(cfg.shots)]
-    flags = np.array([s is DonorState.DOWN for s in spins], dtype=float)
+        spins = np.array([_draw_load_spin(cfg, rates, i) for i in range(cfg.shots)])
+        counts = {}
+    flags = (spins == DonorState.DOWN).astype(float)
     median, p25, p75 = _bootstrap_quartiles(flags, cfg.master_seed, point_index)
     return SweepResult(
         grid_value=grid_value,
@@ -576,9 +717,7 @@ def _sweep_point(
         analytic=_analytic_fidelity(cfg, rates, n_required, monitored),
         n_triggered=len(spins),
         n_abandoned=cfg.shots - len(spins),
-        n_ionizations=sum(r.n_ionizations for r in records),
-        n_missed_subrise=sum(r.n_missed_subrise for r in records),
-        n_missed_sampled=sum(r.n_missed_sampled for r in records),
+        **counts,
     )
 
 

@@ -8,6 +8,8 @@ The views here are independent routes to the same numbers:
 - the rendered sensor chain: a trajectory, its amplifier output on a
   substep grid, point decimation and threshold comparison;
 - the ideal detector's samples, read off the trajectory directly;
+- the scalar detection loop: one shot's transition stream walked event by
+  event in Python numbers, a one-lane reference for the lane engine;
 - a counter-only trigger, stepped one sample at a time, and a window scan
   that finds the same trigger sample without counting;
 - the sequential Bayes update, one silent sample at a time;
@@ -28,7 +30,7 @@ from scipy.linalg import expm
 from spindemon.demon import likelihood_no_blip
 from spindemon.harness import _live_events
 from spindemon.physics import RateSet, bare_init_fidelity_from_rates
-from spindemon.telegraph import AmplifierParams, DonorState
+from spindemon.telegraph import AmplifierParams, DonorState, rise_time
 
 _LEVEL = {DonorState.UP: 0.0, DonorState.DOWN: 0.0, DonorState.IONIZED: 1.0}
 
@@ -194,6 +196,170 @@ def ideal_blips(timeline: EventTimeline, sample_period: float, n_samples: int) -
             if start <= n * sample_period and end > (n - 1) * sample_period:
                 blips[n - 1] = True
     return blips
+
+
+@dataclass
+class ShotDetection:
+    """One lane's outcome of run_detection, in Python numbers."""
+
+    trigger_sample: int | None
+    state_at_trigger: DonorState | None
+    n_resets: int
+    n_ionizations: int
+    n_missed_subrise: int
+    n_missed_sampled: int
+    end_time: float
+    runs: list[tuple[int, int, bool]] | None
+
+
+def lane_detection(detection, lane: int) -> ShotDetection:
+    """Lane ``lane`` of a ``spindemon.harness.run_detection`` result."""
+    trigger = int(detection.trigger_sample[lane])
+    return ShotDetection(
+        trigger_sample=trigger if trigger >= 0 else None,
+        state_at_trigger=DonorState(detection.state_at_trigger[lane]) if trigger >= 0 else None,
+        n_resets=int(detection.n_resets[lane]),
+        n_ionizations=int(detection.n_ionizations[lane]),
+        n_missed_subrise=int(detection.n_missed_subrise[lane]),
+        n_missed_sampled=int(detection.n_missed_sampled[lane]),
+        end_time=float(detection.end_time[lane]),
+        runs=None if detection.runs is None else detection.runs[lane],
+    )
+
+
+def _last_sample(t: float, ts: float) -> int:
+    n = int(t / ts)
+    while (n + 1) * ts <= t:
+        n += 1
+    while n > 0 and n * ts > t:
+        n -= 1
+    return n
+
+
+def _output(x: float, level: float, omega: float, dt: float) -> float:
+    return x + (level - x) * math.exp(-omega * dt)
+
+
+def _noiseless_runs(amp, detector, x, level, seg_start, latched_until, n_first, n_last):
+    if detector == "ideal":
+        covered = n_last if x == 1.0 else min(latched_until, n_last)
+        start = max(n_first, covered + 1)
+        return [(n_first, covered - n_first + 1, True), (start, n_last - start + 1, False)]
+    ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
+    rising = x == 1.0
+    if (level > s_th) == rising:
+        n_cross = n_first
+    else:
+        t_c = seg_start + math.log((x - level) / (x - s_th)) / omega
+        n_cross = max(n_first, min(int(t_c / ts) + 1, n_last + 1))
+        while n_cross <= n_last and (
+            _output(x, level, omega, n_cross * ts - seg_start) > s_th
+        ) != rising:
+            n_cross += 1
+        while n_cross > n_first and (
+            _output(x, level, omega, (n_cross - 1) * ts - seg_start) > s_th
+        ) == rising:
+            n_cross -= 1
+    return [(n_first, n_cross - n_first, not rising), (n_cross, n_last - n_cross + 1, rising)]
+
+
+def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector="amplifier",
+                     noise_std=0.0, rng=None, record_runs=False) -> ShotDetection:
+    """One shot through the trigger logic, event by event in Python numbers.
+
+    The same rules as ``spindemon.harness.run_detection`` for a single
+    lane: each segment between events is walked in chunks, each chunk
+    becomes (start_sample, length, is_blip) runs, and the runs drive the
+    silent-sample counter one at a time.  With noise, ``rng`` draws one
+    value per sample in chunks of ``n_required - counter``, and the rest of
+    the trigger segment is drawn when an event falls in the latency window.
+    """
+    ts = amp.sample_period
+    omega = amp.angular_cutoff
+    t_rise_det = 0.0 if detector == "ideal" else rise_time(amp.cutoff, amp.threshold)
+    noisy = noise_std > 0.0 and detector == "amplifier"
+    state = DonorState.IONIZED
+    level = 1.0
+    seg_start = 0.0
+    n = 1
+    counter = 0
+    trigger_sample = None
+    n_resets = n_ionizations = n_missed_subrise = n_missed_sampled = 0
+    latched_until = 0
+    episode_start = None
+    episode_reloaded = False
+    episode_blips = 0
+    runs = [] if record_runs else None
+
+    events = iter(events)
+    while True:
+        item = next(events, None)
+        n_last = _last_sample(horizon if item is None else min(item[0], horizon), ts)
+        x = 1.0 if state is DonorState.IONIZED else 0.0
+        while n <= n_last and trigger_sample is None:
+            if noisy:
+                size = min(n_last - n + 1, n_required - counter)
+                times = np.arange(n, n + size) * ts
+                values = x + (level - x) * np.exp(-omega * (times - seg_start))
+                blips = values + rng.normal(0.0, noise_std, size=size) > amp.threshold
+                edges = [0, *(np.flatnonzero(blips[1:] != blips[:-1]) + 1).tolist(), size]
+                chunk = [(n + a, b - a, bool(blips[a])) for a, b in zip(edges, edges[1:])]
+            else:
+                size = n_last - n + 1
+                chunk = _noiseless_runs(
+                    amp, detector, x, level, seg_start, latched_until, n, n_last
+                )
+            for start, length, is_blip in chunk:
+                if length <= 0:
+                    continue
+                if runs is not None:
+                    runs.append((start, length, is_blip))
+                if is_blip:
+                    if counter > 0:
+                        n_resets += 1
+                    counter = 0
+                    episode_blips += length
+                elif counter + length >= n_required:
+                    trigger_sample = start + n_required - counter - 1
+                    break
+                else:
+                    counter += length
+            n += size
+        if trigger_sample is not None or item is None or item[0] >= horizon:
+            break
+        event_time, new_state = item
+        if detector == "ideal" and state is DonorState.IONIZED:
+            latched_until = max(latched_until, int(math.ceil(event_time / ts - 1e-12)))
+        else:
+            level = _output(x, level, omega, event_time - seg_start)
+        if state is DonorState.IONIZED and new_state is not DonorState.IONIZED:
+            if episode_start is not None:
+                episode_reloaded = True
+                if event_time - episode_start < t_rise_det:
+                    n_missed_subrise += 1
+        elif state is not DonorState.IONIZED and new_state is DonorState.IONIZED:
+            if episode_reloaded and episode_blips == 0:
+                n_missed_sampled += 1
+            episode_start, episode_reloaded, episode_blips = event_time, False, 0
+            n_ionizations += 1
+        seg_start = event_time
+        state = new_state
+
+    if episode_reloaded and episode_blips == 0:
+        n_missed_sampled += 1
+    end_time = horizon
+    state_at_trigger = None
+    if trigger_sample is not None:
+        end_time = trigger_sample * ts + latency
+        if item is not None and item[0] <= end_time and n <= n_last:
+            rng.normal(0.0, noise_std, size=n_last - n + 1)
+        while item is not None and item[0] <= end_time:
+            state = item[1]
+            item = next(events, None)
+        state_at_trigger = state
+
+    return ShotDetection(trigger_sample, state_at_trigger, n_resets, n_ionizations,
+                         n_missed_subrise, n_missed_sampled, end_time, runs)
 
 
 def trigger_tick(counter: int, blip: bool, n_required: int) -> tuple[int, bool]:

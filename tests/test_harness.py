@@ -10,13 +10,16 @@ from oracles import (
     digitize,
     first_trigger,
     ideal_blips,
+    lane_detection,
     render_sensor_trace,
     sample_trajectory,
+    scalar_detection,
 )
 from spindemon.cli import main
 from spindemon.demon import DemonConfig, batch_posterior
 from spindemon.harness import (
     _LOAD_DRAW_STREAM,
+    _live_events,
     ExperimentConfig,
     SweepSpec,
     projection_999,
@@ -71,100 +74,121 @@ def make_config(n_required=500, shots=2000, seed=11, detector="amplifier", **kwa
     )
 
 
+def _random_rates(rng, in_exponent=4.5):
+    return RateSet(
+        out_up=10 ** rng.uniform(1, 4.5),
+        out_down=10 ** rng.uniform(-1, 3.5),
+        in_up=10 ** rng.uniform(2, in_exponent),
+        in_down=10 ** rng.uniform(2, in_exponent),
+    )
+
+
+def _random_amp(rng):
+    return AmplifierParams(
+        cutoff=10 ** rng.uniform(4, 5.5),
+        threshold=rng.uniform(0.1, 0.9),
+        sample_period=1e-5,
+    )
+
+
+def amplifier_cases():
+    """(trajectory, amp, n_required) of the amplifier reference cases."""
+    rng = np.random.default_rng(42)
+    for _ in range(120):
+        rates = _random_rates(rng)
+        amp = _random_amp(rng)
+        n_req = int(rng.integers(3, 40))
+        tl = sample_trajectory(
+            rates, DonorState.IONIZED, 60 * amp.sample_period, seed=int(rng.integers(2**31))
+        )
+        yield tl, amp, n_req
+
+
+def noisy_cases():
+    """(trajectory, amp, n_required, noise_std, noise seed) of the noisy cases."""
+    rng = np.random.default_rng(44)
+    for case in range(600):
+        rates = _random_rates(rng)
+        amp = _random_amp(rng)
+        n_req = int(rng.integers(3, 40))
+        noise_std = rng.uniform(0.01, 0.3)
+        tl = sample_trajectory(
+            rates, DonorState.IONIZED, 60 * amp.sample_period, seed=int(rng.integers(2**31))
+        )
+        yield tl, amp, n_req, noise_std, case
+
+
+def ideal_cases():
+    """(trajectory, n_required) of the ideal-detector cases, sampled by AMP."""
+    rng = np.random.default_rng(43)
+    for _ in range(2000):
+        rates = _random_rates(rng, in_exponent=5.5)
+        n_req = int(rng.integers(3, 40))
+        tl = sample_trajectory(
+            rates, DonorState.IONIZED, 60 * AMP.sample_period, seed=int(rng.integers(2**31))
+        )
+        yield tl, n_req
+
+
+def rendered_blips(tl, amp, noise_std=0.0, noise_seed=None):
+    substep = amp.sample_period / 100
+    return digitize(
+        render_sensor_trace(tl, amp, substep), amp, substep,
+        noise_std=noise_std, rng=np.random.default_rng(noise_seed) if noise_std else None,
+    ).blips
+
+
+def assert_runs_match(det, blips):
+    """The lane's runs, sample by sample, are the oracle's blips up to the trigger."""
+    expanded = {}
+    for start, length, value in det.runs:
+        for k in range(start, start + length):
+            expanded[k] = value
+    limit = det.trigger_sample or len(blips)
+    for n in range(1, limit + 1):
+        assert expanded[n] == bool(blips[n - 1]), f"sample {n}"
+
+
 class TestEngineMatchesReferenceChain:
     def test_blips_and_trigger_identical(self):
         # The event-driven detector must reproduce the rendered chain
         # (render -> decimate -> threshold -> silent-sample counter) exactly.
-        rng = np.random.default_rng(42)
-        for _ in range(120):
-            rates = RateSet(
-                out_up=10 ** rng.uniform(1, 4.5),
-                out_down=10 ** rng.uniform(-1, 3.5),
-                in_up=10 ** rng.uniform(2, 4.5),
-                in_down=10 ** rng.uniform(2, 4.5),
-            )
-            amp = AmplifierParams(
-                cutoff=10 ** rng.uniform(4, 5.5),
-                threshold=rng.uniform(0.1, 0.9),
-                sample_period=1e-5,
-            )
-            n_req = int(rng.integers(3, 40))
-            duration = 60 * amp.sample_period
-            tl = sample_trajectory(
-                rates, DonorState.IONIZED, duration, seed=int(rng.integers(2**31))
-            )
+        for tl, amp, n_req in amplifier_cases():
+            blips = rendered_blips(tl, amp)
+            trig_ref = first_trigger(blips, n_req)
 
-            substep = amp.sample_period / 100
-            trace = digitize(render_sensor_trace(tl, amp, substep), amp, substep)
-            trig_ref = first_trigger(trace.blips, n_req)
-
-            det = run_detection(
-                tl.events,
+            det = lane_detection(run_detection(
+                [tl.events],
                 amp=amp,
                 n_required=n_req,
-                horizon=len(trace.blips) * amp.sample_period,
+                horizon=len(blips) * amp.sample_period,
                 record_runs=True,
-            )
+            ), 0)
             assert det.trigger_sample == trig_ref
-            expanded = {}
-            for start, length, value in det.runs:
-                for k in range(start, start + length):
-                    expanded[k] = value
-            limit = det.trigger_sample or len(trace.blips)
-            for n in range(1, limit + 1):
-                assert expanded[n] == bool(trace.blips[n - 1]), f"sample {n}"
+            assert_runs_match(det, blips)
 
     def test_noisy_detector_blips_and_trigger_identical(self):
         # The engine draws one noise value per sample, for samples 1, 2, ...
         # in order, which is the order digitize adds noise to the rendered
         # trace; with generators of the same seed both chains must see the
         # same noisy samples, however the engine splits its draws.
-        rng = np.random.default_rng(44)
         n_triggered = 0
-        for case in range(600):
-            rates = RateSet(
-                out_up=10 ** rng.uniform(1, 4.5),
-                out_down=10 ** rng.uniform(-1, 3.5),
-                in_up=10 ** rng.uniform(2, 4.5),
-                in_down=10 ** rng.uniform(2, 4.5),
-            )
-            amp = AmplifierParams(
-                cutoff=10 ** rng.uniform(4, 5.5),
-                threshold=rng.uniform(0.1, 0.9),
-                sample_period=1e-5,
-            )
-            n_req = int(rng.integers(3, 40))
-            noise_std = rng.uniform(0.01, 0.3)
-            duration = 60 * amp.sample_period
-            tl = sample_trajectory(
-                rates, DonorState.IONIZED, duration, seed=int(rng.integers(2**31))
-            )
+        for tl, amp, n_req, noise_std, case in noisy_cases():
+            blips = rendered_blips(tl, amp, noise_std, case)
+            trig_ref = first_trigger(blips, n_req)
 
-            substep = amp.sample_period / 100
-            trace = digitize(
-                render_sensor_trace(tl, amp, substep), amp, substep,
-                noise_std=noise_std, rng=np.random.default_rng(case),
-            )
-            trig_ref = first_trigger(trace.blips, n_req)
-
-            det = run_detection(
-                tl.events,
+            det = lane_detection(run_detection(
+                [tl.events],
                 amp=amp,
                 n_required=n_req,
-                horizon=len(trace.blips) * amp.sample_period,
+                horizon=len(blips) * amp.sample_period,
                 noise_std=noise_std,
-                rng=np.random.default_rng(case),
+                rngs=[np.random.default_rng(case)],
                 record_runs=True,
-            )
+            ), 0)
             assert det.trigger_sample == trig_ref
             n_triggered += trig_ref is not None
-            expanded = {}
-            for start, length, value in det.runs:
-                for k in range(start, start + length):
-                    expanded[k] = value
-            limit = det.trigger_sample or len(trace.blips)
-            for n in range(1, limit + 1):
-                assert expanded[n] == bool(trace.blips[n - 1]), f"sample {n}"
+            assert_runs_match(det, blips)
         # Both outcomes must be exercised for the comparison to mean much.
         assert 100 < n_triggered < 500
 
@@ -172,40 +196,136 @@ class TestEngineMatchesReferenceChain:
         # The ideal detector latches any ionization inside a sample period
         # into that sample's blip; the engine must agree with that rule read
         # straight off the trajectory, sample by sample, up to the trigger.
-        rng = np.random.default_rng(43)
-        for _ in range(2000):
-            rates = RateSet(
-                out_up=10 ** rng.uniform(1, 4.5),
-                out_down=10 ** rng.uniform(-1, 3.5),
-                in_up=10 ** rng.uniform(2, 5.5),
-                in_down=10 ** rng.uniform(2, 5.5),
-            )
-            amp = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
-            n_req = int(rng.integers(3, 40))
-            n_samples = 60
-            tl = sample_trajectory(
-                rates, DonorState.IONIZED, n_samples * amp.sample_period,
-                seed=int(rng.integers(2**31)),
-            )
-            blips = ideal_blips(tl, amp.sample_period, n_samples)
+        n_samples = 60
+        for tl, n_req in ideal_cases():
+            blips = ideal_blips(tl, AMP.sample_period, n_samples)
             trig_ref = first_trigger(blips, n_req)
 
-            det = run_detection(
-                tl.events,
-                amp=amp,
+            det = lane_detection(run_detection(
+                [tl.events],
+                amp=AMP,
                 n_required=n_req,
-                horizon=n_samples * amp.sample_period,
+                horizon=n_samples * AMP.sample_period,
                 detector="ideal",
                 record_runs=True,
-            )
+            ), 0)
             assert det.trigger_sample == trig_ref
-            expanded = {}
-            for start, length, value in det.runs:
-                for k in range(start, start + length):
-                    expanded[k] = value
-            limit = det.trigger_sample or n_samples
-            for n in range(1, limit + 1):
-                assert expanded[n] == bool(blips[n - 1]), f"sample {n}"
+            assert_runs_match(det, blips)
+
+    @pytest.mark.parametrize("path", ["amplifier", "ideal", "noisy"])
+    def test_every_case_as_lanes_of_one_call(self, path):
+        # Every trajectory of this path's reference test runs as one lane of
+        # a single call.  The amplifier, n_required and noise level are
+        # shared by the lanes of a call, so they are fixed here, and each
+        # lane's oracle is recomputed with them.  The lanes must still match
+        # their oracles one by one, and the scalar loop field by field.
+        n_req, noise_std, horizon = 15, 0.1, 60 * AMP.sample_period
+        if path == "amplifier":
+            lanes = [(tl, None) for tl, _, _ in amplifier_cases()]
+        elif path == "noisy":
+            lanes = [(tl, seed) for tl, _, _, _, seed in noisy_cases()]
+        else:
+            lanes = [(tl, None) for tl, _ in ideal_cases()]
+        detector = "ideal" if path == "ideal" else "amplifier"
+        noise = noise_std if path == "noisy" else 0.0
+        det = run_detection(
+            [tl.events for tl, _ in lanes],
+            amp=AMP,
+            n_required=n_req,
+            horizon=horizon,
+            detector=detector,
+            noise_std=noise,
+            rngs=[np.random.default_rng(seed) for _, seed in lanes] if noise else None,
+            record_runs=True,
+        )
+        rounds = set()
+        for k, (tl, seed) in enumerate(lanes):
+            if path == "ideal":
+                blips = ideal_blips(tl, AMP.sample_period, 60)
+            else:
+                blips = rendered_blips(tl, AMP, noise, seed)
+            lane = lane_detection(det, k)
+            assert lane.trigger_sample == first_trigger(blips, n_req), k
+            assert_runs_match(lane, blips)
+            assert lane == scalar_detection(
+                tl.events, amp=AMP, n_required=n_req, horizon=horizon, detector=detector,
+                noise_std=noise, rng=np.random.default_rng(seed) if noise else None,
+                record_runs=True,
+            ), k
+            if lane.trigger_sample is not None:
+                trigger_time = lane.trigger_sample * AMP.sample_period
+                rounds.add(sum(t <= trigger_time for t, _ in tl.events) + 1)
+        # Mixed lane lengths, triggers in several rounds, and abandoned lanes.
+        assert len({len(tl.events) for tl, _ in lanes}) > 5
+        assert len(rounds) > 3
+        assert 0 < np.count_nonzero(det.trigger_sample < 0) < len(lanes) / 2
+
+    def test_lanes_match_the_scalar_loop(self):
+        # 12 000 random lanes in 120 calls, 40 per detector path: each call
+        # draws its own amplifier, n_required (1-59), latency (up to 1 ms) and
+        # horizon (20-400 samples), and each lane its own rates.  A lane's
+        # events and noise come from one generator, as in a shot.  Every
+        # field of every lane, and the generator left behind, must equal the
+        # scalar loop's.
+        rng = np.random.default_rng(8)
+        paths = ("amplifier", "ideal", "noisy")
+        outcomes = {path: set() for path in paths}
+        for group in range(120):
+            path = paths[group % 3]
+            amp = _random_amp(rng)
+            n_req = int(rng.integers(1, 60))
+            latency = rng.uniform(0.0, 1e-3)
+            horizon = rng.uniform(20, 400) * amp.sample_period
+            noise_std = rng.uniform(0.01, 0.3) if path == "noisy" else 0.0
+            detector = "ideal" if path == "ideal" else "amplifier"
+            lanes = [(_random_rates(rng), int(rng.integers(2**31))) for _ in range(100)]
+            gens = [np.random.default_rng(seed) for _, seed in lanes]
+            kwargs = dict(amp=amp, n_required=n_req, horizon=horizon, latency=latency,
+                          detector=detector, noise_std=noise_std, record_runs=True)
+            det = run_detection(
+                [_live_events(gen, rates, DonorState.IONIZED)
+                 for gen, (rates, _) in zip(gens, lanes)],
+                rngs=gens, **kwargs,
+            )
+            for k, (rates, seed) in enumerate(lanes):
+                ref_gen = np.random.default_rng(seed)
+                ref = scalar_detection(
+                    _live_events(ref_gen, rates, DonorState.IONIZED), rng=ref_gen, **kwargs
+                )
+                assert lane_detection(det, k) == ref, (group, k)
+                assert gens[k].bit_generator.state == ref_gen.bit_generator.state, (group, k)
+                outcomes[path].add(ref.trigger_sample is not None)
+        assert all(seen == {True, False} for seen in outcomes.values())
+
+
+    def test_samples_on_boundaries_match_the_scalar_loop(self):
+        # Cases random draws almost never hit: events exactly at sample
+        # instants, and threshold crossings that fall on a sample instant,
+        # where the closed-form crossing is right only to within a sample.
+        ts = AMP.sample_period
+        calls = []
+        for threshold in np.linspace(0.05, 0.95, 19):
+            for gap in range(1, 12):
+                # The output falls from 1 at the load, at sample m, and
+                # crosses the threshold gap samples later.
+                omega = math.log(1.0 / threshold) / (gap * ts)
+                amp = AmplifierParams(omega / (2 * math.pi), threshold, ts)
+                lanes = [[(m * ts, DonorState.DOWN), ((m + gap + 3) * ts, DonorState.IONIZED),
+                          ((m + gap + 9) * ts, DonorState.UP)] for m in range(1, 8)]
+                calls.append((amp, "amplifier", lanes))
+        rng = np.random.default_rng(9)
+        ideal_lanes = [
+            list(zip(np.cumsum(rng.integers(1, 6, size=8)) * ts,
+                     [DonorState.DOWN, DonorState.IONIZED] * 4))
+            for _ in range(300)
+        ]
+        calls.append((AMP, "ideal", ideal_lanes))
+        for amp, detector, lanes in calls:
+            kwargs = dict(amp=amp, n_required=4, horizon=40 * ts, detector=detector,
+                          record_runs=True)
+            det = run_detection(lanes, **kwargs)
+            for k, events in enumerate(lanes):
+                assert lane_detection(det, k) == scalar_detection(events, **kwargs), k
 
 
 class _CountingRng:
@@ -229,14 +349,14 @@ class TestNoiseDraws:
         n_req = 200
         for seed in range(5):
             rng = _CountingRng(seed)
-            det = run_detection(
-                [(3.5e-5, DonorState.DOWN)],
+            det = lane_detection(run_detection(
+                [[(3.5e-5, DonorState.DOWN)]],
                 amp=AMP,
                 n_required=n_req,
                 horizon=1000 * n_req * AMP.sample_period,
                 noise_std=0.05,
-                rng=rng,
-            )
+                rngs=[rng],
+            ), 0)
             assert det.trigger_sample is not None
             assert max(rng.sizes) <= n_req
             assert sum(rng.sizes) == det.trigger_sample
@@ -250,11 +370,11 @@ class TestNoiseDraws:
         latency = 20 * ts
         t_load = 3.5e-5
         for seed in range(5):
-            probe = run_detection(
-                [(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)],
+            probe = lane_detection(run_detection(
+                [[(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)]],
                 amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
-                noise_std=0.05, rng=np.random.default_rng(seed),
-            )
+                noise_std=0.05, rngs=[np.random.default_rng(seed)],
+            ), 0)
             trigger = probe.trigger_sample
             t_next = (trigger + 10.5) * ts  # inside the latency window
             rng = np.random.default_rng(seed)
@@ -266,10 +386,10 @@ class TestNoiseDraws:
                 seen.append(rng.bit_generator.state)
                 yield t_next + 1e-3, DonorState.DOWN
 
-            det = run_detection(
-                events(), amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
-                noise_std=0.05, rng=rng,
-            )
+            det = lane_detection(run_detection(
+                [events()], amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
+                noise_std=0.05, rngs=[rng],
+            ), 0)
             assert det.trigger_sample == trigger
             assert det.state_at_trigger is DonorState.IONIZED
             whole = np.random.default_rng(seed)
@@ -278,7 +398,7 @@ class TestNoiseDraws:
 
     def test_n_required_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="n_required"):
-            run_detection([], amp=AMP, n_required=0, horizon=1e-3)
+            run_detection([[]], amp=AMP, n_required=0, horizon=1e-3)
 
 
 class TestRunInitializationShot:
@@ -332,7 +452,7 @@ class TestRunInitializationShot:
         n_req = 500
         cfg = make_config(n_required=n_req, shots=20000, seed=13, detector="ideal")
         rates = cfg.rates
-        records = [run_initialization_shot(cfg, i) for i in range(cfg.shots)]
+        records = harness._run_shots(cfg, rates, n_req).records()
         assert all(r.triggered for r in records)
         assert sum(r.n_missed_sampled for r in records) == 0
         down = sum(r.spin_at_trigger is DonorState.DOWN for r in records)
@@ -349,7 +469,7 @@ class TestRunInitializationShot:
         n_req = 500
         cfg = make_config(n_required=n_req, shots=30000, seed=14)
         rates = cfg.rates
-        records = [run_initialization_shot(cfg, i) for i in range(cfg.shots)]
+        records = harness._run_shots(cfg, rates, n_req).records()
         down_flags = np.array([r.spin_at_trigger is DonorState.DOWN for r in records])
         missed_flags = np.array([r.n_missed_sampled > 0 for r in records])
         p_miss_given_trigger = missed_flags.mean()
@@ -438,6 +558,32 @@ class TestShotStreams:
             outputs[label] = out.read_bytes()
         assert outputs["serial"] == outputs["pool"]
         assert outputs["serial"] == outputs["default_rng"]
+
+
+class TestShotBlocks:
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    def test_grouping_into_lanes_does_not_change_a_shot(self, noise_std):
+        # 2100 shots as one call, as 2100 one-lane calls, and in 175-shot
+        # calls that do not line up with the 1024-shot hash blocks.  A short
+        # horizon leaves some shots abandoned.
+        cfg = make_config(n_required=20, shots=2100, seed=23, noise_std=noise_std,
+                          abandon_factor=3.0)
+        rates = cfg.rates
+
+        def run(size):
+            return [
+                record
+                for k in range(0, cfg.shots, size)
+                for record in harness._shot_block(
+                    (cfg, rates, 20, range(k, min(k + size, cfg.shots)))
+                ).records(k)
+            ]
+
+        whole = run(cfg.shots)
+        assert 0 < sum(not r.triggered for r in whole) < cfg.shots / 2
+        assert run(1) == whole
+        assert run(175) == whole
+        assert harness._run_shots(cfg, rates, 20).records() == whole
 
 
 class TestSweepTobs:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import spindemon
 from spindemon.cli import main
+from spindemon.config import load_config
 
 
 def test_import_does_not_load_scipy():
@@ -55,8 +56,7 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
     runs = [
         (["simulate-shot", "--config", str(serial), "--shots", "1"],
          ("harness.shot_rng", "harness.gillespie_step", "harness.run_detection",
-          "harness.run_initialization_shot", "harness._run_shots", "cli.load_config",
-          "output.write_shots")),
+          "harness._run_shots", "cli.load_config", "output.write_shots")),
         (["sweep-tobs", "--config", str(pooled)],
          ("harness.Pool", "harness._sweep_point", "harness._draw_load_spin",
           "harness._bootstrap_quartiles", "output.write_sweep")),
@@ -83,6 +83,12 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
         assert main(argv + ["--out", out]) == 0, argv
         assert [key for key in keys if len(calls[key]) == before[key]] == [], argv
 
-    # The tracer reads the config and n_required from these positions.
-    cfg, _, _, n_required = calls["harness.run_initialization_shot"][0]
-    assert n_required == cfg.demon.required_samples
+    # The benchmark's set-up calls run_initialization_shot directly, and its
+    # tracer reads the config and n_required from positions 0 and 3.
+    harness = importlib.import_module("spindemon.harness")
+    cfg, _ = load_config(serial)
+    by_position = harness.run_initialization_shot(cfg, 0, cfg.rates, 3)
+    assert by_position == harness.run_initialization_shot(
+        cfg=cfg, shot_index=0, rates=cfg.rates, n_required=3
+    )
+    assert by_position.trigger_time >= 3 * cfg.amplifier.sample_period
