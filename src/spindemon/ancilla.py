@@ -127,10 +127,9 @@ class NuclearHistogram:
     nuclear_up: np.ndarray
     shots_per_read: int
 
-    def histogram(self, bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Counts over the fraction axis; default one bin per possible value."""
-        if bins is None:
-            bins = self.shots_per_read + 1
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Counts over the fraction axis, one bin per possible value."""
+        bins = self.shots_per_read + 1
         counts, edges = np.histogram(self.up_fractions, bins=bins, range=(0.0, 1.0))
         centers = 0.5 * (edges[:-1] + edges[1:])
         return centers, counts

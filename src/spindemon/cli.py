@@ -78,9 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_out(path: Path | None):
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        yield fh
 
 
 def _load(args) -> tuple:
@@ -128,55 +132,35 @@ def _read_fit_data(path: Path) -> list[tuple[float, float, float]]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        cfg, cfg_hash = _load(args)
+        extra, vis = None, None
         if args.command == "simulate-shot":
-            cfg, cfg_hash = _load(args)
-            records = harness._run_shots(cfg, cfg.rates, cfg.demon.required_samples).records()
-            meta = output.build_metadata(cfg_hash, cfg.master_seed)
-            with _open_out(args.out) as fh:
-                output.write_shots(fh, records, args.format, meta)
-        elif args.command == "sweep-tobs":
-            cfg, cfg_hash = _load(args)
-            results = sweep_tobs(cfg)
-            _report_abandoned(results)
-            meta = output.build_metadata(cfg_hash, cfg.master_seed, {"sweep": "t_obs"})
-            with _open_out(args.out) as fh:
-                output.write_sweep(fh, results, args.format, meta)
-        elif args.command == "sweep-bias":
-            cfg, cfg_hash = _load(args)
-            if cfg.sweep is None or cfg.sweep.variable != "mu_d":
-                raise ConfigError("sweep-bias needs sweep.variable = mu_d in the config")
-            demon_on = not args.demon_off
-            results = sweep_bias(cfg, demon_on=demon_on)
-            _report_abandoned(results)
-            meta = output.build_metadata(
-                cfg_hash, cfg.master_seed, {"sweep": "mu_d", "demon_on": demon_on}
-            )
-            with _open_out(args.out) as fh:
-                output.write_sweep(fh, results, args.format, meta)
+            writer = output.write_shots
+            payload = harness._run_shots(cfg, cfg.rates, cfg.demon.required_samples).records()
+        elif args.command in ("sweep-tobs", "sweep-bias"):
+            writer = output.write_sweep
+            if args.command == "sweep-tobs":
+                payload, extra = sweep_tobs(cfg), {"sweep": "t_obs"}
+            else:
+                demon_on = not args.demon_off
+                payload = sweep_bias(cfg, demon_on=demon_on)
+                extra = {"sweep": "mu_d", "demon_on": demon_on}
+            abandoned = sum(r.n_abandoned for r in payload)
+            if abandoned:
+                print(f"warning: {abandoned} shots abandoned without trigger", file=sys.stderr)
         elif args.command == "fit":
-            cfg, cfg_hash = _load(args)
-            fit = fit_fidelity_curve(_read_fit_data(args.data))
-            meta = output.build_metadata(cfg_hash, cfg.master_seed, {"data": str(args.data)})
-            with _open_out(args.out) as fh:
-                output.write_fit(fh, fit, args.format, meta)
+            writer, extra = output.write_fit, {"data": str(args.data)}
+            payload = fit_fidelity_curve(_read_fit_data(args.data))
         elif args.command == "project":
-            cfg, cfg_hash = _load(args)
-            rows = projection_999(cfg)
-            meta = output.build_metadata(cfg_hash, cfg.master_seed)
-            with _open_out(args.out) as fh:
-                output.write_projection(fh, rows, args.format, meta)
+            writer, payload = output.write_projection, projection_999(cfg)
         elif args.command == "budget":
-            cfg, cfg_hash = _load(args)
-            budget = ancilla.total_fidelity(args.f_init, args.f_control, args.f_readout)
-            meta = output.build_metadata(cfg_hash, cfg.master_seed)
-            with _open_out(args.out) as fh:
-                output.write_budget(fh, budget, args.format, meta)
-        elif args.command == "histogram":
-            cfg, cfg_hash = _load(args)
-            histogram = ancilla.simulate_nuclear_histogram(
+            writer = output.write_budget
+            payload = ancilla.total_fidelity(args.f_init, args.f_control, args.f_readout)
+        else:  # histogram
+            writer, extra = output.write_histogram, {"reads": cfg.shots}
+            payload = ancilla.simulate_nuclear_histogram(
                 args.p_up_given_up,
                 args.p_up_given_down,
                 args.shots_per_read,
@@ -185,20 +169,17 @@ def main(argv=None) -> int:
             )
             # Visibility rejects data that are not bimodal; check before any
             # output is written so that an exit 2 leaves no file behind.
-            vis = None
             if args.threshold is not None:
-                vis = ancilla.visibility(histogram, args.threshold)
-            meta = output.build_metadata(cfg_hash, cfg.master_seed, {"reads": cfg.shots})
-            with _open_out(args.out) as fh:
-                output.write_histogram(fh, histogram, args.format, meta)
-            if vis is not None:
-                print(
-                    f"visibility={vis.visibility!r} overlap={vis.overlap!r} "
-                    f"f_low={vis.f_low!r} f_high={vis.f_high!r}",
-                    file=sys.stderr,
-                )
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+                vis = ancilla.visibility(payload, args.threshold)
+        meta = output.build_metadata(cfg_hash, cfg.master_seed, extra)
+        with _open_out(args.out) as fh:
+            writer(fh, payload, args.format, meta)
+        if vis is not None:
+            print(
+                f"visibility={vis.visibility!r} overlap={vis.overlap!r} "
+                f"f_low={vis.f_low!r} f_high={vis.f_high!r}",
+                file=sys.stderr,
+            )
     except ValueError as exc:  # ConfigError and every rejected input value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -206,12 +187,6 @@ def main(argv=None) -> int:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
     return EXIT_OK
-
-
-def _report_abandoned(results) -> None:
-    abandoned = sum(r.n_abandoned for r in results)
-    if abandoned:
-        print(f"warning: {abandoned} shots abandoned without trigger", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -10,12 +10,10 @@ their defaults:
     physics.gyromagnetic_ghz_per_t gyromagnetic ratio, GHz/T (28)
     physics.asymmetry              spin-up/down coupling ratio chi (0.388)
     physics.donor_potential_uev    donor potential mu_D, ueV (0)
-    physics.base_rate_down_per_s   spin-down base tunnel rate, 1/s
-                                   (resolved from rates.in_total_per_s when
-                                   omitted)
+    physics.base_rate_down_per_s   spin-down base tunnel rate, 1/s (blank)
     rates.in_total_per_s           total loading rate the base rate is
                                    calibrated to at the configured donor
-                                   potential, 1/s (2700; blank to disable)
+                                   potential, 1/s (2700)
     amplifier.cutoff_hz            low-pass cutoff f_c, Hz (50e3)
     amplifier.threshold            blip threshold S_th in (0, 1) (0.3)
     amplifier.sample_period_s      digitizer period T_s, s (1e-5)
@@ -30,11 +28,16 @@ their defaults:
     sweep.variable                 't_obs' or 'mu_d' (t_obs)
     sweep.grid                     comma-separated grid values; seconds for
                                    t_obs, ueV for mu_d
+
+Exactly one of the two rate keys may be set, because the calibration
+rescales any base rate to the same loading rate.  To give the base rate
+directly, blank the loading rate with ``rates.in_total_per_s =``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,7 +123,12 @@ def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
         )
         base_rate_text = values["physics.base_rate_down_per_s"].strip()
         in_total_text = values["rates.in_total_per_s"].strip()
-        base_rate = float(base_rate_text) if base_rate_text else 1.0
+        if bool(base_rate_text) == bool(in_total_text):
+            raise ConfigError(
+                "give exactly one of physics.base_rate_down_per_s and "
+                "rates.in_total_per_s, and blank the other ('key =')"
+            )
+        base_rate = _as_float(values, "physics.base_rate_down_per_s") if base_rate_text else 1.0
         physics = TunnelModelParams(
             base_rate_down=base_rate,
             asymmetry=_as_float(values, "physics.asymmetry"),
@@ -132,15 +140,11 @@ def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
             # Calibrate the base rate so the loading rate at the configured
             # potential matches the measured total; the potential can then be
             # swept with the base rate held fixed.
-            target = float(in_total_text)
-            if target <= 0.0:
-                raise ConfigError("rates.in_total_per_s must be > 0")
+            target = _as_float(values, "rates.in_total_per_s")
+            if not (math.isfinite(target) and target > 0.0):
+                raise ConfigError("rates.in_total_per_s must be finite and > 0")
             scale = target / build_rates(physics).in_total
             physics = replace(physics, base_rate_down=physics.base_rate_down * scale)
-        elif not base_rate_text:
-            raise ConfigError(
-                "give physics.base_rate_down_per_s or rates.in_total_per_s"
-            )
         amplifier = AmplifierParams(
             cutoff=_as_float(values, "amplifier.cutoff_hz"),
             threshold=_as_float(values, "amplifier.threshold"),
@@ -150,9 +154,8 @@ def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
             required_samples=_as_int(values, "demon.required_samples"),
             latency=_as_float(values, "demon.latency_s"),
         )
-        grid = tuple(
-            float(part) for part in values["sweep.grid"].split(",") if part.strip()
-        )
+        grid = tuple(_as_float({"sweep.grid": part}, "sweep.grid")
+                     for part in values["sweep.grid"].split(",") if part.strip())
         sweep = SweepSpec(variable=values["sweep.variable"].strip(), grid=grid)
         return ExperimentConfig(
             physics=physics,

@@ -226,7 +226,6 @@ class _Detection:
 
 
 _IONIZED = int(DonorState.IONIZED)  # array comparisons skip the enum lookup
-_NEIGHBOURS = np.array([[-1], [0]])  # the samples either side of a crossing
 _END = (math.inf, -1)  # what a lane reads once its event stream has ended
 _COUNTS = ("n_resets", "n_ionizations", "n_missed_subrise", "n_missed_sampled")
 
@@ -244,9 +243,8 @@ class _Lanes:
         self.trigger_sample = np.full(count, -1)
         self.latched_until = np.zeros(count, np.int64)  # ideal detector: last
         # sample index covered by an ionization.  The ionization episode in
-        # progress, once there is one: when it began, whether the donor has
+        # progress, once n_ionizations > 0: when it began, whether the donor has
         # reloaded since, and how many blips it has shown.
-        self.in_episode = np.zeros(count, bool)
         self.episode_start = np.zeros(count)
         self.episode_reloaded = np.zeros(count, bool)
         self.episode_blips = np.zeros(count, np.int64)
@@ -322,19 +320,15 @@ def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
         x, level, seg_start = rising * 1.0, live.level[ahead], live.seg_start[ahead]
         t_c = seg_start + np.log((x - level) / (x - s_th)) / omega
         cross = np.maximum(first, np.minimum((t_c / ts).astype(np.int64) + 1, last + 1))
-        # The closed form can be a sample off either way: check the samples
-        # on both sides of it, and step to the exact crossing if need be.
-        before, at = _output(x, level, omega, (cross + _NEIGHBOURS) * ts - seg_start) > s_th
-        off = ((at != rising) & (cross <= last)) | ((before == rising) & (cross > first))
-        if np.count_nonzero(off):
-            while np.count_nonzero(fwd := (cross <= last) & (
-                (_output(x, level, omega, cross * ts - seg_start) > s_th) != rising
-            )):
-                cross += fwd
-            while np.count_nonzero(back := (cross > first) & (
-                (_output(x, level, omega, (cross - 1) * ts - seg_start) > s_th) == rising
-            )):
-                cross -= back
+        # The closed form can be a sample off either way: step to the exact crossing.
+        while np.count_nonzero(fwd := (cross <= last) & (
+            (_output(x, level, omega, cross * ts - seg_start) > s_th) != rising
+        )):
+            cross += fwd
+        while np.count_nonzero(back := (cross > first) & (
+            (_output(x, level, omega, (cross - 1) * ts - seg_start) > s_th) == rising
+        )):
+            cross -= back
         n_cross[ahead] = cross
     return (n, n_cross - n, ~ionized), (n_cross, n_last - n_cross + 1, ionized)
 
@@ -515,7 +509,7 @@ def run_detection(
         else:
             live.level = _output(ionized * 1.0, live.level, omega, t_event - live.seg_start)
         ionizes = new_state == _IONIZED
-        reloads = ionized & ~ionizes & live.in_episode
+        reloads = ionized & ~ionizes & (live.n_ionizations > 0)
         ionizes &= ~ionized
         if np.count_nonzero(reloads):
             live.episode_reloaded |= reloads
@@ -524,7 +518,6 @@ def run_detection(
             live.n_missed_sampled += (
                 ionizes & live.episode_reloaded & (live.episode_blips == 0)
             )
-            live.in_episode |= ionizes
             live.episode_start[ionizes] = t_event[ionizes]
             live.episode_reloaded &= ~ionizes
             live.episode_blips[ionizes] = 0
@@ -753,7 +746,7 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
     observation length.
     """
     if cfg.sweep is None or cfg.sweep.variable != "mu_d":
-        raise ValueError("config must carry a mu_d sweep")
+        raise ValueError("sweep_bias needs sweep.variable = mu_d in the config")
     n_required = cfg.demon.required_samples
     results = []
     for point_index, mu_d in enumerate(cfg.sweep.grid):
@@ -764,24 +757,20 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
     return results
 
 
-def projection_999(
-    cfg: ExperimentConfig,
-    fast_cutoff: float = 300e3,
-    slow_in_rate: float = 880.0,
-) -> list[ProjectionScenario]:
+def projection_999(cfg: ExperimentConfig) -> list[ProjectionScenario]:
     """Detection-loss plateaus for the two hardware improvement paths.
 
     Evaluates the rise-time and missed-event formulas for the baseline
-    chain, for a faster amplifier at ``fast_cutoff``, and for loading slowed
-    to ``slow_in_rate``; each scenario reports its plateau 1 - P_miss.
+    chain, for a faster amplifier with a 300 kHz cutoff, and for loading
+    slowed to 880 /s; each scenario reports its plateau 1 - P_miss.
     """
     amp = cfg.amplifier
     base_in = cfg.rates.in_total
     rows = []
     for label, cutoff, in_rate in (
         ("baseline", amp.cutoff, base_in),
-        ("faster_amplifier", fast_cutoff, base_in),
-        ("slower_loading", amp.cutoff, slow_in_rate),
+        ("faster_amplifier", 300e3, base_in),
+        ("slower_loading", amp.cutoff, 880.0),
     ):
         t_r = rise_time(cutoff, amp.threshold)
         p_m = missed_blip_probability(t_r, in_rate)

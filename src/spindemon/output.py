@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import astuple
 from typing import IO
 
 from . import __version__
 from .ancilla import FidelityBudget, NuclearHistogram
-from .fitting import FitResult
+from .fitting import PARAM_NAMES, FitResult
 from .harness import ProjectionScenario, ShotRecord, SweepResult
 
 SWEEP_COLUMNS = ("grid_value", "shots", "successes", "median", "p25", "p75", "analytic")
@@ -47,28 +48,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _sweep_row(result: SweepResult) -> list:
-    return [
-        result.grid_value,
-        result.shots,
-        result.successes,
-        result.median,
-        result.p25,
-        result.p75,
-        result.analytic,
-    ]
-
-
-def _fit_rows(fit: FitResult) -> list[list]:
-    rows = [
-        ["prior", fit.prior, fit.std_errors["prior"]],
-        ["rate_gap", fit.rate_gap, fit.std_errors["rate_gap"]],
-        ["missed_probability", fit.missed_probability, fit.std_errors["missed_probability"]],
-        ["residual_norm", fit.residual_norm, ""],
-    ]
-    return rows
-
-
 def _shot_row(record: ShotRecord) -> list:
     return [
         record.shot_index,
@@ -82,12 +61,8 @@ def _shot_row(record: ShotRecord) -> list:
     ]
 
 
-def _projection_row(row: ProjectionScenario) -> list:
-    return [row.label, row.cutoff, row.in_rate_total, row.t_rise, row.p_miss, row.plateau]
-
-
 def _write(
-    stream: IO[str], columns: tuple[str, ...], rows: list[list], fmt: str, metadata: dict
+    stream: IO[str], columns: tuple[str, ...], rows: list, fmt: str, metadata: dict
 ) -> None:
     """Write rows as CSV, or as JSON under a metadata header when fmt is "json"."""
     if fmt == "json":
@@ -106,11 +81,14 @@ def _write(
 
 def write_sweep(stream, results: list[SweepResult], fmt: str, metadata: dict) -> None:
     meta = dict(metadata, abandoned_total=sum(r.n_abandoned for r in results))
-    _write(stream, SWEEP_COLUMNS, [_sweep_row(r) for r in results], fmt, meta)
+    rows = [[getattr(r, name) for name in SWEEP_COLUMNS] for r in results]
+    _write(stream, SWEEP_COLUMNS, rows, fmt, meta)
 
 
 def write_fit(stream, fit: FitResult, fmt: str, metadata: dict) -> None:
-    _write(stream, FIT_COLUMNS, _fit_rows(fit), fmt, metadata)
+    rows = [[name, getattr(fit, name), fit.std_errors[name]] for name in PARAM_NAMES]
+    rows.append(["residual_norm", fit.residual_norm, ""])
+    _write(stream, FIT_COLUMNS, rows, fmt, metadata)
 
 
 def write_shots(stream, records: list[ShotRecord], fmt: str, metadata: dict) -> None:
@@ -118,21 +96,15 @@ def write_shots(stream, records: list[ShotRecord], fmt: str, metadata: dict) -> 
 
 
 def write_projection(stream, rows: list[ProjectionScenario], fmt: str, metadata: dict) -> None:
-    _write(stream, PROJECTION_COLUMNS, [_projection_row(r) for r in rows], fmt, metadata)
+    _write(stream, PROJECTION_COLUMNS, [astuple(r) for r in rows], fmt, metadata)
 
 
 def write_budget(stream, budget: FidelityBudget, fmt: str, metadata: dict) -> None:
-    rows = [
-        ["init", budget.f_init],
-        ["control", budget.f_control],
-        ["readout", budget.f_readout],
-        ["total", budget.f_total],
-    ]
+    rows = list(zip(("init", "control", "readout", "total"), astuple(budget)))
     _write(stream, BUDGET_COLUMNS, rows, fmt, metadata)
 
 
-def write_histogram(stream, histogram: NuclearHistogram, fmt: str, metadata: dict,
-                    bins: int | None = None) -> None:
-    centers, counts = histogram.histogram(bins)
+def write_histogram(stream, histogram: NuclearHistogram, fmt: str, metadata: dict) -> None:
+    centers, counts = histogram.histogram()
     rows = [[float(c), int(n)] for c, n in zip(centers, counts)]
     _write(stream, ("bin_center", "count"), rows, fmt, metadata)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -71,6 +72,28 @@ class TestConfigParsing:
     def test_missing_rate_specification(self):
         with pytest.raises(ConfigError, match="base_rate_down"):
             build_experiment_config({"rates.in_total_per_s": ""})
+
+    def test_base_rate_with_calibration_is_rejected(self):
+        # The calibration rescales any base rate to the same loading rate, so
+        # a base rate given next to it would change nothing.
+        with pytest.raises(ConfigError, match="blank the other"):
+            build_experiment_config({"physics.base_rate_down_per_s": "2000"})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"physics.base_rate_down_per_s": "fast", "rates.in_total_per_s": ""},
+            {"rates.in_total_per_s": "fast"},
+            {"rates.in_total_per_s": "nan"},
+            {"rates.in_total_per_s": "inf"},
+            {"sweep.grid": "1e-3, soon"},
+        ],
+        ids=["base-rate-text", "in-total-text", "in-total-nan", "in-total-inf", "grid-text"],
+    )
+    def test_bad_value_message_names_the_key(self, raw):
+        key = next(key for key, value in raw.items() if value)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_experiment_config(raw)
 
     def test_bad_sweep_variable(self):
         with pytest.raises(ConfigError):
@@ -291,11 +314,16 @@ class TestCli:
              {"run.cfg": "run.shots = 5\nrun.abandon_factor = nan\n"}),
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 5\ndemon.latency_s = nan\n"}),
+            (["sweep-bias", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nsweep.grid = 1e-3\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nphysics.base_rate_down_per_s = 2000\n"}),
         ],
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
              "histogram-probability", "histogram-zero-reads",
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
-             "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan"],
+             "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
+             "sweep-bias-t-obs", "base-rate-with-calibration"],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.chdir(tmp_path)
@@ -307,6 +335,16 @@ class TestCli:
         assert "Traceback" not in err
         # A rejected run leaves no output that could pass for a good one.
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("out", ["missing/out.csv", "."],
+                             ids=["missing-directory", "existing-directory"])
+    def test_unwritable_out_exits_2_with_message(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        argv = ["budget", "--f-init", "0.989", "--f-control", "0.995", "--f-readout", "0.9999"]
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
 
     def test_histogram_csv_and_visibility(self, tmp_path, capsys):
         out = tmp_path / "hist.csv"
