@@ -24,14 +24,6 @@ EXIT_CONFIG = 2
 EXIT_FIT = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="key = value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override run.master_seed")
-    parser.add_argument("--shots", type=int, default=None, help="override run.shots")
-    parser.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spindemon",
@@ -39,33 +31,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand reads these; only those that draw shots read --seed and --shots.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="key = value config file")
+    common.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=None, help="override run.master_seed")
+    run.add_argument("--shots", type=int, default=None, help="override run.shots")
 
-    p = sub.add_parser("simulate-shot", help="run initialization shots, dump records")
-    _add_common(p)
+    sub.add_parser("simulate-shot", parents=[common, run],
+                   help="run initialization shots, dump records")
+    sub.add_parser("sweep-tobs", parents=[common, run], help="fidelity versus observation time")
 
-    p = sub.add_parser("sweep-tobs", help="fidelity versus observation time")
-    _add_common(p)
-
-    p = sub.add_parser("sweep-bias", help="fidelity versus donor potential")
-    _add_common(p)
+    p = sub.add_parser("sweep-bias", parents=[common, run], help="fidelity versus donor potential")
     p.add_argument("--demon-off", action="store_true", help="bare loading, no monitoring")
 
-    p = sub.add_parser("fit", help="fit the fidelity curve to sweep data")
-    _add_common(p)
+    p = sub.add_parser("fit", parents=[common], help="fit the fidelity curve to sweep data")
     p.add_argument("--data", type=Path, required=True,
                    help="CSV with grid_value (or t_obs), shots, successes columns")
 
-    p = sub.add_parser("project", help="detection-loss plateau projections")
-    _add_common(p)
+    sub.add_parser("project", parents=[common], help="detection-loss plateau projections")
 
-    p = sub.add_parser("budget", help="combine stage fidelities")
-    _add_common(p)
+    p = sub.add_parser("budget", parents=[common], help="combine stage fidelities")
     p.add_argument("--f-init", type=float, required=True)
     p.add_argument("--f-control", type=float, required=True)
     p.add_argument("--f-readout", type=float, required=True)
 
-    p = sub.add_parser("histogram", help="simulate repetitive ancilla readout")
-    _add_common(p)
+    p = sub.add_parser("histogram", parents=[common, run],
+                       help="simulate repetitive ancilla readout")
     p.add_argument("--p-up-given-up", type=float, default=0.85)
     p.add_argument("--p-up-given-down", type=float, default=0.04)
     p.add_argument("--shots-per-read", type=int, default=65)
@@ -90,9 +84,9 @@ def _open_out(path: Path | None):
 def _load(args) -> tuple:
     cfg, cfg_hash = load_config(args.config)
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = args.seed
-    if args.shots is not None:
+    if getattr(args, "shots", None) is not None:
         overrides["shots"] = args.shots
     if overrides:
         try:

@@ -12,12 +12,16 @@ samples one at a time (``tests/oracles.py`` holds that reference chain and
 the tests cross-check the two), but runs in time proportional to the number
 of tunneling events.
 
-The engine runs a block of shots as lanes: each shot's counter and the rest
+The engine runs a group of shots as lanes: each shot's counter and the rest
 of its detection state are entries of numpy arrays, and each round advances
-every shot still running by one tunneling event, drawn by that shot's own
-Gillespie step.  Shot i draws from a stream equal to ``default_rng([
-master_seed, i])``, in the order it would on its own, so its outcome does
-not depend on the block, the worker or the order.  That key's
+every shot still running by one tunneling event.  The events come from
+aligned blocks of 1024 shots.  Block b owns the generator ``default_rng([
+master_seed, _EVENT_STREAM, b])``; every round draws a (2, 1024) array of
+uniforms from it, and one array Gillespie step turns column i % 1024 of
+round r into the r-th event of shot i.  A shot's events therefore depend on
+nothing but the master seed and its index: not on how shots are grouped
+into calls, on the worker or on the order.  A noisy shot draws its sensor
+noise, and only that, from ``default_rng([master_seed, i])``, whose
 ``SeedSequence`` hash is computed for blocks of consecutive shots at once.
 """
 
@@ -29,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,9 +53,9 @@ from .telegraph import (
 )
 
 _BOOTSTRAP_STREAM = 0x0B007
-_LOAD_DRAW_STREAM = 0x10AD
+_EVENT_STREAM = 0xE7E47
 
-_SEED_BLOCK = 1024  # shot indices per cached SeedSequence hash block and per lane block
+_SEED_BLOCK = 1024  # shots per event block and per cached SeedSequence hash block
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
@@ -89,6 +93,12 @@ class ExperimentConfig:
     amplifier output, so noise_std > 0 requires the amplifier detector.  It is
     drawn only up to the trigger (see run_detection), so a triggered shot's
     cost does not grow with abandon_factor.
+
+    master_seed fixes every draw: shot i's r-th tunneling event comes from
+    column i % 1024 of the r-th round of uniforms of its 1024-shot block,
+    and its noise from its own generator (see the module docstring).
+    Without monitoring, shot i keeps the spin its first event loads, which
+    is the first spin its monitored run loads.
     """
 
     physics: TunnelModelParams
@@ -150,8 +160,8 @@ class SweepResult:
     analytic is a lower bound on the monitored fidelity, not a prediction:
     the posterior less the sub-rise-time miss probability.  Events missed
     between samples are not in that probability, so the Monte Carlo sits
-    above it: 0.99699 against 0.99368 at the 20 ms operating point with
-    100 000 shots.
+    above it: 0.99690 against 0.99368 in one run of 100 000 shots at the
+    20 ms operating point.
     """
 
     grid_value: float
@@ -226,7 +236,6 @@ class _Detection:
 
 
 _IONIZED = int(DonorState.IONIZED)  # array comparisons skip the enum lookup
-_END = (math.inf, -1)  # what a lane reads once its event stream has ended
 _COUNTS = ("n_resets", "n_ionizations", "n_missed_subrise", "n_missed_sampled")
 
 
@@ -257,21 +266,6 @@ class _Lanes:
         """Keep only the lanes at positions ``lanes`` of the arrays."""
         for name, value in vars(self).items():
             setattr(self, name, value[lanes])
-
-
-def _live_events(
-    rng: np.random.Generator, rates: RateSet, initial: DonorState
-) -> Iterator[tuple[float, DonorState]]:
-    """Unbounded stream of (time, new_state) transitions from the chain."""
-    state = initial
-    t = 0.0
-    while True:
-        dt, new_state = gillespie_step(state, rates, rng)
-        if not math.isfinite(dt):
-            return
-        t += dt
-        state = new_state
-        yield t, state
 
 
 def _last_sample(t: np.ndarray, ts: float) -> np.ndarray:
@@ -350,7 +344,7 @@ def _noisy_runs(amp: AmplifierParams, noise_std: float, n_required: int, live: _
         size = int(min(n_last[j] - n + 1, n_required - live.counter[j]))
         x, level, times = float(ionized[j]), live.level[j], np.arange(n, n + size) * ts
         values = x + (level - x) * np.exp(-omega * (times - live.seg_start[j]))
-        blips = values + rngs[j].normal(0.0, noise_std, size=size) > amp.threshold
+        blips = values + rngs[live.lane[j]].normal(0.0, noise_std, size=size) > amp.threshold
         edges = [0, *(np.flatnonzero(blips[1:] != blips[:-1]) + 1).tolist(), size]
         chunks[j] = [(n + a, b - a, bool(blips[a])) for a, b in zip(edges, edges[1:])]
         live.n[j] = n + size
@@ -388,7 +382,8 @@ def _feed(live: _Lanes, n_required: int, runs, start, length, is_blip) -> None:
 
 
 def run_detection(
-    events: Sequence[Iterable[tuple[float, DonorState]]],
+    events: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lanes: int,
     *,
     amp: AmplifierParams,
     n_required: int,
@@ -399,37 +394,36 @@ def run_detection(
     rngs: Sequence[np.random.Generator] | None = None,
     record_runs: bool = False,
 ) -> _Detection:
-    """Run the trigger logic over the samples of several transition streams.
+    """Run the trigger logic over the samples of ``lanes`` transition streams.
 
-    Each stream is one lane; the lanes share every other argument.  The
-    donor starts ionized with the amplifier output settled at 1.  Samples
-    sit at t = n * T_s, n = 1, 2, ...  The trigger fires at the sample
-    completing ``n_required`` consecutive silent samples; the loaded state
-    is then evaluated ``latency`` seconds after that sample instant.  A lane
-    stops at its trigger or at ``horizon``, whichever is first.
+    The lanes share every argument but their events and noise.  The donor
+    starts ionized with the amplifier output settled at 1.  Samples sit at
+    t = n * T_s, n = 1, 2, ...  The trigger fires at the sample completing
+    ``n_required`` consecutive silent samples; the loaded state is then
+    evaluated ``latency`` seconds after that sample instant.  A lane stops
+    at its trigger or at ``horizon``, whichever is first.
 
-    The lanes advance in rounds.  Each round reads the next event of every
-    live lane and turns the segment before it into (start_sample, length,
-    is_blip) runs for the silent-sample counters, with array arithmetic
-    over the lanes: a blip run resets a counter, a silent run adds to it or
-    fires the trigger.  Lanes that fired or reached the horizon then leave
-    the arrays, so a round costs in proportion to the lanes still live.
-    Without noise a segment is split in closed form.  The ideal detector
-    latches: a sample is a blip when the donor is ionized at any instant of
-    ((n - 1) T_s, n T_s], so it misses no ionization.
+    The lanes advance in rounds, and round r reads event r of every live
+    lane: ``events(lane, state, t)`` returns the (t_event, new_state)
+    arrays of the lanes at positions ``lane``, which are in ``state`` since
+    time ``t``.  The segment before the event becomes (start_sample,
+    length, is_blip) runs for the silent-sample counters, with array
+    arithmetic over the lanes: a blip run resets a counter, a silent run
+    adds to it or fires the trigger.  Without noise a segment is split in
+    closed form.  The ideal detector latches: a sample is a blip when the
+    donor is ionized at any instant of ((n - 1) T_s, n T_s], so it misses no
+    ionization.  A lane that has fired stays live, taking the state of each
+    event inside the latency window, until an event falls after it; lanes
+    that end leave the arrays, so a round costs in proportion to the lanes
+    still live.
 
-    Each lane reads its events, and its generator in ``rngs`` draws its
-    noise, in the order a lone lane would, so a lane's outcome and the
-    state of its generator do not depend on the other lanes.  With noise,
-    a lane's generator draws one value per sample in sample order, in
-    chunks of ``n_required - counter`` samples.  Such a chunk either holds a
-    blip or fires the trigger on its last sample, so no draw reaches past
-    the trigger.  If an event falls inside the latency window, the rest of
-    the trigger segment is drawn and discarded before that event is read,
-    so a transition stream drawing from the same generator continues as if
-    the whole segment had been drawn.  With ``record_runs``, ``runs`` holds
-    each lane's (start_sample, length, is_blip) tuples, one per nonempty
-    run, up to and including the one that fires the trigger.
+    With noise, the generator ``rngs[k]`` of lane k draws one value per
+    sample in sample order, in chunks of ``n_required - counter`` samples.
+    Such a chunk either holds a blip or fires the trigger on its last
+    sample, so no draw reaches past the trigger, and a lane's draws do not
+    depend on the other lanes.  With ``record_runs``, ``runs`` holds each
+    lane's (start_sample, length, is_blip) tuples, one per nonempty run, up
+    to and including the one that fires the trigger.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -440,19 +434,12 @@ def run_detection(
     if n_required < 1:
         raise ValueError("n_required must be >= 1")
 
-    iters = [iter(stream) for stream in events]
-    rngs = list(rngs) if noisy else None
-    count = len(iters)
-    live = _Lanes(count)
-    result = _Detection(np.full(count, -1), np.full(count, -1),
-                        *(np.zeros(count, np.int64) for _ in _COUNTS),
-                        np.zeros(count), [[] for _ in iters] if record_runs else None)
-    while iters:
-        items = [next(it, _END) for it in iters]
-        t_event, new_state = np.fromiter(
-            itertools.chain.from_iterable(items), float, 2 * len(items)
-        ).reshape(-1, 2).T
-        new_state = new_state.astype(np.int64)
+    live = _Lanes(lanes)
+    result = _Detection(np.full(lanes, -1), np.full(lanes, -1),
+                        *(np.zeros(lanes, np.int64) for _ in _COUNTS),
+                        np.zeros(lanes), [[] for _ in range(lanes)] if record_runs else None)
+    while len(live.lane):
+        t_event, new_state = events(live.lane, live.state, live.seg_start)
         n_last = _last_sample(np.minimum(t_event, horizon), ts)
         ionized = live.state == _IONIZED
         if noisy:
@@ -465,43 +452,28 @@ def run_detection(
                 _feed(live, n_required, result.runs, *run)
             live.n = np.maximum(live.n, n_last + 1)
 
-        done = (live.trigger_sample >= 0) | (t_event >= horizon)
+        fired = live.trigger_sample >= 0
+        end_time = np.where(fired, live.trigger_sample * ts + latency, horizon)
+        done = np.where(fired, t_event > end_time, t_event >= horizon)
         if np.count_nonzero(done):
             ended = done.nonzero()[0]
-            lanes = live.lane[ended]
-            trigger = live.trigger_sample[ended]
-            fired = trigger >= 0
-            end_time = np.where(fired, trigger * ts + latency, horizon)
-            state = np.where(fired, live.state[ended], -1)
-            for k in (fired & (t_event[ended] <= end_time)).nonzero()[0].tolist():
-                j = ended[k]
-                if noisy and live.n[j] <= n_last[j]:
-                    # The events may come from the noise generator: draw the
-                    # rest of the trigger segment so the next event sees the
-                    # generator as it would be had the whole segment been drawn.
-                    rngs[j].normal(0.0, noise_std, size=int(n_last[j] - live.n[j] + 1))
-                # Advance through any transitions inside the latency window.
-                item = items[j]
-                while item[0] <= end_time[k]:
-                    state[k] = item[1]
-                    item = next(iters[j], _END)
+            positions = live.lane[ended]
             live.n_missed_sampled[ended] += (
                 live.episode_reloaded[ended] & (live.episode_blips[ended] == 0)
             )
-            result.trigger_sample[lanes] = trigger
-            result.state_at_trigger[lanes] = state
-            result.end_time[lanes] = end_time
+            result.trigger_sample[positions] = live.trigger_sample[ended]
+            result.state_at_trigger[positions] = np.where(fired[ended], live.state[ended], -1)
+            result.end_time[positions] = end_time[ended]
             for name in _COUNTS:
-                getattr(result, name)[lanes] = getattr(live, name)[ended]
+                getattr(result, name)[positions] = getattr(live, name)[ended]
             kept = (~done).nonzero()[0]
             live.keep(kept)
-            t_event, new_state, ionized = t_event[kept], new_state[kept], ionized[kept]
-            kept = kept.tolist()
-            iters = [iters[j] for j in kept]
-            if noisy:
-                rngs = [rngs[j] for j in kept]
+            t_event, new_state, ionized, fired = (
+                t_event[kept], new_state[kept], ionized[kept], fired[kept]
+            )
 
-        # Apply each remaining lane's event.
+        # Apply each remaining lane's event; inside a latency window only
+        # the state moves.
         if detector == "ideal":
             live.latched_until = np.where(ionized, np.maximum(
                 live.latched_until, np.ceil(t_event / ts - 1e-12).astype(np.int64)
@@ -509,8 +481,8 @@ def run_detection(
         else:
             live.level = _output(ionized * 1.0, live.level, omega, t_event - live.seg_start)
         ionizes = new_state == _IONIZED
-        reloads = ionized & ~ionizes & (live.n_ionizations > 0)
-        ionizes &= ~ionized
+        reloads = ionized & ~ionizes & ~fired & (live.n_ionizations > 0)
+        ionizes &= ~ionized & ~fired
         if np.count_nonzero(reloads):
             live.episode_reloaded |= reloads
             live.n_missed_subrise += reloads & (t_event - live.episode_start < t_rise_det)
@@ -568,33 +540,49 @@ class _SeedRow(np.random.bit_generator.ISeedSequence):
         return self.row
 
 
-def _keyed_rng(prefix: tuple[int, ...], index: int) -> np.random.Generator:
-    """The generator ``default_rng([*prefix, index])``, seeded from a cached block."""
-    if not 0 <= index < 1 << 32 or min(prefix) < 0:  # let numpy hash or reject it
-        return np.random.default_rng([*prefix, index])
-    row = _seed_block(prefix, index // _SEED_BLOCK)[index % _SEED_BLOCK]
-    return np.random.Generator(np.random.PCG64(_SeedRow(row)))
-
-
 def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
     """Counter-based per-shot generator equal to ``default_rng([master_seed,
     shot_index])``, its seed hash computed in blocks (``_seed_block``)."""
-    return _keyed_rng((master_seed,), shot_index)
+    if not 0 <= shot_index < 1 << 32 or master_seed < 0:  # let numpy hash or reject it
+        return np.random.default_rng([master_seed, shot_index])
+    row = _seed_block((master_seed,), shot_index // _SEED_BLOCK)[shot_index % _SEED_BLOCK]
+    return np.random.Generator(np.random.PCG64(_SeedRow(row)))
+
+
+def _block_events(master_seed: int, rates: RateSet, indices: range):
+    """Event source of the shots ``indices`` for run_detection: lane k is
+    shot ``indices[k]``.
+
+    Each round draws (2, _SEED_BLOCK) uniforms from the generator of every
+    block the shots touch, and steps each live lane's chain with its
+    shot's column.
+    """
+    first = indices[0] // _SEED_BLOCK
+    gens = [np.random.default_rng([master_seed, _EVENT_STREAM, b])
+            for b in range(first, indices[-1] // _SEED_BLOCK + 1)]
+    column = np.asarray(indices) - first * _SEED_BLOCK
+
+    def events(lane: np.ndarray, state: np.ndarray, t: np.ndarray):
+        u = np.hstack([gen.random((2, _SEED_BLOCK)) for gen in gens])[:, column[lane]]
+        dt, new_state = gillespie_step(state, rates, u[0], u[1])
+        return t + dt, new_state
+
+    return events
 
 
 def _shot_block(args) -> _Detection:
     """Run the shots ``indices`` as the lanes of one run_detection call."""
     cfg, rates, n_required, indices = args
-    rngs = [shot_rng(cfg.master_seed, i) for i in indices]
     return run_detection(
-        [_live_events(rng, rates, DonorState.IONIZED) for rng in rngs],
+        _block_events(cfg.master_seed, rates, indices),
+        len(indices),
         amp=cfg.amplifier,
         n_required=n_required,
         horizon=cfg.abandon_factor * n_required * cfg.amplifier.sample_period,
         latency=cfg.demon.latency,
         detector=cfg.detector,
         noise_std=cfg.noise_std,
-        rngs=rngs,
+        rngs=[shot_rng(cfg.master_seed, i) for i in indices] if cfg.noise_std > 0.0 else None,
     )
 
 
@@ -619,6 +607,11 @@ def run_initialization_shot(
     return _shot_block((cfg, rates, n_required, block)).records(shot_index)[0]
 
 
+def _blocks(shots: int, size: int) -> list[range]:
+    """Shot indices 0 .. shots - 1 in consecutive ranges of up to ``size``."""
+    return [range(k, min(k + size, shots)) for k in range(0, shots, size)]
+
+
 def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int) -> _Detection:
     """Every shot of cfg, in blocks of up to _SEED_BLOCK lanes.
 
@@ -628,10 +621,7 @@ def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int) -> _Detec
     size = _SEED_BLOCK
     if cfg.workers > 1:
         size = min(size, math.ceil(cfg.shots / (cfg.workers * 4)))
-    blocks = [
-        (cfg, rates, n_required, range(k, min(k + size, cfg.shots)))
-        for k in range(0, cfg.shots, size)
-    ]
+    blocks = [(cfg, rates, n_required, block) for block in _blocks(cfg.shots, size)]
     if cfg.workers == 1:
         return _Detection.concatenate([_shot_block(block) for block in blocks])
     with Pool(processes=cfg.workers) as pool:
@@ -652,11 +642,12 @@ def _bootstrap_quartiles(
     return float(median), float(p25), float(p75)
 
 
-def _draw_load_spin(cfg: ExperimentConfig, rates: RateSet, shot_index: int) -> DonorState:
-    """Spin of the first electron loaded from the ionized donor."""
-    rng = _keyed_rng((cfg.master_seed, _LOAD_DRAW_STREAM), shot_index)
-    _, state = gillespie_step(DonorState.IONIZED, rates, rng)
-    return state
+def _draw_load_spin(cfg: ExperimentConfig, rates: RateSet, indices: range) -> np.ndarray:
+    """Spins of the first electrons the shots ``indices`` load from the
+    ionized donor: round 0 of their events, as a monitored run draws it."""
+    lane = np.arange(len(indices))
+    events = _block_events(cfg.master_seed, rates, indices)
+    return events(lane, np.full(len(lane), _IONIZED), np.zeros(len(lane)))[1]
 
 
 def _analytic_fidelity(
@@ -696,7 +687,8 @@ def _sweep_point(
         counts = {name: int(getattr(shots, name).sum())
                   for name in ("n_ionizations", "n_missed_subrise", "n_missed_sampled")}
     else:
-        spins = np.array([_draw_load_spin(cfg, rates, i) for i in range(cfg.shots)])
+        spins = np.concatenate([_draw_load_spin(cfg, rates, block)
+                                for block in _blocks(cfg.shots, _SEED_BLOCK)])
         counts = {}
     flags = (spins == DonorState.DOWN).astype(float)
     median, p25, p75 = _bootstrap_quartiles(flags, cfg.master_seed, point_index)

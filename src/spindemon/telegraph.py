@@ -2,12 +2,12 @@
 amplifier's closed forms.
 
 A trajectory is a continuous-time Markov chain over the three donor states
-(spin-up, spin-down, ionized); ``gillespie_step`` draws one exact step of
-it.  The sensor sees 1 while the donor is ionized and 0 while it is
-neutral, and a first-order low-pass amplifier turns that telegraph signal
-into the output compared against the blip threshold.  ``rise_time`` and
-``missed_blip_probability`` give the amplifier's step response and the
-detection loss it causes.
+(spin-up, spin-down, ionized); ``gillespie_step`` turns uniforms into one
+exact step of it, for any number of chains at once.  The sensor sees 1
+while the donor is ionized and 0 while it is neutral, and a first-order
+low-pass amplifier turns that telegraph signal into the output compared
+against the blip threshold.  ``rise_time`` and ``missed_blip_probability``
+give the amplifier's step response and the detection loss it causes.
 """
 
 from __future__ import annotations
@@ -55,26 +55,33 @@ class AmplifierParams:
         return 2.0 * math.pi * self.cutoff
 
 
-# Outgoing transitions per state: (rate attribute, destination).
-_TRANSITIONS = {
-    DonorState.UP: (("out_up", DonorState.IONIZED), ("relax", DonorState.DOWN)),
-    DonorState.DOWN: (("out_down", DonorState.IONIZED), ("excite", DonorState.UP)),
-    DonorState.IONIZED: (("in_up", DonorState.UP), ("in_down", DonorState.DOWN)),
-}
+# Outgoing channels per state, in DonorState order: (rate attribute,
+# destination) of the first channel, then of the second.
+_CHANNELS = (
+    (("out_up", DonorState.IONIZED), ("relax", DonorState.DOWN)),
+    (("out_down", DonorState.IONIZED), ("excite", DonorState.UP)),
+    (("in_up", DonorState.UP), ("in_down", DonorState.DOWN)),
+)
+_DESTINATIONS = np.array([[dest for _, dest in channels] for channels in _CHANNELS])
 
 
-def gillespie_step(state: DonorState, rates, rng: np.random.Generator):
-    """Draw (holding_time, next_state) for one exact CTMC step.
+def gillespie_step(state, rates, u_time, u_choice):
+    """One exact CTMC step from each entry of ``state``, by inverse transform.
 
-    Returns (inf, state) when the current state has no exit channel.
+    ``u_time`` and ``u_choice`` hold one uniform on [0, 1) per entry: the
+    holding time is -ln(1 - u_time) / total rate, and the first channel is
+    taken when u_choice * total < its rate.  Returns (holding_time,
+    next_state) arrays; where a state has no exit channel the holding time
+    is inf and the state stays.
     """
-    (name_a, dest_a), (name_b, dest_b) = _TRANSITIONS[state]
-    rate_a = getattr(rates, name_a)
-    total = rate_a + getattr(rates, name_b)
-    if total <= 0.0:
-        return math.inf, state
-    dt = rng.exponential(1.0 / total)
-    return dt, dest_a if rng.random() * total < rate_a else dest_b
+    state = np.asarray(state)
+    rate = np.array([[getattr(rates, name) for name, _ in ch] for ch in _CHANNELS])[state]
+    total = rate[..., 0] + rate[..., 1]
+    exits = total > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt = np.where(exits, -np.log1p(-np.asarray(u_time)) / total, math.inf)
+    dest = _DESTINATIONS[state, (u_choice * total >= rate[..., 0]).astype(np.intp)]
+    return dt, np.where(exits, dest, state)
 
 
 def rise_time(cutoff: float, threshold: float) -> float:

@@ -10,6 +10,9 @@ The views here are independent routes to the same numbers:
 - the ideal detector's samples, read off the trajectory directly;
 - the scalar detection loop: one shot's transition stream walked event by
   event in Python numbers, a one-lane reference for the lane engine;
+- explicit per-lane transition streams as an event source of the lane
+  engine, and the per-shot streams the engine drew before its events were
+  keyed by block;
 - a counter-only trigger, stepped one sample at a time, and a window scan
   that finds the same trigger sample without counting;
 - the sequential Bayes update, one silent sample at a time;
@@ -28,9 +31,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from spindemon.demon import likelihood_no_blip
-from spindemon.harness import _live_events
 from spindemon.physics import RateSet, bare_init_fidelity_from_rates
-from spindemon.telegraph import AmplifierParams, DonorState, rise_time
+from spindemon.telegraph import AmplifierParams, DonorState, gillespie_step, rise_time
 
 _LEVEL = {DonorState.UP: 0.0, DonorState.DOWN: 0.0, DonorState.IONIZED: 1.0}
 
@@ -75,6 +77,23 @@ class SampledTrace:
     sample_period: float
 
 
+def transitions(
+    rng: np.random.Generator, rates, initial: DonorState
+) -> Iterator[tuple[float, DonorState]]:
+    """Unbounded stream of (time, new_state) transitions of one chain: each
+    step feeds two uniforms of ``rng`` to ``gillespie_step``."""
+    state = initial
+    t = 0.0
+    while True:
+        u_time, u_choice = rng.random(2)
+        dt, new_state = gillespie_step(state, rates, u_time, u_choice)
+        if not math.isfinite(dt):
+            return
+        t += float(dt)
+        state = DonorState(int(new_state))
+        yield t, state
+
+
 def sample_trajectory(
     rates,
     initial: DonorState,
@@ -82,11 +101,11 @@ def sample_trajectory(
     seed=None,
     rng: np.random.Generator | None = None,
 ) -> EventTimeline:
-    """The shot engine's transition stream, cut at ``duration``.
+    """One chain's transition stream, cut at ``duration``.
 
-    The events are the prefix of ``spindemon.harness._live_events`` below
-    ``duration``: the same Gillespie steps the shot engine consumes, drawn
-    in the same order.  The result is deterministic given the seed.
+    The events are the prefix of ``transitions`` below ``duration``: the
+    Gillespie step the shot engine takes, fed by one generator.  The result
+    is deterministic given the seed.
 
     Args:
         rates: RateSet with the tunnel (and optional spin-flip) rates.
@@ -99,7 +118,7 @@ def sample_trajectory(
         raise ValueError("duration must be > 0")
     if rng is None:
         rng = np.random.default_rng(seed)
-    stream = _live_events(rng, rates, initial)
+    stream = transitions(rng, rates, initial)
     events = list(takewhile(lambda event: event[0] < duration, stream))
     return EventTimeline(initial_state=initial, events=events, duration=duration)
 
@@ -198,6 +217,49 @@ def ideal_blips(timeline: EventTimeline, sample_period: float, n_samples: int) -
     return blips
 
 
+def list_events(streams):
+    """Event source for ``spindemon.harness.run_detection`` over explicit
+    per-lane transition streams (lists or iterators of (time, new_state)).
+
+    Each round takes the next item of each live lane's stream; a stream
+    that has ended reads (inf, -1), which ends its lane.
+    """
+    iters = [iter(stream) for stream in streams]
+
+    def events(lane, state, t):
+        items = [next(iters[k], (math.inf, -1)) for k in lane.tolist()]
+        t_event, new_state = np.array(items, float).reshape(-1, 2).T
+        return t_event, new_state.astype(np.int64)
+
+    return events
+
+
+# The per-shot Gillespie step the engine took before its events were keyed
+# by block: channels per state as (rate attribute, destination) pairs.
+_PER_SHOT_CHANNELS = {
+    DonorState.UP: (("out_up", DonorState.IONIZED), ("relax", DonorState.DOWN)),
+    DonorState.DOWN: (("out_down", DonorState.IONIZED), ("excite", DonorState.UP)),
+    DonorState.IONIZED: (("in_up", DonorState.UP), ("in_down", DonorState.DOWN)),
+}
+
+
+def per_shot_transitions(rng: np.random.Generator, rates) -> Iterator[tuple[float, DonorState]]:
+    """A shot's transitions as the per-shot engine drew them from the shot's
+    own generator: an exponential holding time, then a uniform that picks
+    the channel."""
+    state = DonorState.IONIZED
+    t = 0.0
+    while True:
+        (name_a, dest_a), (name_b, dest_b) = _PER_SHOT_CHANNELS[state]
+        rate_a = getattr(rates, name_a)
+        total = rate_a + getattr(rates, name_b)
+        if total <= 0.0:
+            return
+        t += rng.exponential(1.0 / total)
+        state = dest_a if rng.random() * total < rate_a else dest_b
+        yield t, state
+
+
 @dataclass
 class ShotDetection:
     """One lane's outcome of run_detection, in Python numbers."""
@@ -271,8 +333,8 @@ def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector=
     lane: each segment between events is walked in chunks, each chunk
     becomes (start_sample, length, is_blip) runs, and the runs drive the
     silent-sample counter one at a time.  With noise, ``rng`` draws one
-    value per sample in chunks of ``n_required - counter``, and the rest of
-    the trigger segment is drawn when an event falls in the latency window.
+    value per sample in chunks of ``n_required - counter``, up to the
+    trigger.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -351,8 +413,6 @@ def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector=
     state_at_trigger = None
     if trigger_sample is not None:
         end_time = trigger_sample * ts + latency
-        if item is not None and item[0] <= end_time and n <= n_last:
-            rng.normal(0.0, noise_std, size=n_last - n + 1)
         while item is not None and item[0] <= end_time:
             state = item[1]
             item = next(events, None)

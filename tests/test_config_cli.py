@@ -318,18 +318,29 @@ class TestCli:
              {"run.cfg": "run.shots = 5\nsweep.grid = 1e-3\n"}),
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 5\nphysics.base_rate_down_per_s = 2000\n"}),
+            (["fit", "--data", "data.csv", "--shots", "3"],
+             {"data.csv": "grid_value,shots,successes\n0,100,80\n1e-3,100,90\n"
+                          "2e-3,100,95\n3e-3,100,97\n5e-3,100,98\n"}),
+            (["project", "--seed", "9"], {}),
+            (["budget", "--f-init", "0.989", "--f-control", "0.995", "--f-readout", "0.9999",
+              "--shots", "7"], {}),
         ],
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
              "histogram-probability", "histogram-zero-reads",
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
-             "sweep-bias-t-obs", "base-rate-with-calibration"],
+             "sweep-bias-t-obs", "base-rate-with-calibration", "fit-shots", "project-seed",
+             "budget-shots"],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.chdir(tmp_path)
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        assert main(argv + ["--out", "out.csv"]) == 2
+        try:
+            code = main(argv + ["--out", "out.csv"])
+        except SystemExit as exc:  # argparse rejects an option it does not know
+            code = exc.code
+        assert code == 2
         err = capsys.readouterr().err
         assert "error: " in err
         assert "Traceback" not in err

@@ -1,25 +1,30 @@
 import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 import spindemon.harness as harness
 from oracles import (
+    EventTimeline,
     digitize,
     first_trigger,
     ideal_blips,
     lane_detection,
+    list_events,
+    per_shot_transitions,
     render_sensor_trace,
     sample_trajectory,
     scalar_detection,
+    transitions,
 )
 from spindemon.cli import main
+from spindemon.config import load_config
 from spindemon.demon import DemonConfig, batch_posterior
 from spindemon.harness import (
-    _LOAD_DRAW_STREAM,
-    _live_events,
     ExperimentConfig,
     SweepSpec,
     projection_999,
@@ -40,7 +45,13 @@ from spindemon.physics import (
     donor_potential_for_prior,
     extract_chi,
 )
-from spindemon.telegraph import AmplifierParams, DonorState, rise_time
+from spindemon.telegraph import (
+    AmplifierParams,
+    DonorState,
+    gillespie_step,
+    missed_blip_probability,
+    rise_time,
+)
 
 AMP = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
 
@@ -130,6 +141,16 @@ def ideal_cases():
         yield tl, n_req
 
 
+def blinking(n_blips):
+    """A trajectory over 60 samples of AMP that loads at 25 us, then is
+    ionized for 30 us and loaded for 30 us ``n_blips`` times, and stays
+    loaded from then on."""
+    ts = AMP.sample_period
+    states = [DonorState.DOWN, DonorState.IONIZED] * n_blips + [DonorState.DOWN]
+    events = [((2.5 + 3 * j) * ts, state) for j, state in enumerate(states)]
+    return EventTimeline(DonorState.IONIZED, events, 60 * ts)
+
+
 def rendered_blips(tl, amp, noise_std=0.0, noise_seed=None):
     substep = amp.sample_period / 100
     return digitize(
@@ -158,7 +179,7 @@ class TestEngineMatchesReferenceChain:
             trig_ref = first_trigger(blips, n_req)
 
             det = lane_detection(run_detection(
-                [tl.events],
+                list_events([tl.events]), 1,
                 amp=amp,
                 n_required=n_req,
                 horizon=len(blips) * amp.sample_period,
@@ -178,7 +199,7 @@ class TestEngineMatchesReferenceChain:
             trig_ref = first_trigger(blips, n_req)
 
             det = lane_detection(run_detection(
-                [tl.events],
+                list_events([tl.events]), 1,
                 amp=amp,
                 n_required=n_req,
                 horizon=len(blips) * amp.sample_period,
@@ -202,7 +223,7 @@ class TestEngineMatchesReferenceChain:
             trig_ref = first_trigger(blips, n_req)
 
             det = lane_detection(run_detection(
-                [tl.events],
+                list_events([tl.events]), 1,
                 amp=AMP,
                 n_required=n_req,
                 horizon=n_samples * AMP.sample_period,
@@ -221,7 +242,11 @@ class TestEngineMatchesReferenceChain:
         # their oracles one by one, and the scalar loop field by field.
         n_req, noise_std, horizon = 15, 0.1, 60 * AMP.sample_period
         if path == "amplifier":
+            # About half of all draws of the 120 random trajectories trigger
+            # in only three rounds; the blinking lanes trigger in rounds 6, 8
+            # and 10 whatever the draw.
             lanes = [(tl, None) for tl, _, _ in amplifier_cases()]
+            lanes += [(blinking(n), None) for n in (2, 3, 4)]
         elif path == "noisy":
             lanes = [(tl, seed) for tl, _, _, _, seed in noisy_cases()]
         else:
@@ -229,7 +254,7 @@ class TestEngineMatchesReferenceChain:
         detector = "ideal" if path == "ideal" else "amplifier"
         noise = noise_std if path == "noisy" else 0.0
         det = run_detection(
-            [tl.events for tl, _ in lanes],
+            list_events([tl.events for tl, _ in lanes]), len(lanes),
             amp=AMP,
             n_required=n_req,
             horizon=horizon,
@@ -264,9 +289,9 @@ class TestEngineMatchesReferenceChain:
         # 12 000 random lanes in 120 calls, 40 per detector path: each call
         # draws its own amplifier, n_required (1-59), latency (up to 1 ms) and
         # horizon (20-400 samples), and each lane its own rates.  A lane's
-        # events and noise come from one generator, as in a shot.  Every
-        # field of every lane, and the generator left behind, must equal the
-        # scalar loop's.
+        # events and its noise come from two generators, as in a shot.
+        # Every field of every lane, and the noise generator left behind,
+        # must equal the scalar loop's.
         rng = np.random.default_rng(8)
         paths = ("amplifier", "ideal", "noisy")
         outcomes = {path: set() for path in paths}
@@ -279,18 +304,19 @@ class TestEngineMatchesReferenceChain:
             noise_std = rng.uniform(0.01, 0.3) if path == "noisy" else 0.0
             detector = "ideal" if path == "ideal" else "amplifier"
             lanes = [(_random_rates(rng), int(rng.integers(2**31))) for _ in range(100)]
-            gens = [np.random.default_rng(seed) for _, seed in lanes]
+            gens = [np.random.default_rng([seed, 1]) for _, seed in lanes]
             kwargs = dict(amp=amp, n_required=n_req, horizon=horizon, latency=latency,
                           detector=detector, noise_std=noise_std, record_runs=True)
             det = run_detection(
-                [_live_events(gen, rates, DonorState.IONIZED)
-                 for gen, (rates, _) in zip(gens, lanes)],
-                rngs=gens, **kwargs,
+                list_events([transitions(np.random.default_rng(seed), rates, DonorState.IONIZED)
+                             for rates, seed in lanes]),
+                len(lanes), rngs=gens, **kwargs,
             )
             for k, (rates, seed) in enumerate(lanes):
-                ref_gen = np.random.default_rng(seed)
+                ref_gen = np.random.default_rng([seed, 1])
                 ref = scalar_detection(
-                    _live_events(ref_gen, rates, DonorState.IONIZED), rng=ref_gen, **kwargs
+                    transitions(np.random.default_rng(seed), rates, DonorState.IONIZED),
+                    rng=ref_gen, **kwargs
                 )
                 assert lane_detection(det, k) == ref, (group, k)
                 assert gens[k].bit_generator.state == ref_gen.bit_generator.state, (group, k)
@@ -323,7 +349,7 @@ class TestEngineMatchesReferenceChain:
         for amp, detector, lanes in calls:
             kwargs = dict(amp=amp, n_required=4, horizon=40 * ts, detector=detector,
                           record_runs=True)
-            det = run_detection(lanes, **kwargs)
+            det = run_detection(list_events(lanes), len(lanes), **kwargs)
             for k, events in enumerate(lanes):
                 assert lane_detection(det, k) == scalar_detection(events, **kwargs), k
 
@@ -350,7 +376,7 @@ class TestNoiseDraws:
         for seed in range(5):
             rng = _CountingRng(seed)
             det = lane_detection(run_detection(
-                [[(3.5e-5, DonorState.DOWN)]],
+                list_events([[(3.5e-5, DonorState.DOWN)]]), 1,
                 amp=AMP,
                 n_required=n_req,
                 horizon=1000 * n_req * AMP.sample_period,
@@ -361,44 +387,39 @@ class TestNoiseDraws:
             assert max(rng.sizes) <= n_req
             assert sum(rng.sizes) == det.trigger_sample
 
-    def test_event_in_latency_window_sees_whole_segment_drawn(self):
-        # When the events come from the noise generator, an event read after
-        # a mid-segment trigger must find the generator as if every sample
-        # of the trigger segment had been drawn.
+    def test_event_in_latency_window_draws_no_noise_past_trigger(self):
+        # Events inside the latency window after a mid-segment trigger move
+        # the state at trigger, one event per round, and draw no noise: the
+        # noise generator is left having drawn exactly the trigger's samples.
         ts = AMP.sample_period
         n_req = 50
         latency = 20 * ts
         t_load = 3.5e-5
         for seed in range(5):
             probe = lane_detection(run_detection(
-                [[(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)]],
+                list_events([[(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)]]), 1,
                 amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
                 noise_std=0.05, rngs=[np.random.default_rng(seed)],
             ), 0)
             trigger = probe.trigger_sample
             t_next = (trigger + 10.5) * ts  # inside the latency window
             rng = np.random.default_rng(seed)
-            seen = []
-
-            def events():
-                yield t_load, DonorState.DOWN
-                yield t_next, DonorState.IONIZED
-                seen.append(rng.bit_generator.state)
-                yield t_next + 1e-3, DonorState.DOWN
-
             det = lane_detection(run_detection(
-                [events()], amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
+                list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED),
+                              (t_next + 2 * ts, DonorState.UP), (t_next + 1e-3, DonorState.DOWN)]]),
+                1, amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
                 noise_std=0.05, rngs=[rng],
             ), 0)
             assert det.trigger_sample == trigger
-            assert det.state_at_trigger is DonorState.IONIZED
-            whole = np.random.default_rng(seed)
-            whole.normal(0.0, 0.05, size=trigger + 10)  # samples 1 .. trigger + 10
-            assert seen == [whole.bit_generator.state]
+            assert det.state_at_trigger is DonorState.UP
+            assert det.n_ionizations == probe.n_ionizations
+            drawn = np.random.default_rng(seed)
+            drawn.normal(0.0, 0.05, size=trigger)  # samples 1 .. trigger
+            assert rng.bit_generator.state == drawn.bit_generator.state
 
     def test_n_required_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="n_required"):
-            run_detection([[]], amp=AMP, n_required=0, horizon=1e-3)
+            run_detection(list_events([[]]), 1, amp=AMP, n_required=0, horizon=1e-3)
 
 
 class TestRunInitializationShot:
@@ -430,12 +451,14 @@ class TestRunInitializationShot:
         n_req = 50
         cfg = make_config(n_required=n_req, shots=400, seed=12)
         t_fall = math.log(1.0 / AMP.threshold) / AMP.angular_cutoff
+        # Shot i loads at the first event of column i of its block's round 0.
+        u = np.random.default_rng([cfg.master_seed, harness._EVENT_STREAM, 0]).random((2, 1024))
+        load_times, _ = gillespie_step(np.full(1024, DonorState.IONIZED), rates, *u)
         down = 0
         for i in range(cfg.shots):
             record = run_initialization_shot(cfg, i, rates=rates)
             assert record.triggered
-            rng = np.random.default_rng([cfg.master_seed, i])
-            t_load = rng.exponential(1.0 / 2700.0)
+            t_load = load_times[i]
             first_silent = math.floor((t_load + t_fall) / AMP.sample_period) + 1
             n_trigger = round(
                 (record.trigger_time - cfg.demon.latency) / AMP.sample_period
@@ -525,13 +548,6 @@ class TestShotStreams:
             expected = np.random.default_rng([seed, index]).bit_generator.state
             assert shot_rng(seed, index).bit_generator.state == expected, index
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_load_draw_stream_equals_default_rng(self, seed):
-        prefix = (seed, _LOAD_DRAW_STREAM)
-        for index in self.INDICES:
-            expected = np.random.default_rng([*prefix, index]).bit_generator.state
-            assert harness._keyed_rng(prefix, index).bit_generator.state == expected, index
-
     def test_cached_block_is_read_only(self):
         block = harness._seed_block((7,), 0)
         assert harness._seed_block((7,), 0) is block
@@ -541,23 +557,27 @@ class TestShotStreams:
             block[0, 0] = 0
 
     def test_block_and_worker_boundaries(self, tmp_path, monkeypatch):
-        # 2100 shots cross the hash blocks at 1024 and 2048; the pool's
-        # 175-shot chunks do not line up with them.
-        outputs = {}
-        for label, workers in (("serial", 1), ("pool", 3), ("default_rng", 1)):
-            if label == "default_rng":
-                monkeypatch.setattr(harness, "shot_rng",
-                                    lambda s, i: np.random.default_rng([s, i]))
-            cfg = tmp_path / f"{label}.cfg"
-            cfg.write_text(
-                "physics.temperature_k = 0.26\nrates.in_total_per_s = 2700\n"
-                f"demon.required_samples = 20\nrun.shots = 2100\nrun.workers = {workers}\n"
-            )
-            out = tmp_path / f"{label}.csv"
-            assert main(["simulate-shot", "--config", str(cfg), "--out", str(out)]) == 0
-            outputs[label] = out.read_bytes()
-        assert outputs["serial"] == outputs["pool"]
-        assert outputs["serial"] == outputs["default_rng"]
+        # 2100 shots cross the event and hash blocks at 1024 and 2048; the
+        # pool's 175-shot chunks do not line up with them.  Only the noisy
+        # run draws from shot_rng.
+        for noise in ("0", "0.05"):
+            outputs = {}
+            for label, workers in (("serial", 1), ("pool", 3), ("default_rng", 1)):
+                with monkeypatch.context() as patch:
+                    if label == "default_rng":
+                        patch.setattr(harness, "shot_rng",
+                                      lambda s, i: np.random.default_rng([s, i]))
+                    cfg = tmp_path / f"{label}.cfg"
+                    cfg.write_text(
+                        "physics.temperature_k = 0.26\nrates.in_total_per_s = 2700\n"
+                        f"demon.required_samples = 20\nrun.shots = 2100\n"
+                        f"run.workers = {workers}\nrun.noise_std = {noise}\n"
+                    )
+                    out = tmp_path / f"{label}.csv"
+                    assert main(["simulate-shot", "--config", str(cfg), "--out", str(out)]) == 0
+                    outputs[label] = out.read_bytes()
+            assert outputs["serial"] == outputs["pool"], noise
+            assert outputs["serial"] == outputs["default_rng"], noise
 
 
 class TestShotBlocks:
@@ -584,6 +604,131 @@ class TestShotBlocks:
         assert run(1) == whole
         assert run(175) == whole
         assert harness._run_shots(cfg, rates, 20).records() == whole
+
+
+def column_replay(master_seed, rates, shot_index):
+    """Shot ``shot_index``'s transitions replayed one scalar Gillespie step
+    at a time from its column of its block generator's rounds."""
+    gen = np.random.default_rng([master_seed, harness._EVENT_STREAM, shot_index // 1024])
+    state, t = DonorState.IONIZED, 0.0
+    while True:
+        u_time, u_choice = gen.random((2, 1024))[:, shot_index % 1024]
+        dt, new_state = gillespie_step(state, rates, u_time, u_choice)
+        t += float(dt)
+        state = DonorState(int(new_state))
+        yield t, state
+
+
+def per_shot_detection(cfg, rates, n_required):
+    """Every shot of cfg through the lane engine, with the events drawn as the
+    per-shot engine drew them: shot i from its own ``default_rng([seed,
+    i])``, equal to shot_rng(seed, i)."""
+    parts = []
+    for block in harness._blocks(cfg.shots, 1024):
+        streams = [per_shot_transitions(shot_rng(cfg.master_seed, i), rates) for i in block]
+        parts.append(run_detection(
+            list_events(streams), len(block), amp=cfg.amplifier, n_required=n_required,
+            horizon=cfg.abandon_factor * n_required * cfg.amplifier.sample_period,
+            latency=cfg.demon.latency, detector=cfg.detector,
+        ))
+    return harness._Detection.concatenate(parts)
+
+
+def two_sample_pvalue(a, b):
+    """chi-square p-value that two samples of categories (non-negative
+    integers) share one distribution; the top categories are merged until
+    the pooled sample holds at least 20 in each."""
+    pooled = np.concatenate([a, b])
+    top = int(pooled.max())
+    while np.count_nonzero(pooled >= top) < 20:
+        top -= 1
+    table = np.array([np.bincount(np.minimum(x, top), minlength=top + 1) for x in (a, b)])
+    return chi2_contingency(table[:, table.sum(axis=0) > 0])[1]
+
+
+def fidelity(det):
+    return np.count_nonzero(det.state_at_trigger == DonorState.DOWN), np.count_nonzero(
+        det.trigger_sample >= 0
+    )
+
+
+class TestBlockDraws:
+    def test_lane_replays_its_column_of_the_block_rounds(self):
+        # Shots 1000-1099 straddle blocks 0 and 1.  Event r of every lane
+        # must be the scalar Gillespie step of its column of round r, and a
+        # run over the block source must equal one over the replayed streams,
+        # events inside a 0.3 ms latency window included.
+        rates = RateSet(out_up=3e3, out_down=800.0, in_up=2e3, in_down=6e3,
+                        relax=50.0, excite=20.0)
+        indices = range(1000, 1100)
+        events = harness._block_events(31, rates, indices)
+        lane = np.arange(len(indices))
+        replays = [column_replay(31, rates, i) for i in indices]
+        state, t = np.full(len(lane), int(DonorState.IONIZED)), np.zeros(len(lane))
+        for _ in range(40):
+            t, state = events(lane, state, t)
+            assert [next(replay) for replay in replays] == list(
+                zip(t.tolist(), map(DonorState, state.tolist()))
+            )
+
+        cfg = make_config(n_required=20, shots=1, seed=31, abandon_factor=5.0)
+        cfg = replace(cfg, demon=DemonConfig(required_samples=20, latency=3e-4))
+        block = harness._shot_block((cfg, rates, 20, indices))
+        replayed = run_detection(
+            list_events([column_replay(31, rates, i) for i in indices]), len(indices),
+            amp=AMP, n_required=20, horizon=5.0 * 20 * AMP.sample_period, latency=3e-4,
+        )
+        for k in range(len(indices)):
+            assert lane_detection(block, k) == lane_detection(replayed, k), k
+        # Some lanes end abandoned, and some take events inside the window.
+        fired = block.trigger_sample >= 0
+        assert 0 < np.count_nonzero(~fired) < len(indices) / 2
+        in_window = 0
+        for i, trigger in zip(indices, block.trigger_sample.tolist()):
+            t_fire = trigger * AMP.sample_period
+            times = (t for t, _ in column_replay(31, rates, i))
+            in_window += trigger >= 0 and t_fire < next(t for t in times if t > t_fire) <= (
+                t_fire + 3e-4
+            )
+        assert in_window > 5
+        # Without monitoring a shot keeps the spin its first event loads.
+        spins = harness._draw_load_spin(cfg, rates, indices)
+        assert spins.tolist() == [next(column_replay(31, rates, i))[1] for i in indices]
+
+    @pytest.mark.parametrize("point", ["tobs-physics", "mu-d-zero"])
+    def test_block_draws_match_per_shot_draws(self, point):
+        # 200 000 shots of the block-keyed engine against 200 000 of the
+        # per-shot engine it replaced: fidelity, ionizations, resets and
+        # trigger samples must agree, and the sub-rise misses must follow
+        # the closed form.
+        if point == "tobs-physics":
+            cfg, _ = load_config(Path(__file__).resolve().parent / "golden" / "tobs.cfg")
+            cfg = replace(cfg, shots=200_000, sweep=None)
+        else:
+            physics = replace(paper_point_physics(), donor_potential=0.0)
+            cfg = replace(make_config(n_required=2000, shots=200_000, seed=5), physics=physics)
+        rates, n_req = cfg.rates, cfg.demon.required_samples
+        new = harness._run_shots(cfg, rates, n_req)
+        old = per_shot_detection(cfg, rates, n_req)
+
+        (down_new, n_new), (down_old, n_old) = fidelity(new), fidelity(old)
+        f_new, f_old = down_new / n_new, down_old / n_old
+        pooled = (down_new + down_old) / (n_new + n_old)
+        sigma = math.sqrt(pooled * (1 - pooled) * (1 / n_new + 1 / n_old))
+        assert abs(f_new - f_old) < 3 * sigma
+
+        for name in ("n_ionizations", "n_resets"):
+            assert two_sample_pvalue(getattr(new, name), getattr(old, name)) > 1e-3, name
+        edges = np.quantile(np.concatenate([new.trigger_sample, old.trigger_sample]),
+                            np.linspace(0.05, 0.95, 19))
+        assert two_sample_pvalue(np.searchsorted(edges, new.trigger_sample, "right"),
+                                 np.searchsorted(edges, old.trigger_sample, "right")) > 1e-3
+
+        p_miss = missed_blip_probability(rise_time(AMP.cutoff, AMP.threshold), rates.in_total)
+        ionizations, missed = int(new.n_ionizations.sum()), int(new.n_missed_subrise.sum())
+        assert abs(missed - ionizations * p_miss) < 3 * math.sqrt(
+            ionizations * p_miss * (1 - p_miss)
+        )
 
 
 class TestSweepTobs:

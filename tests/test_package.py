@@ -52,11 +52,14 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
     serial.write_text(RUN_CONFIG)
     pooled = tmp_path / "pooled.cfg"
     pooled.write_text(RUN_CONFIG + "run.workers = 2\n")
+    noisy = tmp_path / "noisy.cfg"
+    noisy.write_text(RUN_CONFIG + "run.noise_std = 0.05\n")
     fit_data = Path(__file__).resolve().parent / "golden" / "fit-data.csv"
     runs = [
         (["simulate-shot", "--config", str(serial), "--shots", "1"],
-         ("harness.shot_rng", "harness.gillespie_step", "harness.run_detection",
-          "harness._run_shots", "cli.load_config", "output.write_shots")),
+         ("harness.gillespie_step", "harness.run_detection", "harness._run_shots",
+          "cli.load_config", "output.write_shots")),
+        (["simulate-shot", "--config", str(noisy), "--shots", "1"], ("harness.shot_rng",)),
         (["sweep-tobs", "--config", str(pooled)],
          ("harness.Pool", "harness._sweep_point", "harness._draw_load_spin",
           "harness._bootstrap_quartiles", "output.write_sweep")),
