@@ -14,19 +14,20 @@ of tunneling events.
 
 The engine runs a group of shots as lanes: each shot's counter and the rest
 of its detection state are entries of numpy arrays, and each round advances
-every shot still running by one tunneling event.  The events come from
-aligned blocks of 1024 shots.  Block b owns the generator ``default_rng([
-master_seed, _EVENT_STREAM, b])``; every round draws a (2, 1024) array of
-uniforms from it, and one array Gillespie step turns column i % 1024 of
-round r into the r-th event of shot i.  A shot's events therefore depend on
-nothing but the master seed and its index: not on how shots are grouped
-into calls, on the worker or on the order.  A noisy shot draws its sensor
-noise, and only that, from ``default_rng([master_seed, i])``, whose
-``SeedSequence`` hash is computed for blocks of consecutive shots at once.
+every shot still running by one tunneling event.  A call's lanes are up to
+_LANE_BLOCKS aligned blocks of 1024 shots.  Block b owns the generator
+``default_rng([master_seed, _EVENT_STREAM, b])``; each round in which it has
+a live lane draws a (2, 1024) array of uniforms from it, and one array
+Gillespie step turns column i % 1024 of round r into the r-th event of shot
+i.  A shot's events therefore depend on nothing but the master seed and its
+index: not on how shots are grouped into calls, on the worker or on the
+order.  A noisy shot draws its sensor noise, and only that, from
+``default_rng([master_seed, i])``, its ``SeedSequence`` hashed per block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -55,7 +56,11 @@ from .telegraph import (
 _BOOTSTRAP_STREAM = 0x0B007
 _EVENT_STREAM = 0xE7E47
 
-_SEED_BLOCK = 1024  # shots per event block and per cached SeedSequence hash block
+_SEED_BLOCK = 1024  # shots per event generator and per SeedSequence hash block
+# Blocks per run_detection call.  On op-point (2 vCPU) wall time stops falling
+# at 16 blocks (0.11 s; 0.36 s at 1), and peak RSS grows with the lanes: 83.9
+# MiB at 1 block, 87.0 at 16, 98.9 at 128.
+_LANE_BLOCKS = 16
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
@@ -278,15 +283,9 @@ def _last_sample(t: np.ndarray, ts: float) -> np.ndarray:
     return n
 
 
-def _exp(a: np.ndarray) -> np.ndarray:
-    """exp of each entry as math.exp gives it; numpy's exp can differ in the
-    last bit, which moves a sample that sits at the threshold."""
-    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
 def _output(x, level, omega: float, dt):
     """Noiseless amplifier output dt after it was at level, settling toward x."""
-    return x + (level - x) * _exp(-omega * dt)
+    return x + (level - x) * np.exp(-omega * dt)
 
 
 def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
@@ -554,17 +553,21 @@ def _block_events(master_seed: int, rates: RateSet, indices: range):
     shot ``indices[k]``.
 
     Each round draws (2, _SEED_BLOCK) uniforms from the generator of every
-    block the shots touch, and steps each live lane's chain with its
-    shot's column.
+    block with a live lane, and steps each live lane's chain with its shot's
+    column.  A block whose lanes have ended draws no more, which leaves the
+    other blocks' streams as they were.
     """
     first = indices[0] // _SEED_BLOCK
     gens = [np.random.default_rng([master_seed, _EVENT_STREAM, b])
             for b in range(first, indices[-1] // _SEED_BLOCK + 1)]
-    column = np.asarray(indices) - first * _SEED_BLOCK
+    block, column = np.divmod(np.asarray(indices) - first * _SEED_BLOCK, _SEED_BLOCK)
+    drawn = np.empty((len(gens), 2, _SEED_BLOCK))  # round r of each block
 
     def events(lane: np.ndarray, state: np.ndarray, t: np.ndarray):
-        u = np.hstack([gen.random((2, _SEED_BLOCK)) for gen in gens])[:, column[lane]]
-        dt, new_state = gillespie_step(state, rates, u[0], u[1])
+        live, col = block[lane], column[lane]
+        for b in np.flatnonzero(np.bincount(live, minlength=len(gens))).tolist():
+            gens[b].random(out=drawn[b])
+        dt, new_state = gillespie_step(state, rates, drawn[live, 0, col], drawn[live, 1, col])
         return t + dt, new_state
 
     return events
@@ -612,20 +615,24 @@ def _blocks(shots: int, size: int) -> list[range]:
     return [range(k, min(k + size, shots)) for k in range(0, shots, size)]
 
 
-def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int) -> _Detection:
-    """Every shot of cfg, in blocks of up to _SEED_BLOCK lanes.
+@contextlib.contextmanager
+def _shot_map(workers: int):
+    """The map that runs _shot_block calls: a pool's for workers > 1."""
+    with Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        yield map if pool is None else pool.map
 
-    A pool gets at least four blocks per worker, so that it stays busy.
-    Reduction in shot-index order keeps the result independent of the pool.
+
+def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int,
+               pool_map=None) -> _Detection:
+    """Every shot of cfg, as run_detection calls of up to _LANE_BLOCKS aligned
+    blocks; with workers > 1, one run of whole blocks per worker.  The calls
+    go through ``pool_map`` (a sweep's one pool), or else a ``_shot_map`` of
+    their own; reduction in shot-index order keeps the result the same.
     """
-    size = _SEED_BLOCK
-    if cfg.workers > 1:
-        size = min(size, math.ceil(cfg.shots / (cfg.workers * 4)))
-    blocks = [(cfg, rates, n_required, block) for block in _blocks(cfg.shots, size)]
-    if cfg.workers == 1:
-        return _Detection.concatenate([_shot_block(block) for block in blocks])
-    with Pool(processes=cfg.workers) as pool:
-        return _Detection.concatenate(pool.map(_shot_block, blocks))
+    blocks = min(_LANE_BLOCKS, math.ceil(cfg.shots / (cfg.workers * _SEED_BLOCK)))
+    calls = [(cfg, rates, n_required, r) for r in _blocks(cfg.shots, blocks * _SEED_BLOCK)]
+    with _shot_map(cfg.workers if pool_map is None else 1) as own_map:
+        return _Detection.concatenate(list((pool_map or own_map)(_shot_block, calls)))
 
 
 def _bootstrap_quartiles(
@@ -671,24 +678,18 @@ def _analytic_fidelity(
     return min(max(posterior - p_miss, 0.0), 1.0)
 
 
-def _sweep_point(
-    cfg: ExperimentConfig,
-    point_index: int,
-    grid_value: float,
-    rates: RateSet,
-    n_required: int,
-    demon_on: bool,
-) -> SweepResult:
+def _sweep_point(cfg: ExperimentConfig, point_index: int, grid_value: float, rates: RateSet,
+                 n_required: int, demon_on: bool, pool_map) -> SweepResult:
     """Without monitoring every shot keeps its loaded spin and no shot is run."""
     monitored = demon_on and n_required > 0
     if monitored:
-        shots = _run_shots(cfg, rates, n_required)
+        shots = _run_shots(cfg, rates, n_required, pool_map)
         spins = shots.state_at_trigger[shots.trigger_sample >= 0]
         counts = {name: int(getattr(shots, name).sum())
                   for name in ("n_ionizations", "n_missed_subrise", "n_missed_sampled")}
     else:
         spins = np.concatenate([_draw_load_spin(cfg, rates, block)
-                                for block in _blocks(cfg.shots, _SEED_BLOCK)])
+                                for block in _blocks(cfg.shots, _LANE_BLOCKS * _SEED_BLOCK)])
         counts = {}
     flags = (spins == DonorState.DOWN).astype(float)
     median, p25, p75 = _bootstrap_quartiles(flags, cfg.master_seed, point_index)
@@ -715,17 +716,13 @@ def sweep_tobs(cfg: ExperimentConfig) -> list[SweepResult]:
     """
     if cfg.sweep is None or cfg.sweep.variable != "t_obs":
         raise ValueError("config must carry a t_obs sweep")
+    if cfg.sweep.grid[0] < 0.0:  # the grid is sorted
+        raise ValueError("t_obs grid values must be >= 0")
     rates = cfg.rates
-    ts = cfg.amplifier.sample_period
-    results = []
-    for point_index, t_obs in enumerate(cfg.sweep.grid):
-        if t_obs < 0.0:
-            raise ValueError("t_obs grid values must be >= 0")
-        n_required = round(t_obs / ts)
-        results.append(
-            _sweep_point(cfg, point_index, t_obs, rates, n_required, demon_on=True)
-        )
-    return results
+    required = [round(t_obs / cfg.amplifier.sample_period) for t_obs in cfg.sweep.grid]
+    with _shot_map(cfg.workers if max(required) > 0 else 1) as pool_map:
+        return [_sweep_point(cfg, k, t_obs, rates, n_required, True, pool_map)
+                for k, (t_obs, n_required) in enumerate(zip(cfg.sweep.grid, required))]
 
 
 def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
@@ -740,13 +737,10 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
     if cfg.sweep is None or cfg.sweep.variable != "mu_d":
         raise ValueError("sweep_bias needs sweep.variable = mu_d in the config")
     n_required = cfg.demon.required_samples
-    results = []
-    for point_index, mu_d in enumerate(cfg.sweep.grid):
-        rates = build_rates(replace(cfg.physics, donor_potential=mu_d))
-        results.append(
-            _sweep_point(cfg, point_index, mu_d, rates, n_required, demon_on)
-        )
-    return results
+    with _shot_map(cfg.workers if demon_on and n_required > 0 else 1) as pool_map:
+        return [_sweep_point(cfg, k, mu_d, build_rates(replace(cfg.physics, donor_potential=mu_d)),
+                             n_required, demon_on, pool_map)
+                for k, mu_d in enumerate(cfg.sweep.grid)]
 
 
 def projection_999(cfg: ExperimentConfig) -> list[ProjectionScenario]:

@@ -123,6 +123,13 @@ def sample_trajectory(
     return EventTimeline(initial_state=initial, events=events, duration=duration)
 
 
+def _exp(value: float) -> float:
+    """exp through numpy's array loop, as the engine's amplifier output takes
+    it; math.exp can differ in the last bit, which moves a sample that sits
+    at the threshold."""
+    return float(np.exp(np.array([value]))[0])
+
+
 def render_sensor_trace(
     timeline: EventTimeline,
     amp: AmplifierParams,
@@ -163,7 +170,7 @@ def render_sensor_trace(
             if hi > idx:
                 out[idx:hi] = x + (level - x) * np.exp(-omega * (times[idx:hi] - start))
                 idx = hi
-        level = x + (level - x) * math.exp(-omega * (end - start))
+        level = x + (level - x) * _exp(-omega * (end - start))
         if idx >= n_points:
             break
     return out
@@ -299,7 +306,7 @@ def _last_sample(t: float, ts: float) -> int:
 
 
 def _output(x: float, level: float, omega: float, dt: float) -> float:
-    return x + (level - x) * math.exp(-omega * dt)
+    return x + (level - x) * _exp(-omega * dt)
 
 
 def _noiseless_runs(amp, detector, x, level, seg_start, latched_until, n_first, n_last):

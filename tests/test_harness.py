@@ -557,9 +557,9 @@ class TestShotStreams:
             block[0, 0] = 0
 
     def test_block_and_worker_boundaries(self, tmp_path, monkeypatch):
-        # 2100 shots cross the event and hash blocks at 1024 and 2048; the
-        # pool's 175-shot chunks do not line up with them.  Only the noisy
-        # run draws from shot_rng.
+        # 2100 shots cross the event and hash blocks at 1024 and 2048; a pool
+        # of three workers runs one block each, the last one 52 shots long.
+        # Only the noisy run draws from shot_rng.
         for noise in ("0", "0.05"):
             outputs = {}
             for label, workers in (("serial", 1), ("pool", 3), ("default_rng", 1)):
@@ -604,6 +604,36 @@ class TestShotBlocks:
         assert run(1) == whole
         assert run(175) == whole
         assert harness._run_shots(cfg, rates, 20).records() == whole
+
+    @pytest.mark.parametrize("noise_std, detector",
+                             [(0.0, "amplifier"), (0.1, "amplifier"), (0.0, "ideal")])
+    def test_wide_lanes_match_any_grouping(self, monkeypatch, noise_std, detector):
+        # 2100 shots run serially as one call at the default lane cap and as
+        # three calls at a cap of one block; a pool of two workers gets runs
+        # of up to two blocks, one of three workers runs of one block.  A
+        # short horizon leaves some shots abandoned.
+        cfg = make_config(n_required=20, shots=2100, seed=23, noise_std=noise_std,
+                          detector=detector, abandon_factor=3.0)
+        rates = cfg.rates
+        whole = harness._shot_block((cfg, rates, 20, range(cfg.shots))).records()
+        assert 0 < sum(not r.triggered for r in whole) < cfg.shots / 2
+
+        def calls(cfg):
+            ranges = []
+            def recording_map(fn, args):
+                ranges.extend(arg[3] for arg in args)
+                return map(fn, args)
+            assert harness._run_shots(cfg, rates, 20, recording_map).records() == whole
+            return [(r.start, r.stop) for r in ranges]
+
+        assert calls(cfg) == [(0, 2100)]
+        assert calls(replace(cfg, workers=2)) == [(0, 2048), (2048, 2100)]
+        assert calls(replace(cfg, workers=3)) == [(0, 1024), (1024, 2048), (2048, 2100)]
+        for workers in (2, 3):
+            pooled = harness._run_shots(replace(cfg, workers=workers), rates, 20)
+            assert pooled.records() == whole, workers
+        monkeypatch.setattr(harness, "_LANE_BLOCKS", 1)
+        assert calls(cfg) == [(0, 1024), (1024, 2048), (2048, 2100)]
 
 
 def column_replay(master_seed, rates, shot_index):
@@ -695,6 +725,34 @@ class TestBlockDraws:
         spins = harness._draw_load_spin(cfg, rates, indices)
         assert spins.tolist() == [next(column_replay(31, rates, i))[1] for i in indices]
 
+    def test_ended_blocks_leave_the_other_streams(self, monkeypatch):
+        # Shots 1000-2099 span blocks 0-2.  Once block 1's lanes leave after
+        # round 0, rounds 1-3 of blocks 0 and 2 must still read their own
+        # generators' rounds 1-3.
+        drawn = []
+
+        def recording_step(state, rates, u_time, u_choice):
+            drawn.append((u_time, u_choice))
+            return gillespie_step(state, rates, u_time, u_choice)
+
+        monkeypatch.setattr(harness, "gillespie_step", recording_step)
+        rates = make_config().rates
+        shots = np.arange(1000, 2100)
+        events = harness._block_events(31, rates, range(1000, 2100))
+        lane = np.arange(len(shots))
+        t, state = events(lane, np.full(len(lane), int(DonorState.IONIZED)), np.zeros(len(lane)))
+        kept = shots // 1024 != 1
+        lane, state, t = lane[kept], state[kept], t[kept]
+        for _ in range(3):
+            t, state = events(lane, state, t)
+        replay = {}
+        for b in (0, 2):
+            gen = np.random.default_rng([31, harness._EVENT_STREAM, b])
+            replay[b] = [gen.random((2, 1024)) for _ in range(4)]
+        for r in (1, 2, 3):
+            expected = np.array([replay[i // 1024][r][:, i % 1024] for i in shots[kept]]).T
+            assert np.array_equal(np.array(drawn[r]), expected), r
+
     @pytest.mark.parametrize("point", ["tobs-physics", "mu-d-zero"])
     def test_block_draws_match_per_shot_draws(self, point):
         # 200 000 shots of the block-keyed engine against 200 000 of the
@@ -778,6 +836,18 @@ class TestSweepTobs:
         write_sweep(out2, sweep_tobs(cfg2), "csv", meta)
         assert out1.getvalue() == out2.getvalue()
 
+    def test_one_pool_per_sweep(self, monkeypatch):
+        # A pooled sweep starts one pool for all its points, and a sweep
+        # that runs no shot starts none.
+        starts = []
+        pool = harness.Pool
+        monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(1) or pool(**kwargs))
+        grid = [k * 1e-3 for k in range(8)]
+        results = sweep_tobs(replace(self.grid_config(grid, shots=200), workers=2))
+        assert len(results) == 8 and len(starts) == 1
+        sweep_tobs(replace(self.grid_config([0.0], shots=200), workers=2))
+        assert len(starts) == 1
+
     def test_percentile_width_shrinks_with_shots(self):
         narrow = sweep_tobs(self.grid_config([2e-3], shots=800, seed=19))[0]
         wide = sweep_tobs(self.grid_config([2e-3], shots=6400, seed=19))[0]
@@ -840,6 +910,16 @@ class TestSweepBias:
         bare = sweep_bias(cfg, demon_on=False)
         for mon, off in zip(results, bare):
             assert mon.successes / mon.n_triggered >= off.successes / off.shots - 0.05
+
+    def test_demon_off_starts_no_pool(self, monkeypatch):
+        starts = []
+        pool = harness.Pool
+        monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(1) or pool(**kwargs))
+        cfg = replace(self.bias_config([-100.0, 0.0, 60.0], t_e=0.26, shots=200), workers=2)
+        sweep_bias(cfg, demon_on=False)
+        assert starts == []
+        sweep_bias(cfg, demon_on=True)
+        assert len(starts) == 1
 
     def test_demon_off_matches_bare_analytic_shape(self):
         grid = [-200.0, -100.0, 0.0, 60.0]
