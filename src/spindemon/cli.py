@@ -132,7 +132,8 @@ def main(argv=None) -> int:
         extra, vis = None, None
         if args.command == "simulate-shot":
             writer = output.write_shots
-            payload = harness._run_shots(cfg, cfg.rates, cfg.demon.required_samples).records()
+            (shots,) = harness._run_shots(cfg, [(cfg.rates, cfg.demon.required_samples)])
+            payload = shots.records()
         elif args.command in ("sweep-tobs", "sweep-bias"):
             writer = output.write_sweep
             if args.command == "sweep-tobs":

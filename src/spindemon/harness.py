@@ -23,6 +23,7 @@ i.  A shot's events therefore depend on nothing but the master seed and its
 index: not on how shots are grouped into calls, on the worker or on the
 order.  A noisy shot draws its sensor noise, and only that, from
 ``default_rng([master_seed, i])``, its ``SeedSequence`` hashed per block.
+A t_obs sweep follows each shot once, all its thresholds sharing a counter.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class ExperimentConfig:
     sample period into that sample's blip (no missed events), which isolates
     estimator behavior from detection loss.  Sensor noise acts on the
     amplifier output, so noise_std > 0 requires the amplifier detector.  It is
-    drawn only up to the trigger (see run_detection), so a triggered shot's
-    cost does not grow with abandon_factor.
+    drawn only up to the trigger of the largest threshold a run watches for
+    (see run_detection), so a triggered shot's cost does not grow with
+    abandon_factor.
 
     master_seed fixes every draw: shot i's r-th tunneling event comes from
     column i % 1024 of the r-th round of uniforms of its 1024-shot block,
@@ -197,7 +199,7 @@ class ProjectionScenario:
 
 @dataclass
 class _Detection:
-    """Outcome of every lane of one run_detection call, one entry per lane.
+    """Outcome of one run_detection call: an entry per lane, or per threshold and lane.
 
     trigger_sample and state_at_trigger hold -1 for a lane that did not
     trigger; state_at_trigger otherwise holds a DonorState value.
@@ -210,51 +212,41 @@ class _Detection:
     n_missed_subrise: np.ndarray
     n_missed_sampled: np.ndarray
     end_time: np.ndarray
-    runs: list[list[tuple[int, int, bool]]] | None
 
     @classmethod
     def concatenate(cls, parts: list[_Detection]) -> _Detection:
-        """The lanes of ``parts`` in order, without their runs."""
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in fields(cls) if f.name != "runs"), None)
+        """The lanes of ``parts`` in order."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts], axis=-1)
+                     for f in fields(cls)))
 
     def records(self, first_index: int = 0) -> list[ShotRecord]:
         """One ShotRecord per lane, lane k being shot ``first_index + k``."""
-        columns = (getattr(self, f.name).tolist() for f in fields(self) if f.name != "runs")
-        records = []
-        for k, (trigger, state, resets, ionizations, subrise, sampled, end) in enumerate(
-            zip(*columns)
-        ):
-            triggered = trigger >= 0
-            records.append(ShotRecord(
-                shot_index=first_index + k,
-                triggered=triggered,
-                trigger_time=end if triggered else None,
-                n_resets=resets,
-                spin_at_trigger=DonorState(state) if triggered else None,
-                n_ionizations=ionizations,
-                n_missed_subrise=subrise,
-                n_missed_sampled=sampled,
-                observed_duration=end,
-            ))
-        return records
+        columns = (getattr(self, f.name).tolist() for f in fields(self))
+        return [ShotRecord(first_index + k, trigger >= 0, end if trigger >= 0 else None, resets,
+                           DonorState(state) if trigger >= 0 else None, *counts, end)
+                for k, (trigger, state, resets, *counts, end) in enumerate(zip(*columns))]
 
 
 _IONIZED = int(DonorState.IONIZED)  # array comparisons skip the enum lookup
 _COUNTS = ("n_resets", "n_ionizations", "n_missed_subrise", "n_missed_sampled")
+_TALLIED = _COUNTS[1:]  # the counts a SweepResult sums
 
 
 class _Lanes:
     """Detection state of the live lanes, one array entry per lane."""
 
-    def __init__(self, count: int):
+    def __init__(self, count: int, required: np.ndarray, horizon: np.ndarray):
         self.lane = np.arange(count)  # position of the lane in the call
         self.state = np.full(count, _IONIZED)
         self.level = np.ones(count)  # amplifier output at seg_start
         self.seg_start = np.zeros(count)
         self.n = np.ones(count, np.int64)  # next sample to classify
         self.counter = np.zeros(count, np.int64)
-        self.trigger_sample = np.full(count, -1)
+        # Next threshold to fire or abandon, its need (0 past the last) and horizon.
+        self.fire_k = np.zeros(count, np.int64)
+        self.end_k = np.zeros(count, np.int64)  # first threshold not yet ended
+        self.need = np.full(count, required[0])
+        self.horizon = np.full(count, horizon[0])
         self.latched_until = np.zeros(count, np.int64)  # ideal detector: last
         # sample index covered by an ionization.  The ionization episode in
         # progress, once n_ionizations > 0: when it began, whether the donor has
@@ -306,8 +298,8 @@ def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
         blips = np.ones(len(n), bool)
         return (n, covered - n + 1, blips), (start, n_last - start + 1, ~blips)
     ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
-    n_cross = n.copy()  # where the threshold is already behind
-    ahead = ((live.level > s_th) != ionized).nonzero()[0]
+    n_cross = n.copy()  # where the threshold is already behind or no sample is left
+    ahead = (((live.level > s_th) != ionized) & (n <= n_last)).nonzero()[0]
     if len(ahead):
         rising, first, last = ionized[ahead], n[ahead], n_last[ahead]
         x, level, seg_start = rising * 1.0, live.level[ahead], live.seg_start[ahead]
@@ -326,21 +318,21 @@ def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
     return (n, n_cross - n, ~ionized), (n_cross, n_last - n_cross + 1, ionized)
 
 
-def _noisy_runs(amp: AmplifierParams, noise_std: float, n_required: int, live: _Lanes,
+def _noisy_runs(amp: AmplifierParams, noise_std: float, n_max: int, live: _Lanes,
                 rngs: list, pending: np.ndarray, ionized: np.ndarray, n_last: np.ndarray):
     """Draw the next chunk of samples of each pending lane, split each chunk
     into runs, and advance live.n past the chunks.
 
-    A chunk holds min(samples left in the segment, n_required - counter)
-    samples, so it either holds a blip or fires the trigger on its last
-    sample.  Returns one (start, length, is_blip) array triple per run
+    A chunk holds min(samples left in the segment, n_max - counter) samples,
+    so it either holds a blip or fires the largest threshold, n_max, on its
+    last sample.  Returns one (start, length, is_blip) array triple per run
     position: the k-th run of every chunk, length 0 for lanes without one.
     """
     ts, omega = amp.sample_period, amp.angular_cutoff
     chunks = {}
     for j in pending.tolist():
         n = int(live.n[j])
-        size = int(min(n_last[j] - n + 1, n_required - live.counter[j]))
+        size = int(min(n_last[j] - n + 1, n_max - live.counter[j]))
         x, level, times = float(ionized[j]), live.level[j], np.arange(n, n + size) * ts
         values = x + (level - x) * np.exp(-omega * (times - live.seg_start[j]))
         blips = values + rngs[live.lane[j]].normal(0.0, noise_std, size=size) > amp.threshold
@@ -358,24 +350,39 @@ def _noisy_runs(amp: AmplifierParams, noise_std: float, n_required: int, live: _
     return steps
 
 
-def _feed(live: _Lanes, n_required: int, runs, start, length, is_blip) -> None:
+def _close(live: _Lanes, flat: _Detection, j: np.ndarray, required, horizon) -> np.ndarray:
+    """Record at [lane * K + fire_k] of ``flat`` the counts of the lanes at
+    ``j``, whose threshold fire_k has just fired or been abandoned; return
+    where, and move the lanes on to their next threshold."""
+    k = live.fire_k[j]
+    at = live.lane[j] * (len(required) - 1) + k
+    for name in _COUNTS[:3]:
+        getattr(flat, name)[at] = getattr(live, name)[j]
+    unseen = live.episode_reloaded[j] & (live.episode_blips[j] == 0)  # as a lane ends
+    flat.n_missed_sampled[at] = live.n_missed_sampled[j] + unseen
+    live.fire_k[j] = k + 1
+    live.need[j], live.horizon[j] = required[k + 1], horizon[k + 1]
+    return at
+
+
+def _feed(live: _Lanes, flat: _Detection, required, horizon, start, length, is_blip) -> None:
     """Feed each lane one (start, length, is_blip) run of samples.
 
-    A blip run resets the silent-sample counter; a silent run adds to it or
-    fires the trigger.  An empty run, or a lane that has fired, is skipped.
+    A blip run resets the silent-sample counter; a silent run adds to it and
+    fires every threshold it reaches.  An empty run, or a lane past its last
+    threshold, is skipped.
     """
-    go = (length > 0) & (live.trigger_sample < 0)
-    if runs is not None:
-        for j in go.nonzero()[0].tolist():
-            runs[live.lane[j]].append((int(start[j]), int(length[j]), bool(is_blip[j])))
+    go = (length > 0) & (live.need > 0)
     blip = go & is_blip
     silent = go ^ blip
     live.n_resets += blip & (live.counter > 0)
     live.episode_blips += blip * length
     total = live.counter + length
-    fire = silent & (total >= n_required)
-    if np.count_nonzero(fire):
-        live.trigger_sample[fire] = (start + (n_required - 1) - live.counter)[fire]
+    fire = (silent & (total >= live.need)).nonzero()[0]
+    while len(fire):
+        trigger = start[fire] + (live.need[fire] - 1) - live.counter[fire]
+        flat.trigger_sample[_close(live, flat, fire, required, horizon)] = trigger
+        fire = fire[(total[fire] >= live.need[fire]) & (live.need[fire] > 0)]
     live.counter = np.where(silent, total, live.counter)
     live.counter[blip] = 0
 
@@ -385,13 +392,12 @@ def run_detection(
     lanes: int,
     *,
     amp: AmplifierParams,
-    n_required: int,
-    horizon: float,
+    n_required: int | Sequence[int],
+    horizon: float | Sequence[float],
     latency: float = 0.0,
     detector: str = "amplifier",
     noise_std: float = 0.0,
     rngs: Sequence[np.random.Generator] | None = None,
-    record_runs: bool = False,
 ) -> _Detection:
     """Run the trigger logic over the samples of ``lanes`` transition streams.
 
@@ -401,6 +407,13 @@ def run_detection(
     ``n_required`` consecutive silent samples; the loaded state is then
     evaluated ``latency`` seconds after that sample instant.  A lane stops
     at its trigger or at ``horizon``, whichever is first.
+
+    ``n_required`` may be ascending thresholds with a ``horizon`` each; the
+    fields then hold one row per threshold, equal to a run at it alone.  The
+    thresholds share one silent-sample counter: each fires where the run
+    first reaches it, or is abandoned at the first event at or after its
+    horizon, and its counts are taken there.  They fire and end in order,
+    and a lane stays live until its last has ended.
 
     The lanes advance in rounds, and round r reads event r of every live
     lane: ``events(lane, state, t)`` returns the (t_event, new_state)
@@ -417,12 +430,11 @@ def run_detection(
     still live.
 
     With noise, the generator ``rngs[k]`` of lane k draws one value per
-    sample in sample order, in chunks of ``n_required - counter`` samples.
-    Such a chunk either holds a blip or fires the trigger on its last
-    sample, so no draw reaches past the trigger, and a lane's draws do not
-    depend on the other lanes.  With ``record_runs``, ``runs`` holds each
-    lane's (start_sample, length, is_blip) tuples, one per nonempty run, up
-    to and including the one that fires the trigger.
+    sample in sample order, in chunks of the largest threshold less the
+    counter.  Such a chunk either holds a blip or fires the largest
+    threshold on its last sample, so no draw reaches past its trigger, and a
+    lane's draws do not depend on the other lanes or, value by value, on the
+    chunks or the other thresholds.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -430,49 +442,60 @@ def run_detection(
     noisy = noise_std > 0.0 and detector == "amplifier"
     if noisy and rngs is None:
         raise ValueError("noise_std > 0 requires an rng per lane")
-    if n_required < 1:
-        raise ValueError("n_required must be >= 1")
+    thresholds = np.atleast_1d(np.asarray(n_required, np.int64))
+    horizons = np.broadcast_to(np.asarray(horizon, float), thresholds.shape)
+    if not len(thresholds) or min(np.diff(thresholds, prepend=0)) < 1 or min(
+            np.diff(horizons), default=0) < 0:
+        raise ValueError("n_required must be ascending thresholds >= 1, horizons not falling")
+    K = len(thresholds)
+    required, horizons = np.append(thresholds, 0), np.append(horizons, horizons[-1])
 
-    live = _Lanes(lanes)
-    result = _Detection(np.full(lanes, -1), np.full(lanes, -1),
-                        *(np.zeros(lanes, np.int64) for _ in _COUNTS),
-                        np.zeros(lanes), [[] for _ in range(lanes)] if record_runs else None)
+    live = _Lanes(lanes, required, horizons)
+    flat = _Detection(np.full(lanes * K, -1), np.full(lanes * K, -1, np.int8),
+                      *(np.zeros(lanes * K, np.int64) for _ in _COUNTS), None)
     while len(live.lane):
         t_event, new_state = events(live.lane, live.state, live.seg_start)
-        n_last = _last_sample(np.minimum(t_event, horizon), ts)
         ionized = live.state == _IONIZED
-        if noisy:
-            while len(pending := ((live.n <= n_last) & (live.trigger_sample < 0)).nonzero()[0]):
-                for run in _noisy_runs(amp, noise_std, n_required, live, rngs, pending,
-                                       ionized, n_last):
-                    _feed(live, n_required, result.runs, *run)
-        else:
-            for run in _noiseless_runs(amp, detector, live, ionized, n_last):
-                _feed(live, n_required, result.runs, *run)
-            live.n = np.maximum(live.n, n_last + 1)
+        # A lane is fed up to its threshold's horizon; one that reaches it
+        # unfired abandons the threshold, and is fed on for the next.
+        while True:
+            capped = ((t_event >= live.horizon) & (live.need > 0)).nonzero()[0]
+            was = live.fire_k[capped]
+            n_last = _last_sample(np.minimum(t_event, live.horizon), ts)
+            if noisy:
+                while len(pending := ((live.n <= n_last) & (live.need > 0)).nonzero()[0]):
+                    for run in _noisy_runs(amp, noise_std, thresholds[-1], live, rngs, pending,
+                                           ionized, n_last):
+                        _feed(live, flat, required, horizons, *run)
+            else:
+                for run in _noiseless_runs(amp, detector, live, ionized, n_last):
+                    _feed(live, flat, required, horizons, *run)
+                live.n = np.maximum(live.n, n_last + 1)
+            if len(capped):
+                _close(live, flat, capped[live.fire_k[capped] == was], required, horizons)
+            if not np.count_nonzero(live.need[capped]):
+                break
 
-        fired = live.trigger_sample >= 0
-        end_time = np.where(fired, live.trigger_sample * ts + latency, horizon)
-        done = np.where(fired, t_event > end_time, t_event >= horizon)
+        # A threshold ends at once when abandoned, and at the first event
+        # after trigger + latency when fired, keeping the state before it.
+        ending = (live.end_k < live.fire_k).nonzero()[0]
+        while len(ending):
+            at = live.lane[ending] * K + live.end_k[ending]
+            trigger = flat.trigger_sample[at]
+            ends = (trigger < 0) | (t_event[ending] > trigger * ts + latency)
+            ending, at = ending[ends], at[ends]
+            flat.state_at_trigger[at] = np.where(trigger[ends] < 0, -1, live.state[ending])
+            live.end_k[ending] += 1
+            ending = ending[live.end_k[ending] < live.fire_k[ending]]
+        done = live.end_k == K
         if np.count_nonzero(done):
-            ended = done.nonzero()[0]
-            positions = live.lane[ended]
-            live.n_missed_sampled[ended] += (
-                live.episode_reloaded[ended] & (live.episode_blips[ended] == 0)
-            )
-            result.trigger_sample[positions] = live.trigger_sample[ended]
-            result.state_at_trigger[positions] = np.where(fired[ended], live.state[ended], -1)
-            result.end_time[positions] = end_time[ended]
-            for name in _COUNTS:
-                getattr(result, name)[positions] = getattr(live, name)[ended]
             kept = (~done).nonzero()[0]
             live.keep(kept)
-            t_event, new_state, ionized, fired = (
-                t_event[kept], new_state[kept], ionized[kept], fired[kept]
-            )
+            t_event, new_state, ionized = t_event[kept], new_state[kept], ionized[kept]
 
-        # Apply each remaining lane's event; inside a latency window only
-        # the state moves.
+        # Apply each remaining lane's event; past its last trigger only the
+        # state moves.
+        counting = live.need > 0
         if detector == "ideal":
             live.latched_until = np.where(ionized, np.maximum(
                 live.latched_until, np.ceil(t_event / ts - 1e-12).astype(np.int64)
@@ -480,8 +503,8 @@ def run_detection(
         else:
             live.level = _output(ionized * 1.0, live.level, omega, t_event - live.seg_start)
         ionizes = new_state == _IONIZED
-        reloads = ionized & ~ionizes & ~fired & (live.n_ionizations > 0)
-        ionizes &= ~ionized & ~fired
+        reloads = ionized & ~ionizes & counting & (live.n_ionizations > 0)
+        ionizes &= ~ionized & counting
         if np.count_nonzero(reloads):
             live.episode_reloaded |= reloads
             live.n_missed_subrise += reloads & (t_event - live.episode_start < t_rise_det)
@@ -495,7 +518,11 @@ def run_detection(
             live.n_ionizations += ionizes
         live.seg_start = t_event
         live.state = new_state
-    return result
+    rows = slice(None) if np.ndim(n_required) else 0  # an int gives one entry per lane
+    trigger, *rest = (getattr(flat, name).reshape(lanes, K).T[rows]
+                      for name in ("trigger_sample", "state_at_trigger", *_COUNTS))
+    return _Detection(trigger, *rest, np.where(trigger >= 0, trigger * ts + latency,
+                                               horizons[:K, None][rows]))
 
 
 def _hashmix(value: np.ndarray, k: int, init: int = _INIT_A, mult: int = _MULT_A):
@@ -581,7 +608,7 @@ def _shot_block(args) -> _Detection:
         len(indices),
         amp=cfg.amplifier,
         n_required=n_required,
-        horizon=cfg.abandon_factor * n_required * cfg.amplifier.sample_period,
+        horizon=cfg.abandon_factor * np.asarray(n_required) * cfg.amplifier.sample_period,
         latency=cfg.demon.latency,
         detector=cfg.detector,
         noise_std=cfg.noise_std,
@@ -602,10 +629,8 @@ def run_initialization_shot(
     trigger within abandon_factor * t_obs is reported as abandoned rather
     than dropped.
     """
-    if rates is None:
-        rates = cfg.rates
-    if n_required is None:
-        n_required = cfg.demon.required_samples
+    rates = cfg.rates if rates is None else rates
+    n_required = cfg.demon.required_samples if n_required is None else n_required
     block = range(shot_index, shot_index + 1)
     return _shot_block((cfg, rates, n_required, block)).records(shot_index)[0]
 
@@ -615,24 +640,31 @@ def _blocks(shots: int, size: int) -> list[range]:
     return [range(k, min(k + size, shots)) for k in range(0, shots, size)]
 
 
-@contextlib.contextmanager
-def _shot_map(workers: int):
-    """The map that runs _shot_block calls: a pool's for workers > 1."""
-    with Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        yield map if pool is None else pool.map
+def _tally_block(args) -> tuple[np.ndarray, np.ndarray]:
+    """All a sweep point reads of _shot_block, and all that a pool worker sends
+    back: per threshold, each lane's spin at trigger (-1 if none) and the
+    sums of the _TALLIED counts."""
+    shots = _shot_block(args)
+    return shots.state_at_trigger, np.stack(
+        [getattr(shots, name).sum(axis=-1) for name in _TALLIED], axis=-1)
 
 
-def _run_shots(cfg: ExperimentConfig, rates: RateSet, n_required: int,
-               pool_map=None) -> _Detection:
-    """Every shot of cfg, as run_detection calls of up to _LANE_BLOCKS aligned
-    blocks; with workers > 1, one run of whole blocks per worker.  The calls
-    go through ``pool_map`` (a sweep's one pool), or else a ``_shot_map`` of
-    their own; reduction in shot-index order keeps the result the same.
+def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, int | list[int]]],
+               tally: bool = False) -> list:
+    """Every shot of cfg for each (rates, thresholds) job, in run_detection
+    calls of up to _LANE_BLOCKS aligned blocks (with workers > 1, one run per
+    worker).  All go through one map, a pool's one call at a time, so jobs of
+    unequal cost spread over the workers.  Returns each job's _Detection, or
+    with ``tally`` its calls' _tally_block results, in shot-index order.
     """
     blocks = min(_LANE_BLOCKS, math.ceil(cfg.shots / (cfg.workers * _SEED_BLOCK)))
-    calls = [(cfg, rates, n_required, r) for r in _blocks(cfg.shots, blocks * _SEED_BLOCK)]
-    with _shot_map(cfg.workers if pool_map is None else 1) as own_map:
-        return _Detection.concatenate(list((pool_map or own_map)(_shot_block, calls)))
+    ranges = _blocks(cfg.shots, blocks * _SEED_BLOCK)
+    calls = [(cfg, rates, n_required, r) for rates, n_required in jobs for r in ranges]
+    block = _tally_block if tally else _shot_block
+    with Pool(processes=cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
+        parts = list(map(block, calls) if pool is None else pool.map(block, calls, 1))
+    per_job = [parts[k:k + len(ranges)] for k in range(0, len(parts), len(ranges))]
+    return per_job if tally else [_Detection.concatenate(p) for p in per_job]
 
 
 def _bootstrap_quartiles(
@@ -679,14 +711,14 @@ def _analytic_fidelity(
 
 
 def _sweep_point(cfg: ExperimentConfig, point_index: int, grid_value: float, rates: RateSet,
-                 n_required: int, demon_on: bool, pool_map) -> SweepResult:
-    """Without monitoring every shot keeps its loaded spin and no shot is run."""
-    monitored = demon_on and n_required > 0
-    if monitored:
-        shots = _run_shots(cfg, rates, n_required, pool_map)
-        spins = shots.state_at_trigger[shots.trigger_sample >= 0]
-        counts = {name: int(getattr(shots, name).sum())
-                  for name in ("n_ionizations", "n_missed_subrise", "n_missed_sampled")}
+                 n_required: int, tallies: list[tuple[np.ndarray, np.ndarray]] | None
+                 ) -> SweepResult:
+    """One point's SweepResult from the _tally_block results of its monitored
+    shots, in shot order; without them every shot keeps its loaded spin."""
+    if tallies is not None:
+        spins = np.concatenate([spins for spins, _ in tallies])
+        spins = spins[spins >= 0]
+        counts = dict(zip(_TALLIED, sum(totals for _, totals in tallies).tolist()))
     else:
         spins = np.concatenate([_draw_load_spin(cfg, rates, block)
                                 for block in _blocks(cfg.shots, _LANE_BLOCKS * _SEED_BLOCK)])
@@ -700,7 +732,7 @@ def _sweep_point(cfg: ExperimentConfig, point_index: int, grid_value: float, rat
         median=median,
         p25=p25,
         p75=p75,
-        analytic=_analytic_fidelity(cfg, rates, n_required, monitored),
+        analytic=_analytic_fidelity(cfg, rates, n_required, tallies is not None),
         n_triggered=len(spins),
         n_abandoned=cfg.shots - len(spins),
         **counts,
@@ -712,17 +744,23 @@ def sweep_tobs(cfg: ExperimentConfig) -> list[SweepResult]:
 
     Each grid value is an observation time in seconds, converted to the
     nearest whole number of sample periods; zero means "trigger immediately
-    at load", whose fidelity is the loading prior itself.
+    at load", whose fidelity is the loading prior itself.  Each shot is
+    followed once, and every time is read off its one trajectory.
     """
     if cfg.sweep is None or cfg.sweep.variable != "t_obs":
         raise ValueError("config must carry a t_obs sweep")
-    if cfg.sweep.grid[0] < 0.0:  # the grid is sorted
-        raise ValueError("t_obs grid values must be >= 0")
+    ts = cfg.amplifier.sample_period
+    required = [round(t_obs / ts) for t_obs in cfg.sweep.grid]
+    if bad := [t for t, n in zip(cfg.sweep.grid, required) if t < 0.0 or n == 0 < t]:
+        raise ValueError(f"t_obs grid value {bad[0]!r} s must be 0 or more than half the "
+                         f"sample period ({ts!r} s)")
+    thresholds = sorted(set(required) - {0})
     rates = cfg.rates
-    required = [round(t_obs / cfg.amplifier.sample_period) for t_obs in cfg.sweep.grid]
-    with _shot_map(cfg.workers if max(required) > 0 else 1) as pool_map:
-        return [_sweep_point(cfg, k, t_obs, rates, n_required, True, pool_map)
-                for k, (t_obs, n_required) in enumerate(zip(cfg.sweep.grid, required))]
+    tallies = _run_shots(cfg, [(rates, thresholds)], tally=True)[0] if thresholds else []
+    point = {n: [(spins[k], totals[k]) for spins, totals in tallies]
+             for k, n in enumerate(thresholds)}
+    return [_sweep_point(cfg, k, t_obs, rates, n_required, point.get(n_required))
+            for k, (t_obs, n_required) in enumerate(zip(cfg.sweep.grid, required))]
 
 
 def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
@@ -737,10 +775,11 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
     if cfg.sweep is None or cfg.sweep.variable != "mu_d":
         raise ValueError("sweep_bias needs sweep.variable = mu_d in the config")
     n_required = cfg.demon.required_samples
-    with _shot_map(cfg.workers if demon_on and n_required > 0 else 1) as pool_map:
-        return [_sweep_point(cfg, k, mu_d, build_rates(replace(cfg.physics, donor_potential=mu_d)),
-                             n_required, demon_on, pool_map)
-                for k, mu_d in enumerate(cfg.sweep.grid)]
+    rates = [build_rates(replace(cfg.physics, donor_potential=mu_d)) for mu_d in cfg.sweep.grid]
+    tallies = (_run_shots(cfg, [(r, n_required) for r in rates], tally=True)
+               if demon_on and n_required > 0 else [None] * len(rates))
+    return [_sweep_point(cfg, k, mu_d, r, n_required, point)
+            for k, (mu_d, r, point) in enumerate(zip(cfg.sweep.grid, rates, tallies))]
 
 
 def projection_999(cfg: ExperimentConfig) -> list[ProjectionScenario]:

@@ -13,6 +13,10 @@ The views here are independent routes to the same numbers:
 - explicit per-lane transition streams as an event source of the lane
   engine, and the per-shot streams the engine drew before its events were
   keyed by block;
+- the runs of samples the lane engine feeds each counter, recorded by
+  wrapping its feed;
+- a t_obs sweep run one grid point at a time, as the program ran it before
+  the points shared each shot's trajectory;
 - a counter-only trigger, stepped one sample at a time, and a window scan
   that finds the same trigger sample without counting;
 - the sequential Bayes update, one silent sample at a time;
@@ -25,11 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import takewhile
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
 from scipy.linalg import expm
 
+import spindemon.harness as harness
 from spindemon.demon import likelihood_no_blip
 from spindemon.physics import RateSet, bare_init_fidelity_from_rates
 from spindemon.telegraph import AmplifierParams, DonorState, gillespie_step, rise_time
@@ -281,6 +287,44 @@ class ShotDetection:
     runs: list[tuple[int, int, bool]] | None
 
 
+def run_recorded(events, lanes, record_runs=True, **kwargs):
+    """``spindemon.harness.run_detection``, with ``runs``: each lane's
+    (start_sample, length, is_blip) tuples as its counter was fed them, one
+    per nonempty run, up to and including the one that fires its last
+    threshold.  They are read by wrapping the engine's ``_feed``.
+    ``record_runs`` is ignored, so that the keyword arguments of a
+    ``scalar_detection`` call can be passed as they are.
+    """
+    runs = [[] for _ in range(lanes)]
+    feed = harness._feed
+
+    def recording_feed(live, flat, required, horizon, start, length, is_blip):
+        for j in ((length > 0) & (live.need > 0)).nonzero()[0].tolist():
+            runs[live.lane[j]].append((int(start[j]), int(length[j]), bool(is_blip[j])))
+        feed(live, flat, required, horizon, start, length, is_blip)
+
+    harness._feed = recording_feed
+    try:
+        detection = harness.run_detection(events, lanes, **kwargs)
+    finally:
+        harness._feed = feed
+    return SimpleNamespace(**vars(detection), runs=runs)
+
+
+def per_point_sweep(cfg) -> list:
+    """``spindemon.harness.sweep_tobs`` with every shot run again at each
+    grid point, one threshold per run."""
+    rates, ts = cfg.rates, cfg.amplifier.sample_period
+    results = []
+    for k, t_obs in enumerate(cfg.sweep.grid):
+        n_required = round(t_obs / ts)
+        tallies = None
+        if n_required:
+            (tallies,) = harness._run_shots(cfg, [(rates, n_required)], tally=True)
+        results.append(harness._sweep_point(cfg, k, t_obs, rates, n_required, tallies))
+    return results
+
+
 def lane_detection(detection, lane: int) -> ShotDetection:
     """Lane ``lane`` of a ``spindemon.harness.run_detection`` result."""
     trigger = int(detection.trigger_sample[lane])
@@ -292,7 +336,7 @@ def lane_detection(detection, lane: int) -> ShotDetection:
         n_missed_subrise=int(detection.n_missed_subrise[lane]),
         n_missed_sampled=int(detection.n_missed_sampled[lane]),
         end_time=float(detection.end_time[lane]),
-        runs=None if detection.runs is None else detection.runs[lane],
+        runs=detection.runs[lane] if hasattr(detection, "runs") else None,
     )
 
 

@@ -284,6 +284,19 @@ class TestCli:
         assert main(["sweep-tobs", "--config", str(cfg)]) == 2
         assert "noise_std" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_obs", ["4e-6", "5e-6"])
+    def test_t_obs_rounding_to_no_sample_exits_2(self, tmp_path, capsys, t_obs):
+        # A positive observation time of at most half a sample period would
+        # round to zero samples and report the unmonitored loading prior.
+        grid = f"sweep.grid = 0, {t_obs}, 1e-3"
+        cfg = self.write_config(tmp_path, FAST_CONFIG.replace("sweep.grid = 0, 2e-4, 5e-4", grid))
+        out = tmp_path / "out.csv"
+        assert main(["sweep-tobs", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"t_obs grid value {float(t_obs)!r} s" in err
+        assert "sample period (1e-05 s)" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv,files",
         [

@@ -15,8 +15,10 @@ from oracles import (
     ideal_blips,
     lane_detection,
     list_events,
+    per_point_sweep,
     per_shot_transitions,
     render_sensor_trace,
+    run_recorded,
     sample_trajectory,
     scalar_detection,
     transitions,
@@ -178,12 +180,11 @@ class TestEngineMatchesReferenceChain:
             blips = rendered_blips(tl, amp)
             trig_ref = first_trigger(blips, n_req)
 
-            det = lane_detection(run_detection(
+            det = lane_detection(run_recorded(
                 list_events([tl.events]), 1,
                 amp=amp,
                 n_required=n_req,
                 horizon=len(blips) * amp.sample_period,
-                record_runs=True,
             ), 0)
             assert det.trigger_sample == trig_ref
             assert_runs_match(det, blips)
@@ -198,14 +199,13 @@ class TestEngineMatchesReferenceChain:
             blips = rendered_blips(tl, amp, noise_std, case)
             trig_ref = first_trigger(blips, n_req)
 
-            det = lane_detection(run_detection(
+            det = lane_detection(run_recorded(
                 list_events([tl.events]), 1,
                 amp=amp,
                 n_required=n_req,
                 horizon=len(blips) * amp.sample_period,
                 noise_std=noise_std,
                 rngs=[np.random.default_rng(case)],
-                record_runs=True,
             ), 0)
             assert det.trigger_sample == trig_ref
             n_triggered += trig_ref is not None
@@ -222,13 +222,12 @@ class TestEngineMatchesReferenceChain:
             blips = ideal_blips(tl, AMP.sample_period, n_samples)
             trig_ref = first_trigger(blips, n_req)
 
-            det = lane_detection(run_detection(
+            det = lane_detection(run_recorded(
                 list_events([tl.events]), 1,
                 amp=AMP,
                 n_required=n_req,
                 horizon=n_samples * AMP.sample_period,
                 detector="ideal",
-                record_runs=True,
             ), 0)
             assert det.trigger_sample == trig_ref
             assert_runs_match(det, blips)
@@ -253,7 +252,7 @@ class TestEngineMatchesReferenceChain:
             lanes = [(tl, None) for tl, _ in ideal_cases()]
         detector = "ideal" if path == "ideal" else "amplifier"
         noise = noise_std if path == "noisy" else 0.0
-        det = run_detection(
+        det = run_recorded(
             list_events([tl.events for tl, _ in lanes]), len(lanes),
             amp=AMP,
             n_required=n_req,
@@ -261,7 +260,6 @@ class TestEngineMatchesReferenceChain:
             detector=detector,
             noise_std=noise,
             rngs=[np.random.default_rng(seed) for _, seed in lanes] if noise else None,
-            record_runs=True,
         )
         rounds = set()
         for k, (tl, seed) in enumerate(lanes):
@@ -307,7 +305,7 @@ class TestEngineMatchesReferenceChain:
             gens = [np.random.default_rng([seed, 1]) for _, seed in lanes]
             kwargs = dict(amp=amp, n_required=n_req, horizon=horizon, latency=latency,
                           detector=detector, noise_std=noise_std, record_runs=True)
-            det = run_detection(
+            det = run_recorded(
                 list_events([transitions(np.random.default_rng(seed), rates, DonorState.IONIZED)
                              for rates, seed in lanes]),
                 len(lanes), rngs=gens, **kwargs,
@@ -349,9 +347,59 @@ class TestEngineMatchesReferenceChain:
         for amp, detector, lanes in calls:
             kwargs = dict(amp=amp, n_required=4, horizon=40 * ts, detector=detector,
                           record_runs=True)
-            det = run_detection(list_events(lanes), len(lanes), **kwargs)
+            det = run_recorded(list_events(lanes), len(lanes), **kwargs)
             for k, events in enumerate(lanes):
                 assert lane_detection(det, k) == scalar_detection(events, **kwargs), k
+
+
+class TestSharedThresholds:
+    @pytest.mark.parametrize("path", ["amplifier", "ideal", "noisy"])
+    def test_each_threshold_equals_a_run_at_it_alone(self, path):
+        # 20 calls of 100 random lanes, each call watching for 2-5 ascending
+        # thresholds (1-59 samples) with horizons of 1.5-4 times each, and a
+        # latency of up to 1 ms.  Every field of each threshold's row must
+        # equal a run at that threshold alone, the noise included.  Lanes
+        # must both fire a threshold and then be abandoned at a larger one,
+        # and be abandoned at a threshold and then fire a larger one.
+        rng = np.random.default_rng(10)
+        fired_then_abandoned = abandoned_then_fired = 0
+        for group in range(20):
+            amp = _random_amp(rng)
+            size = int(rng.integers(2, 6))
+            thresholds = sorted(rng.choice(np.arange(1, 60), size, replace=False).tolist())
+            horizons = [rng.uniform(1.5, 4.0) * n * amp.sample_period for n in thresholds]
+            horizons = np.maximum.accumulate(horizons).tolist()
+            latency = rng.uniform(0.0, 1e-3)
+            noise_std = rng.uniform(0.01, 0.3) if path == "noisy" else 0.0
+            detector = "ideal" if path == "ideal" else "amplifier"
+            lanes = [(_random_rates(rng), int(rng.integers(2**31))) for _ in range(100)]
+
+            def run(n_required, horizon):
+                events = [transitions(np.random.default_rng(seed), rates, DonorState.IONIZED)
+                          for rates, seed in lanes]
+                return run_detection(
+                    list_events(events), len(lanes), amp=amp, n_required=n_required,
+                    horizon=horizon, latency=latency, detector=detector, noise_std=noise_std,
+                    rngs=[np.random.default_rng([seed, 1]) for _, seed in lanes],
+                )
+
+            shared = run(thresholds, horizons)
+            for k, (n_required, horizon) in enumerate(zip(thresholds, horizons)):
+                alone = run(n_required, horizon)
+                for name in vars(alone):
+                    assert np.array_equal(getattr(shared, name)[k], getattr(alone, name)), (
+                        group, n_required, name)
+            fired = shared.trigger_sample >= 0
+            fired_then_abandoned += np.count_nonzero(fired[:-1] & ~fired[1:])
+            abandoned_then_fired += np.count_nonzero(~fired[:-1] & fired[1:])
+        assert fired_then_abandoned > 10 and abandoned_then_fired > 10
+
+    def test_thresholds_must_ascend(self):
+        for n_required, horizon in (([], []), ([5, 5], [1e-3, 1e-3]), ([6, 5], [1e-3, 1e-3]),
+                                    ([5, 6], [2e-3, 1e-3]), ([0, 5], [1e-3, 1e-3])):
+            with pytest.raises(ValueError, match="n_required"):
+                run_detection(list_events([[]]), 1, amp=AMP, n_required=n_required,
+                              horizon=horizon)
 
 
 class _CountingRng:
@@ -475,7 +523,7 @@ class TestRunInitializationShot:
         n_req = 500
         cfg = make_config(n_required=n_req, shots=20000, seed=13, detector="ideal")
         rates = cfg.rates
-        records = harness._run_shots(cfg, rates, n_req).records()
+        records = harness._run_shots(cfg, [(rates, n_req)])[0].records()
         assert all(r.triggered for r in records)
         assert sum(r.n_missed_sampled for r in records) == 0
         down = sum(r.spin_at_trigger is DonorState.DOWN for r in records)
@@ -492,7 +540,7 @@ class TestRunInitializationShot:
         n_req = 500
         cfg = make_config(n_required=n_req, shots=30000, seed=14)
         rates = cfg.rates
-        records = harness._run_shots(cfg, rates, n_req).records()
+        records = harness._run_shots(cfg, [(rates, n_req)])[0].records()
         down_flags = np.array([r.spin_at_trigger is DonorState.DOWN for r in records])
         missed_flags = np.array([r.n_missed_sampled > 0 for r in records])
         p_miss_given_trigger = missed_flags.mean()
@@ -580,6 +628,22 @@ class TestShotStreams:
             assert outputs["serial"] == outputs["default_rng"], noise
 
 
+class SerialPool:
+    """Stand-in for multiprocessing.Pool that maps in this process."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args, chunksize=None):
+        return map(fn, args)
+
+
 class TestShotBlocks:
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
     def test_grouping_into_lanes_does_not_change_a_shot(self, noise_std):
@@ -603,7 +667,7 @@ class TestShotBlocks:
         assert 0 < sum(not r.triggered for r in whole) < cfg.shots / 2
         assert run(1) == whole
         assert run(175) == whole
-        assert harness._run_shots(cfg, rates, 20).records() == whole
+        assert harness._run_shots(cfg, [(rates, 20)])[0].records() == whole
 
     @pytest.mark.parametrize("noise_std, detector",
                              [(0.0, "amplifier"), (0.1, "amplifier"), (0.0, "ideal")])
@@ -617,20 +681,24 @@ class TestShotBlocks:
         rates = cfg.rates
         whole = harness._shot_block((cfg, rates, 20, range(cfg.shots))).records()
         assert 0 < sum(not r.triggered for r in whole) < cfg.shots / 2
+        shot_block = harness._shot_block
 
         def calls(cfg):
+            # A serial stand-in for the pool, and a _shot_block that records
+            # the shots of each call.
             ranges = []
-            def recording_map(fn, args):
-                ranges.extend(arg[3] for arg in args)
-                return map(fn, args)
-            assert harness._run_shots(cfg, rates, 20, recording_map).records() == whole
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "Pool", SerialPool)
+                patch.setattr(harness, "_shot_block", lambda args: ranges.append(args[3]) or (
+                    shot_block(args)))
+                assert harness._run_shots(cfg, [(rates, 20)])[0].records() == whole
             return [(r.start, r.stop) for r in ranges]
 
         assert calls(cfg) == [(0, 2100)]
         assert calls(replace(cfg, workers=2)) == [(0, 2048), (2048, 2100)]
         assert calls(replace(cfg, workers=3)) == [(0, 1024), (1024, 2048), (2048, 2100)]
         for workers in (2, 3):
-            pooled = harness._run_shots(replace(cfg, workers=workers), rates, 20)
+            (pooled,) = harness._run_shots(replace(cfg, workers=workers), [(rates, 20)])
             assert pooled.records() == whole, workers
         monkeypatch.setattr(harness, "_LANE_BLOCKS", 1)
         assert calls(cfg) == [(0, 1024), (1024, 2048), (2048, 2100)]
@@ -766,7 +834,7 @@ class TestBlockDraws:
             physics = replace(paper_point_physics(), donor_potential=0.0)
             cfg = replace(make_config(n_required=2000, shots=200_000, seed=5), physics=physics)
         rates, n_req = cfg.rates, cfg.demon.required_samples
-        new = harness._run_shots(cfg, rates, n_req)
+        (new,) = harness._run_shots(cfg, [(rates, n_req)])
         old = per_shot_detection(cfg, rates, n_req)
 
         (down_new, n_new), (down_old, n_old) = fidelity(new), fidelity(old)
@@ -837,16 +905,77 @@ class TestSweepTobs:
         assert out1.getvalue() == out2.getvalue()
 
     def test_one_pool_per_sweep(self, monkeypatch):
-        # A pooled sweep starts one pool for all its points, and a sweep
-        # that runs no shot starts none.
-        starts = []
+        # A pooled sweep starts one pool and makes one map for all its
+        # points.  A t_obs sweep maps one call per block range, each
+        # watching for every threshold, not one per range and point; a mu_d
+        # sweep maps one call per range and point.  _sweep_point still
+        # builds each point, and a sweep that runs no shot starts no pool.
+        starts, maps, points = [], [], []
         pool = harness.Pool
-        monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(1) or pool(**kwargs))
+
+        class CountingPool:
+            def __init__(self, **kwargs):
+                starts.append(kwargs)
+                self.pool = pool(**kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.pool.__exit__(*exc)
+
+            def map(self, fn, calls, chunksize=None):
+                maps.append([(call[2], call[3]) for call in calls])
+                return self.pool.map(fn, calls, chunksize)
+
+        monkeypatch.setattr(harness, "Pool", CountingPool)
+        sweep_point = harness._sweep_point
+        monkeypatch.setattr(harness, "_sweep_point",
+                            lambda *args: points.append(args[2]) or sweep_point(*args))
         grid = [k * 1e-3 for k in range(8)]
-        results = sweep_tobs(replace(self.grid_config(grid, shots=200), workers=2))
+        thresholds = list(range(100, 800, 100))
+        ranges = [range(0, 2048), range(2048, 2100)]
+        results = sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2))
         assert len(results) == 8 and len(starts) == 1
+        assert maps == [[(thresholds, r) for r in ranges]]
+        assert points == grid
+
+        bias = replace(self.grid_config(grid, shots=2100), workers=2,
+                       sweep=SweepSpec(variable="mu_d", grid=(-100.0, 0.0, 20.0)))
+        assert len(sweep_bias(bias, demon_on=True)) == 3 and len(starts) == 2
+        assert maps[1] == [(500, r) for _ in range(3) for r in ranges]
+        assert points == grid + [-100.0, 0.0, 20.0]
+
         sweep_tobs(replace(self.grid_config([0.0], shots=200), workers=2))
-        assert len(starts) == 1
+        assert len(starts) == 2 and len(maps) == 2
+
+        # In the workers, each call is one run_detection call.
+        detections = []
+        run = harness.run_detection
+        monkeypatch.setattr(harness, "Pool", SerialPool)
+        monkeypatch.setattr(harness, "run_detection", lambda *args, **kwargs: detections.append(
+            (kwargs["n_required"], args[1])) or run(*args, **kwargs))
+        assert sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2)) == results
+        assert detections == [(thresholds, 2048), (thresholds, 52)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("detector, noise_std",
+                             [("amplifier", 0.0), ("ideal", 0.0), ("amplifier", 0.05)],
+                             ids=["amplifier", "ideal", "noisy"])
+    def test_one_trajectory_matches_a_run_per_point(self, detector, noise_std, workers):
+        # Every field of every point equals a sweep that runs each point
+        # alone.  2100 shots cross the 1024-shot blocks; the grid holds the
+        # prior point and two times that round to the same 100 samples, each
+        # with its own bootstrap stream; a horizon of twice each observation
+        # time leaves shots abandoned at the small thresholds.
+        grid = (0.0, 2e-4, 5e-4, 1e-3, 1.004e-3, 3e-3)
+        cfg = replace(self.grid_config(grid, shots=2100, seed=29, detector=detector),
+                      noise_std=noise_std, abandon_factor=2.0)
+        reference = per_point_sweep(cfg)
+        assert sweep_tobs(replace(cfg, workers=workers)) == reference
+        assert reference[1].n_abandoned > 0 and reference[2].n_abandoned > 0
+        assert reference[3].successes == reference[4].successes
+        assert 0 < reference[5].n_abandoned < reference[1].n_abandoned
 
     def test_percentile_width_shrinks_with_shots(self):
         narrow = sweep_tobs(self.grid_config([2e-3], shots=800, seed=19))[0]
