@@ -21,8 +21,9 @@ a live lane draws a (2, 1024) array of uniforms from it, and one array
 Gillespie step turns column i % 1024 of round r into the r-th event of shot
 i.  A shot's events therefore depend on nothing but the master seed and its
 index: not on how shots are grouped into calls, on the worker or on the
-order.  A noisy shot draws its sensor noise, and only that, from
-``default_rng([master_seed, i])``, its ``SeedSequence`` hashed per block.
+order.  A noisy shot draws its sensor noise, and only that, from a PCG64
+seeded with row i % 1024 of a table of uint64 words that block b draws
+from ``default_rng([master_seed, _NOISE_STREAM, b])``.
 A t_obs sweep follows each shot once, all its thresholds sharing a counter.
 """
 
@@ -30,9 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
 from typing import Callable, Sequence
@@ -56,15 +55,13 @@ from .telegraph import (
 
 _BOOTSTRAP_STREAM = 0x0B007
 _EVENT_STREAM = 0xE7E47
+_NOISE_STREAM = 0x4015E
 
-_SEED_BLOCK = 1024  # shots per event generator and per SeedSequence hash block
+_SEED_BLOCK = 1024  # shots per event generator and per noise seed table
 # Blocks per run_detection call.  On op-point (2 vCPU) wall time stops falling
 # at 16 blocks (0.11 s; 0.36 s at 1), and peak RSS grows with the lanes: 83.9
 # MiB at 1 block, 87.0 at 16, 98.9 at 128.
 _LANE_BLOCKS = 16
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_BATCH_DIVISOR = 20
@@ -103,7 +100,8 @@ class ExperimentConfig:
 
     master_seed fixes every draw: shot i's r-th tunneling event comes from
     column i % 1024 of the r-th round of uniforms of its 1024-shot block,
-    and its noise from its own generator (see the module docstring).
+    and its noise from a generator seeded by row i % 1024 of its block's
+    noise seed table (see the module docstring).
     Without monitoring, shot i keeps the spin its first event loads, which
     is the first spin its monitored run loads.
     """
@@ -525,54 +523,29 @@ def run_detection(
                                                horizons[:K, None][rows]))
 
 
-def _hashmix(value: np.ndarray, k: int, init: int = _INIT_A, mult: int = _MULT_A):
-    """SeedSequence's k-th hash step; uint32 lanes wrap as its C code does."""
-    key = init * pow(mult, k, 1 << 32) & _MASK
-    value = (value ^ key) * (key * mult & _MASK)
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two words, on uint32 lanes."""
-    mixed = x * _MIX_L - y * _MIX_R
-    return mixed ^ (mixed >> 16)
-
-
 @functools.lru_cache(maxsize=1)
-def _seed_block(prefix: tuple[int, ...], block: int) -> np.ndarray:
-    """Read-only uint64 rows; row i is what ``SeedSequence([*prefix, block *
-    _SEED_BLOCK + i])`` gives from ``generate_state(4, np.uint64)``."""
-    words = [np.full(_SEED_BLOCK, (x >> s) & _MASK, np.uint32)
-             for x in prefix for s in range(0, max(operator.index(x).bit_length(), 1), 32)]
-    words.append(np.arange(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK, dtype=np.uint32))
-    k = itertools.count()
-    padded = words[:4] + [np.zeros_like(words[0])] * (4 - len(words))
-    pool = [_hashmix(word, next(k)) for word in padded]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(k)))
-    for word, dst in itertools.product(words[4:], range(4)):
-        pool[dst] = _mix(pool[dst], _hashmix(word, next(k)))
-    state = np.stack([_hashmix(pool[i % 4], i, _INIT_B, _MULT_B) for i in range(8)], axis=1)
-    rows = state.astype("<u4").view("<u8").astype(np.uint64)
+def _noise_seeds(master_seed: int, block: int) -> np.ndarray:
+    """Read-only (_SEED_BLOCK, 4) uint64 table; row i seeds the noise of shot
+    ``block * _SEED_BLOCK + i``."""
+    rng = np.random.default_rng([master_seed, _NOISE_STREAM, block])
+    rows = rng.bit_generator.random_raw((_SEED_BLOCK, 4))
     rows.flags.writeable = False
     return rows
 
 
 @dataclass
 class _SeedRow(np.random.bit_generator.ISeedSequence):
-    row: np.ndarray  # PCG64 asks for 4 uint64 words: one row of _seed_block
+    row: np.ndarray  # PCG64 asks for 4 uint64 words: one row of _noise_seeds
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.row
 
 
 def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
-    """Counter-based per-shot generator equal to ``default_rng([master_seed,
-    shot_index])``, its seed hash computed in blocks (``_seed_block``)."""
-    if not 0 <= shot_index < 1 << 32 or master_seed < 0:  # let numpy hash or reject it
-        return np.random.default_rng([master_seed, shot_index])
-    row = _seed_block((master_seed,), shot_index // _SEED_BLOCK)[shot_index % _SEED_BLOCK]
-    return np.random.Generator(np.random.PCG64(_SeedRow(row)))
+    """Noise generator of shot ``shot_index``: a PCG64 seeded with the shot's
+    row of its block's table (``_noise_seeds``)."""
+    block, row = divmod(shot_index, _SEED_BLOCK)
+    return np.random.Generator(np.random.PCG64(_SeedRow(_noise_seeds(master_seed, block)[row])))
 
 
 def _block_events(master_seed: int, rates: RateSet, indices: range):
@@ -661,7 +634,8 @@ def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, int | list[int]]
     ranges = _blocks(cfg.shots, blocks * _SEED_BLOCK)
     calls = [(cfg, rates, n_required, r) for rates, n_required in jobs for r in ranges]
     block = _tally_block if tally else _shot_block
-    with Pool(processes=cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
+    processes = min(cfg.workers, len(calls))  # a pool starts no idle worker
+    with Pool(processes=processes) if cfg.workers > 1 else contextlib.nullcontext() as pool:
         parts = list(map(block, calls) if pool is None else pool.map(block, calls, 1))
     per_job = [parts[k:k + len(ranges)] for k in range(0, len(parts), len(ranges))]
     return per_job if tally else [_Detection.concatenate(p) for p in per_job]

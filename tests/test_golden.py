@@ -24,9 +24,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "simulate-shot": ["simulate-shot", "--config", "tobs.cfg", "--shots", "12"],
     "simulate-shot-noisy": ["simulate-shot", "--config", "tobs-noisy.cfg", "--shots", "12"],
+    "simulate-shot-noisier": ["simulate-shot", "--config", "tobs-noisier.cfg", "--shots", "12"],
     "sweep-tobs-amplifier": ["sweep-tobs", "--config", "tobs.cfg"],
     "sweep-tobs-ideal": ["sweep-tobs", "--config", "tobs-ideal.cfg"],
     "sweep-tobs-noisy": ["sweep-tobs", "--config", "tobs-noisy.cfg"],
+    "sweep-tobs-noisier": ["sweep-tobs", "--config", "tobs-noisier.cfg"],
     "sweep-bias-on": ["sweep-bias", "--config", "bias.cfg"],
     "sweep-bias-off": ["sweep-bias", "--config", "bias.cfg", "--demon-off"],
     "fit": ["fit", "--data", "fit-data.csv"],
@@ -49,6 +51,22 @@ def test_golden_output(name, fmt, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.{fmt}"
     render(name, fmt, out)
     assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["simulate-shot-noisier", "sweep-tobs-noisier"])
+def test_noisier_goldens_depend_on_the_noise(name, tmp_path, monkeypatch):
+    # At noise 0.05 a settled sample almost never crosses the threshold, so
+    # those goldens barely read the noise stream.  The 0.1 case must: run
+    # without noise, its config gives other rows than its golden.
+    monkeypatch.chdir(GOLDEN)
+    text = (GOLDEN / "tobs-noisier.cfg").read_text()
+    assert "run.noise_std = 0.1\n" in text
+    quiet = tmp_path / "quiet.cfg"
+    quiet.write_text(text.replace("run.noise_std = 0.1\n", "run.noise_std = 0\n"))
+    argv = [str(quiet) if arg == "tobs-noisier.cfg" else arg for arg in CASES[name]]
+    out = tmp_path / f"{name}.csv"
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() != (GOLDEN / f"{name}.csv").read_bytes()
 
 
 def test_goldens_hold_no_numpy_reprs():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, kstest
 
 import spindemon.harness as harness
 from oracles import (
@@ -583,38 +583,52 @@ class TestRunInitializationShot:
         assert sum(r.n_resets for r in noisy) > sum(r.n_resets for r in quiet)
 
 
+def rebuilt_shot_rng(master_seed, shot_index):
+    """shot_rng(master_seed, shot_index) rebuilt from its block's seed table
+    without the cache."""
+    block, row = divmod(shot_index, 1024)
+    table = np.random.default_rng([master_seed, harness._NOISE_STREAM, block])
+    seeds = table.bit_generator.random_raw((1024, 4))
+    return np.random.Generator(np.random.PCG64(harness._SeedRow(seeds[row])))
+
+
 class TestShotStreams:
-    """The block-hashed generators are default_rng's, bit for bit."""
+    """Shot i's noise generator is seeded with row i % 1024 of its block's table."""
 
     SEEDS = (0, 2**32 - 1, 2**32, 2**100 + 3, np.uint64(2**40 + 7))
-    # 2**32 needs a second entropy word and takes the default_rng fallback.
     INDICES = (0, 1023, 1024, 2**32 - 1, 2**32)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_shot_stream_equals_default_rng(self, seed):
+    def test_shot_rng_is_its_block_row(self, seed):
         for index in self.INDICES:
-            expected = np.random.default_rng([seed, index]).bit_generator.state
+            expected = rebuilt_shot_rng(seed, index).bit_generator.state
             assert shot_rng(seed, index).bit_generator.state == expected, index
 
     def test_cached_block_is_read_only(self):
-        block = harness._seed_block((7,), 0)
-        assert harness._seed_block((7,), 0) is block
-        assert block.shape == (harness._SEED_BLOCK, 4)
+        block = harness._noise_seeds(7, 0)
+        assert harness._noise_seeds(7, 0) is block
+        assert block.shape == (harness._SEED_BLOCK, 4) and block.dtype == np.uint64
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 0
 
+    def test_first_normals_are_independent_standard_normals(self):
+        # Shots 0-4999 span five tables; each shot's first draw must look
+        # like an independent N(0, 1) value, within and across blocks.
+        first = np.array([shot_rng(7, i).standard_normal() for i in range(5000)])
+        assert kstest(first, "norm").pvalue > 1e-3
+        assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < 4 / math.sqrt(len(first))
+
     def test_block_and_worker_boundaries(self, tmp_path, monkeypatch):
-        # 2100 shots cross the event and hash blocks at 1024 and 2048; a pool
-        # of three workers runs one block each, the last one 52 shots long.
-        # Only the noisy run draws from shot_rng.
+        # 2100 shots cross the event and noise seed blocks at 1024 and 2048; a
+        # pool of three workers runs one block each, the last one 52 shots
+        # long.  Only the noisy run draws from shot_rng.
         for noise in ("0", "0.05"):
             outputs = {}
-            for label, workers in (("serial", 1), ("pool", 3), ("default_rng", 1)):
+            for label, workers in (("serial", 1), ("pool", 3), ("rebuilt", 1)):
                 with monkeypatch.context() as patch:
-                    if label == "default_rng":
-                        patch.setattr(harness, "shot_rng",
-                                      lambda s, i: np.random.default_rng([s, i]))
+                    if label == "rebuilt":
+                        patch.setattr(harness, "shot_rng", rebuilt_shot_rng)
                     cfg = tmp_path / f"{label}.cfg"
                     cfg.write_text(
                         "physics.temperature_k = 0.26\nrates.in_total_per_s = 2700\n"
@@ -625,7 +639,7 @@ class TestShotStreams:
                     assert main(["simulate-shot", "--config", str(cfg), "--out", str(out)]) == 0
                     outputs[label] = out.read_bytes()
             assert outputs["serial"] == outputs["pool"], noise
-            assert outputs["serial"] == outputs["default_rng"], noise
+            assert outputs["serial"] == outputs["rebuilt"], noise
 
 
 class SerialPool:
@@ -648,7 +662,7 @@ class TestShotBlocks:
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
     def test_grouping_into_lanes_does_not_change_a_shot(self, noise_std):
         # 2100 shots as one call, as 2100 one-lane calls, and in 175-shot
-        # calls that do not line up with the 1024-shot hash blocks.  A short
+        # calls that do not line up with the 1024-shot seed blocks.  A short
         # horizon leaves some shots abandoned.
         cfg = make_config(n_required=20, shots=2100, seed=23, noise_std=noise_std,
                           abandon_factor=3.0)
@@ -719,11 +733,11 @@ def column_replay(master_seed, rates, shot_index):
 
 def per_shot_detection(cfg, rates, n_required):
     """Every shot of cfg through the lane engine, with the events drawn as the
-    per-shot engine drew them: shot i from its own ``default_rng([seed,
-    i])``, equal to shot_rng(seed, i)."""
+    per-shot engine drew them: shot i from its own ``default_rng([seed, i])``."""
     parts = []
     for block in harness._blocks(cfg.shots, 1024):
-        streams = [per_shot_transitions(shot_rng(cfg.master_seed, i), rates) for i in block]
+        streams = [per_shot_transitions(np.random.default_rng([cfg.master_seed, i]), rates)
+                   for i in block]
         parts.append(run_detection(
             list_events(streams), len(block), amp=cfg.amplifier, n_required=n_required,
             horizon=cfg.abandon_factor * n_required * cfg.amplifier.sample_period,
@@ -958,9 +972,25 @@ class TestSweepTobs:
         assert sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2)) == results
         assert detections == [(thresholds, 2048), (thresholds, 52)]
 
+    def test_pool_starts_no_idle_worker(self, monkeypatch):
+        # A pool asks for no more processes than it has calls: 64 workers on
+        # 1500 shots make two one-block calls.  The stand-in pool records
+        # the count and maps in this process, so no process starts.
+        asked = []
+
+        class RecordingPool(SerialPool):
+            def __init__(self, processes):
+                asked.append(processes)
+                super().__init__(processes)
+
+        monkeypatch.setattr(harness, "Pool", RecordingPool)
+        cfg = self.grid_config([1e-3, 2e-3])
+        assert sweep_tobs(replace(cfg, workers=64)) == sweep_tobs(cfg)
+        assert asked == [2]
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("detector, noise_std",
-                             [("amplifier", 0.0), ("ideal", 0.0), ("amplifier", 0.05)],
+                             [("amplifier", 0.0), ("ideal", 0.0), ("amplifier", 0.1)],
                              ids=["amplifier", "ideal", "noisy"])
     def test_one_trajectory_matches_a_run_per_point(self, detector, noise_std, workers):
         # Every field of every point equals a sweep that runs each point
