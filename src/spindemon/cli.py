@@ -116,7 +116,7 @@ def _read_fit_data(path: Path) -> list[tuple[float, float, float]]:
                 rows.append(tuple(float(value) for value in fields))
     except ConfigError:
         raise
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: bad numeric value: {exc}") from exc

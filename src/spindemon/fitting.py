@@ -168,9 +168,10 @@ def fit_fidelity_curve(data) -> FitResult:
     if len(rows) < 4:
         raise ValueError("need at least 4 data points spanning rise and plateau")
     t, successes, shots = (np.array(column) for column in zip(*rows))
-    valid = (shots > 0) & (successes >= 0) & (successes <= shots)
+    valid = (t >= 0) & (shots > 0) & (successes >= 0) & (successes <= shots)
     if not (np.isfinite(rows).all() and valid.all()):
-        raise ValueError("data must be finite, with shots > 0 and 0 <= successes <= shots")
+        raise ValueError("data must be finite, with t_obs >= 0, shots > 0 and "
+                         "0 <= successes <= shots")
     y = successes / shots
 
     # Binomial weights 1/sigma from the observed fractions, clamped so

@@ -21,16 +21,15 @@ a live lane draws a (2, 1024) array of uniforms from it, and one array
 Gillespie step turns column i % 1024 of round r into the r-th event of shot
 i.  A shot's events therefore depend on nothing but the master seed and its
 index: not on how shots are grouped into calls, on the worker or on the
-order.  A noisy shot draws its sensor noise, and only that, from a PCG64
-seeded with row i % 1024 of a table of uint64 words that block b draws
-from ``default_rng([master_seed, _NOISE_STREAM, b])``.
+order.  Sensor noise only flips samples away from their noiseless outcome,
+each independently; shot i finds its flips by thinning (Lewis & Shedler
+1979) with its own generator, ``default_rng([master_seed, _NOISE_STREAM, i])``.
 A t_obs sweep follows each shot once, all its thresholds sharing a counter.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
@@ -57,7 +56,7 @@ _BOOTSTRAP_STREAM = 0x0B007
 _EVENT_STREAM = 0xE7E47
 _NOISE_STREAM = 0x4015E
 
-_SEED_BLOCK = 1024  # shots per event generator and per noise seed table
+_SEED_BLOCK = 1024  # shots per event generator
 # Blocks per run_detection call.  On op-point (2 vCPU) wall time stops falling
 # at 16 blocks (0.11 s; 0.36 s at 1), and peak RSS grows with the lanes: 83.9
 # MiB at 1 block, 87.0 at 16, 98.9 at 128.
@@ -93,15 +92,14 @@ class ExperimentConfig:
     low-pass/threshold/decimation model; "ideal" latches any ionization in a
     sample period into that sample's blip (no missed events), which isolates
     estimator behavior from detection loss.  Sensor noise acts on the
-    amplifier output, so noise_std > 0 requires the amplifier detector.  It is
-    drawn only up to the trigger of the largest threshold a run watches for
-    (see run_detection), so a triggered shot's cost does not grow with
-    abandon_factor.
+    amplifier output, so noise_std > 0 requires the amplifier detector.  It
+    enters as the samples it flips, found with a few draws per segment and
+    per flip up to the trigger of the largest threshold a run watches for
+    (see run_detection): a shot costs per event and flip, not per sample.
 
     master_seed fixes every draw: shot i's r-th tunneling event comes from
     column i % 1024 of the r-th round of uniforms of its 1024-shot block,
-    and its noise from a generator seeded by row i % 1024 of its block's
-    noise seed table (see the module docstring).
+    and its noise flips from its own generator (see the module docstring).
     Without monitoring, shot i keeps the spin its first event loads, which
     is the first spin its monitored run loads.
     """
@@ -239,6 +237,7 @@ class _Lanes:
         self.level = np.ones(count)  # amplifier output at seg_start
         self.seg_start = np.zeros(count)
         self.n = np.ones(count, np.int64)  # next sample to classify
+        self.flip = np.zeros(count, np.int64)  # next sample noise flips (run_detection)
         self.counter = np.zeros(count, np.int64)
         # Next threshold to fire or abandon, its need (0 past the last) and horizon.
         self.fire_k = np.zeros(count, np.int64)
@@ -316,36 +315,34 @@ def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
     return (n, n_cross - n, ~ionized), (n_cross, n_last - n_cross + 1, ionized)
 
 
-def _noisy_runs(amp: AmplifierParams, noise_std: float, n_max: int, live: _Lanes,
-                rngs: list, pending: np.ndarray, ionized: np.ndarray, n_last: np.ndarray):
-    """Draw the next chunk of samples of each pending lane, split each chunk
-    into runs, and advance live.n past the chunks.
+def _next_flip(amp: AmplifierParams, noise_std: float, rngs, live: _Lanes, ionized: np.ndarray,
+               at: np.ndarray, n_end: np.ndarray) -> None:
+    """Set live.flip of each lane at ``at`` to its first sample from live.n to
+    n_end that noise flips away from the noiseless outcome, n_end + 1 if none.
 
-    A chunk holds min(samples left in the segment, n_max - counter) samples,
-    so it either holds a blip or fires the largest threshold, n_max, on its
-    last sample.  Returns one (start, length, is_blip) array triple per run
-    position: the k-th run of every chunk, length 0 for lanes without one.
+    Sample k flips with p_k = Q(|m_k - S_th| / noise_std), m_k its noiseless
+    output.  Candidates lie a geometric gap apart at a bound r on p: p at
+    the gap's start once m is past the threshold toward where it settles (p
+    only falls from there), 1/2 before.  A candidate is kept with
+    probability p / r.  Each lane draws from its own generator.
     """
-    ts, omega = amp.sample_period, amp.angular_cutoff
-    chunks = {}
-    for j in pending.tolist():
-        n = int(live.n[j])
-        size = int(min(n_last[j] - n + 1, n_max - live.counter[j]))
-        x, level, times = float(ionized[j]), live.level[j], np.arange(n, n + size) * ts
-        values = x + (level - x) * np.exp(-omega * (times - live.seg_start[j]))
-        blips = values + rngs[live.lane[j]].normal(0.0, noise_std, size=size) > amp.threshold
-        edges = [0, *(np.flatnonzero(blips[1:] != blips[:-1]) + 1).tolist(), size]
-        chunks[j] = [(n + a, b - a, bool(blips[a])) for a, b in zip(edges, edges[1:])]
-        live.n[j] = n + size
-    steps = []
-    for k in range(max(map(len, chunks.values()))):
-        start, length = np.zeros((2, len(live.n)), np.int64)
-        is_blip = np.zeros(len(live.n), bool)
-        for j, runs in chunks.items():
-            if k < len(runs):
-                start[j], length[j], is_blip[j] = runs[k]
-        steps.append((start, length, is_blip))
-    return steps
+    ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
+    scale = noise_std * math.sqrt(2.0)
+    for j, lane, rising, level, seg_start, n, end in zip(
+            at.tolist(), live.lane[at].tolist(), ionized[at].tolist(), live.level[at].tolist(),
+            live.seg_start[at].tolist(), live.n[at].tolist(), n_end[at].tolist()):
+        x, rng, live.flip[j] = float(rising), rngs[lane], end + 1
+        while n <= end:
+            m = x + (level - x) * math.exp(-omega * (n * ts - seg_start))
+            r = 0.5 * math.erfc(abs(m - s_th) / scale) if (m > s_th) == rising else 0.5
+            if r == 0.0 or (gap := math.log1p(-rng.random()) / math.log1p(-r)) >= end - n + 1:
+                break
+            n += int(gap)
+            m = x + (level - x) * math.exp(-omega * (n * ts - seg_start))
+            if rng.random() * r < 0.5 * math.erfc(abs(m - s_th) / scale):
+                live.flip[j] = n
+                break
+            n += 1
 
 
 def _close(live: _Lanes, flat: _Detection, j: np.ndarray, required, horizon) -> np.ndarray:
@@ -427,12 +424,12 @@ def run_detection(
     that end leave the arrays, so a round costs in proportion to the lanes
     still live.
 
-    With noise, the generator ``rngs[k]`` of lane k draws one value per
-    sample in sample order, in chunks of the largest threshold less the
-    counter.  Such a chunk either holds a blip or fires the largest
-    threshold on its last sample, so no draw reaches past its trigger, and a
-    lane's draws do not depend on the other lanes or, value by value, on the
-    chunks or the other thresholds.
+    With noise, the generator ``rngs[k]`` of lane k finds the samples that
+    noise flips (``_next_flip``), searching each segment up to its event or
+    the last threshold's horizon.  The closed-form runs are cut at each flip
+    and the flipped sample is fed on its own.  A lane searches only until
+    its last threshold fires or is abandoned, so its draws depend neither on
+    the other lanes nor on the thresholds below its last.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -454,21 +451,34 @@ def run_detection(
     while len(live.lane):
         t_event, new_state = events(live.lane, live.state, live.seg_start)
         ionized = live.state == _IONIZED
+        if noisy:  # search each counting lane's segment up to the last horizon
+            n_end = _last_sample(np.minimum(t_event, horizons[K - 1]), ts)
+            live.flip = n_end + 1
+            _next_flip(amp, noise_std, rngs, live, ionized, (live.need > 0).nonzero()[0], n_end)
         # A lane is fed up to its threshold's horizon; one that reaches it
         # unfired abandons the threshold, and is fed on for the next.
         while True:
             capped = ((t_event >= live.horizon) & (live.need > 0)).nonzero()[0]
             was = live.fire_k[capped]
             n_last = _last_sample(np.minimum(t_event, live.horizon), ts)
-            if noisy:
-                while len(pending := ((live.n <= n_last) & (live.need > 0)).nonzero()[0]):
-                    for run in _noisy_runs(amp, noise_std, thresholds[-1], live, rngs, pending,
-                                           ionized, n_last):
-                        _feed(live, flat, required, horizons, *run)
-            else:
-                for run in _noiseless_runs(amp, detector, live, ionized, n_last):
+            # Feed the noiseless runs up to each lane's next flip, then the
+            # flipped sample on its own, and search on from there.
+            while True:
+                cut = np.minimum(n_last, live.flip - 1) if noisy else n_last
+                for run in _noiseless_runs(amp, detector, live, ionized, cut):
                     _feed(live, flat, required, horizons, *run)
-                live.n = np.maximum(live.n, n_last + 1)
+                live.n = np.maximum(live.n, cut + 1)
+                if not noisy or not len(flipped := ((live.flip == live.n) & (live.n <= n_last) & (
+                        live.need > 0)).nonzero()[0]):
+                    break
+                last = live.n - 1
+                last[flipped] += 1
+                for start, length, is_blip in _noiseless_runs(amp, detector, live, ionized, last):
+                    _feed(live, flat, required, horizons, start, length, ~is_blip)
+                live.n = last + 1
+                _next_flip(amp, noise_std, rngs, live, ionized, flipped[live.need[flipped] > 0],
+                           n_end)
+            live.n = np.maximum(live.n, n_last + 1)  # lanes past their last trigger too
             if len(capped):
                 _close(live, flat, capped[live.fire_k[capped] == was], required, horizons)
             if not np.count_nonzero(live.need[capped]):
@@ -523,29 +533,9 @@ def run_detection(
                                                horizons[:K, None][rows]))
 
 
-@functools.lru_cache(maxsize=1)
-def _noise_seeds(master_seed: int, block: int) -> np.ndarray:
-    """Read-only (_SEED_BLOCK, 4) uint64 table; row i seeds the noise of shot
-    ``block * _SEED_BLOCK + i``."""
-    rng = np.random.default_rng([master_seed, _NOISE_STREAM, block])
-    rows = rng.bit_generator.random_raw((_SEED_BLOCK, 4))
-    rows.flags.writeable = False
-    return rows
-
-
-@dataclass
-class _SeedRow(np.random.bit_generator.ISeedSequence):
-    row: np.ndarray  # PCG64 asks for 4 uint64 words: one row of _noise_seeds
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.row
-
-
 def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
-    """Noise generator of shot ``shot_index``: a PCG64 seeded with the shot's
-    row of its block's table (``_noise_seeds``)."""
-    block, row = divmod(shot_index, _SEED_BLOCK)
-    return np.random.Generator(np.random.PCG64(_SeedRow(_noise_seeds(master_seed, block)[row])))
+    """Noise generator of shot ``shot_index``."""
+    return np.random.default_rng([master_seed, _NOISE_STREAM, shot_index])
 
 
 def _block_events(master_seed: int, rates: RateSet, indices: range):

@@ -376,16 +376,44 @@ def _noiseless_runs(amp, detector, x, level, seg_start, latched_until, n_first, 
     return [(n_first, n_cross - n_first, not rising), (n_cross, n_last - n_cross + 1, rising)]
 
 
+def _flip_probability(amp, noise_std, x, level, seg_start, n):
+    """Probability that noise flips sample n away from its noiseless outcome,
+    and whether the noiseless output is past the threshold toward x."""
+    m = x + (level - x) * math.exp(-amp.angular_cutoff * (n * amp.sample_period - seg_start))
+    p = 0.5 * math.erfc(abs(m - amp.threshold) / (noise_std * math.sqrt(2.0)))
+    return p, (m > amp.threshold) == (x == 1.0)
+
+
+def next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last):
+    """First sample from n to n_last that noise flips, or n_last + 1: a
+    Bernoulli process at a bound r on the flip probability, thinned by
+    p / r, with r re-bounded after each candidate."""
+    while n <= n_last:
+        p, past = _flip_probability(amp, noise_std, x, level, seg_start, n)
+        bound = p if past else 0.5
+        if bound == 0.0:
+            return n_last + 1
+        gap = math.log1p(-rng.random()) / math.log1p(-bound)
+        if gap >= n_last - n + 1:
+            return n_last + 1
+        n += int(gap)
+        if rng.random() * bound < _flip_probability(amp, noise_std, x, level, seg_start, n)[0]:
+            return n
+        n += 1
+    return n_last + 1
+
+
 def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector="amplifier",
                      noise_std=0.0, rng=None, record_runs=False) -> ShotDetection:
     """One shot through the trigger logic, event by event in Python numbers.
 
     The same rules as ``spindemon.harness.run_detection`` for a single
-    lane: each segment between events is walked in chunks, each chunk
-    becomes (start_sample, length, is_blip) runs, and the runs drive the
-    silent-sample counter one at a time.  With noise, ``rng`` draws one
-    value per sample in chunks of ``n_required - counter``, up to the
-    trigger.
+    lane: each segment between events is split in closed form into
+    (start_sample, length, is_blip) runs, and the runs drive the
+    silent-sample counter one at a time.  With noise, ``rng`` finds the
+    segment's first flipped sample (``next_flip``); the runs stop before
+    it, the flipped sample is a run of its own, and the search restarts
+    after it, until the trigger.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -409,19 +437,16 @@ def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector=
         item = next(events, None)
         n_last = _last_sample(horizon if item is None else min(item[0], horizon), ts)
         x = 1.0 if state is DonorState.IONIZED else 0.0
+        flip = n_last + 1
+        if noisy:
+            flip = next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last)
         while n <= n_last and trigger_sample is None:
-            if noisy:
-                size = min(n_last - n + 1, n_required - counter)
-                times = np.arange(n, n + size) * ts
-                values = x + (level - x) * np.exp(-omega * (times - seg_start))
-                blips = values + rng.normal(0.0, noise_std, size=size) > amp.threshold
-                edges = [0, *(np.flatnonzero(blips[1:] != blips[:-1]) + 1).tolist(), size]
-                chunk = [(n + a, b - a, bool(blips[a])) for a, b in zip(edges, edges[1:])]
-            else:
-                size = n_last - n + 1
-                chunk = _noiseless_runs(
-                    amp, detector, x, level, seg_start, latched_until, n, n_last
-                )
+            stop = min(n_last, flip - 1)
+            chunk = _noiseless_runs(amp, detector, x, level, seg_start, latched_until, n, stop)
+            if stop < n_last:  # the flipped sample, as a run of its own
+                chunk += [(start, length, not is_blip) for start, length, is_blip in
+                          _noiseless_runs(amp, detector, x, level, seg_start, latched_until,
+                                          flip, flip)]
             for start, length, is_blip in chunk:
                 if length <= 0:
                     continue
@@ -437,7 +462,10 @@ def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector=
                     break
                 else:
                     counter += length
-            n += size
+            n = stop + 1
+            if stop < n_last and trigger_sample is None:
+                n = flip + 1
+                flip = next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last)
         if trigger_sample is not None or item is None or item[0] >= horizon:
             break
         event_time, new_state = item

@@ -310,6 +310,9 @@ class TestCli:
             (["fit", "--data", "data.csv"],
              {"data.csv": "grid_value,shots,successes\n0,100,80\n1e-3,100,120\n"
                           "2e-3,100,95\n3e-3,100,97\n5e-3,100,98\n"}),
+            (["fit", "--data", "data.csv"],
+             {"data.csv": "grid_value,shots,successes\n0,100,80\n-0.003,100,70\n1e-3,100,90\n"
+                          "2e-3,100,95\n3e-3,100,97\n5e-3,100,98\n"}),
             (["histogram", "--p-up-given-up", "1.5"], {}),
             (["histogram", "--shots-per-read", "0"], {}),
             (["histogram", "--shots", "2000", "--threshold", "0.99"], {}),
@@ -339,6 +342,7 @@ class TestCli:
               "--shots", "7"], {}),
         ],
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
+             "fit-negative-t",
              "histogram-probability", "histogram-zero-reads",
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
@@ -359,6 +363,16 @@ class TestCli:
         assert "Traceback" not in err
         # A rejected run leaves no output that could pass for a good one.
         assert not (tmp_path / "out.csv").exists()
+
+    def test_fit_data_not_utf8_cannot_be_read(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"grid_value,shots,successes\n0,100,80\xff\n")
+        out = tmp_path / "out.csv"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {data}: 'utf-8' codec")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("out", ["missing/out.csv", "."],
                              ids=["missing-directory", "existing-directory"])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency, kstest
+from scipy.stats import binom, chi2_contingency, kstest, norm
 
 import spindemon.harness as harness
 from oracles import (
@@ -172,6 +172,35 @@ def assert_runs_match(det, blips):
         assert expanded[n] == bool(blips[n - 1]), f"sample {n}"
 
 
+def noisy_trigger_cases():
+    """(trajectory, noise_std, n_required) of the distributional noise tests,
+    all sampled by AMP: each trajectory ends loaded."""
+    cases = [(blinking(1), 0.15, 10), (blinking(2), 0.12, 12), (blinking(3), 0.18, 8),
+             (blinking(4), 0.15, 6)]
+    loaded = [tl for tl, _, _ in amplifier_cases()
+              if len(tl.events) >= 2 and tl.events[-1][1] is not DonorState.IONIZED]
+    return cases + list(zip(loaded, (0.1, 0.14, 0.17, 0.2), (14, 9, 7, 5)))
+
+
+def noiseless_samples(tl):
+    """The rendered noiseless samples 1 .. 60 of a trajectory through AMP."""
+    substep = AMP.sample_period / 100
+    return digitize(render_sensor_trace(tl, AMP, substep), AMP, substep).samples
+
+
+def tiled_blips(det, n_samples):
+    """A lane's blips, sample by sample up to its trigger (n_samples if it
+    did not trigger), read off its runs, which must tile the samples from 1
+    on, the last run holding that sample."""
+    blips = []
+    for start, length, value in det.runs:
+        assert start == len(blips) + 1 and length > 0
+        blips += [value] * length
+    end = det.trigger_sample or n_samples
+    assert len(blips) - det.runs[-1][1] < end <= len(blips)
+    return blips[:end]
+
+
 class TestEngineMatchesReferenceChain:
     def test_blips_and_trigger_identical(self):
         # The event-driven detector must reproduce the rendered chain
@@ -189,29 +218,94 @@ class TestEngineMatchesReferenceChain:
             assert det.trigger_sample == trig_ref
             assert_runs_match(det, blips)
 
-    def test_noisy_detector_blips_and_trigger_identical(self):
-        # The engine draws one noise value per sample, for samples 1, 2, ...
-        # in order, which is the order digitize adds noise to the rendered
-        # trace; with generators of the same seed both chains must see the
-        # same noisy samples, however the engine splits its draws.
+    def test_noisy_runs_tile_the_samples_up_to_the_trigger(self):
+        # Noise flips single samples of the noiseless split, so a noisy
+        # lane's runs must still cover samples 1, 2, ... once each, and the
+        # counter stepped one sample at a time over them must fire where the
+        # engine did.
         n_triggered = 0
         for tl, amp, n_req, noise_std, case in noisy_cases():
-            blips = rendered_blips(tl, amp, noise_std, case)
-            trig_ref = first_trigger(blips, n_req)
-
             det = lane_detection(run_recorded(
                 list_events([tl.events]), 1,
                 amp=amp,
                 n_required=n_req,
-                horizon=len(blips) * amp.sample_period,
+                horizon=60 * amp.sample_period,
                 noise_std=noise_std,
                 rngs=[np.random.default_rng(case)],
             ), 0)
-            assert det.trigger_sample == trig_ref
-            n_triggered += trig_ref is not None
-            assert_runs_match(det, blips)
+            assert det.trigger_sample == first_trigger(tiled_blips(det, 60), n_req), case
+            n_triggered += det.trigger_sample is not None
         # Both outcomes must be exercised for the comparison to mean much.
         assert 100 < n_triggered < 500
+
+    def test_noisy_blip_frequencies_follow_the_noise(self):
+        # Each trajectory runs as 2 000 lanes, one noise generator each, with
+        # a threshold no lane reaches, so every lane classifies all 60
+        # samples.  Sample n must be a blip in a binomial share of the lanes
+        # with mean Q((S_th - m_n) / sigma), m_n the rendered noiseless
+        # sample.
+        lanes, uncertain = 2000, []
+        for case, (tl, noise_std, _) in enumerate(noisy_trigger_cases()):
+            det = run_recorded(
+                list_events([tl.events] * lanes), lanes, amp=AMP, n_required=61,
+                horizon=60 * AMP.sample_period, noise_std=noise_std,
+                rngs=[np.random.default_rng([case, k]) for k in range(lanes)],
+            )
+            blips = np.array([tiled_blips(lane_detection(det, k), 60) for k in range(lanes)])
+            p = norm.sf((AMP.threshold - noiseless_samples(tl)) / noise_std)
+            count = blips.sum(axis=0)
+            pvalue = 2 * np.minimum(binom.cdf(count, lanes, p), binom.sf(count - 1, lanes, p))
+            assert pvalue.min() > 1e-5, (case, pvalue.argmin() + 1)
+            uncertain += p[(p > 0.01) & (p < 0.99)].tolist()
+        # Many samples sit where a flip is neither certain nor negligible.
+        assert len(uncertain) > 100
+
+    def test_noisy_trigger_samples_match_the_rendered_chain(self):
+        # 10 000 noise draws of each trajectory: the engine's trigger samples
+        # against those of the rendered trace with noise added to its
+        # samples, a window scan finding the trigger (0 for none).  The two
+        # histograms must pass a chi-square test.
+        lanes = 10_000
+        for case, (tl, noise_std, n_req) in enumerate(noisy_trigger_cases()):
+            det = run_detection(
+                list_events([tl.events] * lanes), lanes, amp=AMP, n_required=n_req,
+                horizon=60 * AMP.sample_period, noise_std=noise_std,
+                rngs=[np.random.default_rng([case, k]) for k in range(lanes)],
+            )
+            samples = noiseless_samples(tl)
+            noisy = samples + np.random.default_rng(case).normal(0.0, noise_std,
+                                                                 (lanes, len(samples)))
+            blips = np.cumsum(noisy > AMP.threshold, axis=1)
+            silent = blips[:, n_req - 1:] == np.pad(blips, ((0, 0), (1, 0)))[:, :-n_req]
+            rendered = np.where(silent.any(axis=1), silent.argmax(axis=1) + n_req, 0)
+            assert [first_trigger(row, n_req) or 0 for row in noisy[:50] > AMP.threshold] == (
+                rendered[:50].tolist())
+            engine = np.maximum(det.trigger_sample, 0)
+            assert len(np.unique(engine)) > 5, case
+            assert two_sample_pvalue(engine, rendered) > 1e-3, case
+
+    def test_vanishing_noise_equals_the_noiseless_run(self):
+        # At sigma = 1e-9 no sample sits close enough to the threshold to
+        # flip: 30 calls of 100 random lanes, as in the scalar-loop test,
+        # must equal the noiseless run in every field.
+        rng = np.random.default_rng(8)
+        for group in range(30):
+            amp = _random_amp(rng)
+            kwargs = dict(amp=amp, n_required=int(rng.integers(1, 60)),
+                          latency=rng.uniform(0.0, 1e-3),
+                          horizon=rng.uniform(20, 400) * amp.sample_period)
+            lanes = [(_random_rates(rng), int(rng.integers(2**31))) for _ in range(100)]
+
+            def run(noise_std):
+                return run_detection(
+                    list_events([transitions(np.random.default_rng(seed), rates,
+                                             DonorState.IONIZED) for rates, seed in lanes]),
+                    len(lanes), noise_std=noise_std,
+                    rngs=[np.random.default_rng([seed, 1]) for _, seed in lanes], **kwargs)
+
+            noisy, quiet = run(1e-9), run(0.0)
+            for name in vars(quiet):
+                assert np.array_equal(getattr(noisy, name), getattr(quiet, name)), (group, name)
 
     def test_ideal_detector_blips_and_trigger_identical(self):
         # The ideal detector latches any ionization inside a sample period
@@ -238,7 +332,9 @@ class TestEngineMatchesReferenceChain:
         # a single call.  The amplifier, n_required and noise level are
         # shared by the lanes of a call, so they are fixed here, and each
         # lane's oracle is recomputed with them.  The lanes must still match
-        # their oracles one by one, and the scalar loop field by field.
+        # their oracles one by one, and the scalar loop field by field and,
+        # with noise, in the generator state left behind.  A noisy lane's
+        # oracle is its own runs: they must tile samples 1 .. trigger.
         n_req, noise_std, horizon = 15, 0.1, 60 * AMP.sample_period
         if path == "amplifier":
             # About half of all draws of the 120 random trajectories trigger
@@ -252,6 +348,7 @@ class TestEngineMatchesReferenceChain:
             lanes = [(tl, None) for tl, _ in ideal_cases()]
         detector = "ideal" if path == "ideal" else "amplifier"
         noise = noise_std if path == "noisy" else 0.0
+        gens = [np.random.default_rng(seed) for _, seed in lanes] if noise else None
         det = run_recorded(
             list_events([tl.events for tl, _ in lanes]), len(lanes),
             amp=AMP,
@@ -259,22 +356,26 @@ class TestEngineMatchesReferenceChain:
             horizon=horizon,
             detector=detector,
             noise_std=noise,
-            rngs=[np.random.default_rng(seed) for _, seed in lanes] if noise else None,
+            rngs=gens,
         )
         rounds = set()
         for k, (tl, seed) in enumerate(lanes):
+            lane = lane_detection(det, k)
             if path == "ideal":
                 blips = ideal_blips(tl, AMP.sample_period, 60)
+            elif path == "amplifier":
+                blips = rendered_blips(tl, AMP)
             else:
-                blips = rendered_blips(tl, AMP, noise, seed)
-            lane = lane_detection(det, k)
+                blips = tiled_blips(lane, 60)
             assert lane.trigger_sample == first_trigger(blips, n_req), k
             assert_runs_match(lane, blips)
+            ref_gen = np.random.default_rng(seed) if noise else None
             assert lane == scalar_detection(
                 tl.events, amp=AMP, n_required=n_req, horizon=horizon, detector=detector,
-                noise_std=noise, rng=np.random.default_rng(seed) if noise else None,
-                record_runs=True,
+                noise_std=noise, rng=ref_gen, record_runs=True,
             ), k
+            if noise:
+                assert gens[k].bit_generator.state == ref_gen.bit_generator.state, k
             if lane.trigger_sample is not None:
                 trigger_time = lane.trigger_sample * AMP.sample_period
                 rounds.add(sum(t <= trigger_time for t, _ in tl.events) + 1)
@@ -403,42 +504,45 @@ class TestSharedThresholds:
 
 
 class _CountingRng:
-    """Generator stand-in that records the size of every normal draw."""
+    """Generator stand-in that counts its draws."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.sizes = []
+        self.calls = 0
 
-    def normal(self, loc, scale, size):
-        self.sizes.append(size)
-        return self.rng.normal(loc, scale, size=size)
+    def random(self):
+        self.calls += 1
+        return self.rng.random()
 
 
 class TestNoiseDraws:
     def test_draws_stop_at_trigger_whatever_the_horizon(self):
         # One spin-down load and no further event: the last segment runs to
-        # the horizon, a thousand trigger lengths away, yet only the samples
-        # up to the trigger are drawn, and no single draw is longer than
-        # the required run.
+        # the horizon.  The lane draws a few uniforms to find the flips of
+        # its 200-sample silent run and none past the trigger, so a horizon
+        # of a thousand trigger lengths draws no more than one of two.
         n_req = 200
         for seed in range(5):
-            rng = _CountingRng(seed)
-            det = lane_detection(run_detection(
-                list_events([[(3.5e-5, DonorState.DOWN)]]), 1,
-                amp=AMP,
-                n_required=n_req,
-                horizon=1000 * n_req * AMP.sample_period,
-                noise_std=0.05,
-                rngs=[rng],
-            ), 0)
-            assert det.trigger_sample is not None
-            assert max(rng.sizes) <= n_req
-            assert sum(rng.sizes) == det.trigger_sample
+            counts = []
+            for factor in (2, 1000):
+                rng = _CountingRng(seed)
+                det = lane_detection(run_detection(
+                    list_events([[(3.5e-5, DonorState.DOWN)]]), 1,
+                    amp=AMP,
+                    n_required=n_req,
+                    horizon=factor * n_req * AMP.sample_period,
+                    noise_std=0.05,
+                    rngs=[rng],
+                ), 0)
+                assert det.trigger_sample is not None
+                counts.append(rng.calls)
+            assert 0 < counts[0] == counts[1] < 10, seed
 
     def test_event_in_latency_window_draws_no_noise_past_trigger(self):
         # Events inside the latency window after a mid-segment trigger move
         # the state at trigger, one event per round, and draw no noise: the
-        # noise generator is left having drawn exactly the trigger's samples.
+        # noise generator is left as by a lane that ends at the first of
+        # those events.
         ts = AMP.sample_period
         n_req = 50
         latency = 20 * ts
@@ -462,7 +566,9 @@ class TestNoiseDraws:
             assert det.state_at_trigger is DonorState.UP
             assert det.n_ionizations == probe.n_ionizations
             drawn = np.random.default_rng(seed)
-            drawn.normal(0.0, 0.05, size=trigger)  # samples 1 .. trigger
+            run_detection(list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED)]]),
+                          1, amp=AMP, n_required=n_req, horizon=2.0, noise_std=0.05,
+                          rngs=[drawn])
             assert rng.bit_generator.state == drawn.bit_generator.state
 
     def test_n_required_below_one_is_rejected(self):
@@ -583,52 +689,39 @@ class TestRunInitializationShot:
         assert sum(r.n_resets for r in noisy) > sum(r.n_resets for r in quiet)
 
 
-def rebuilt_shot_rng(master_seed, shot_index):
-    """shot_rng(master_seed, shot_index) rebuilt from its block's seed table
-    without the cache."""
-    block, row = divmod(shot_index, 1024)
-    table = np.random.default_rng([master_seed, harness._NOISE_STREAM, block])
-    seeds = table.bit_generator.random_raw((1024, 4))
-    return np.random.Generator(np.random.PCG64(harness._SeedRow(seeds[row])))
-
-
 class TestShotStreams:
-    """Shot i's noise generator is seeded with row i % 1024 of its block's table."""
+    """Shot i's noise generator is default_rng([master_seed, _NOISE_STREAM, i])."""
 
     SEEDS = (0, 2**32 - 1, 2**32, 2**100 + 3, np.uint64(2**40 + 7))
     INDICES = (0, 1023, 1024, 2**32 - 1, 2**32)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_shot_rng_is_its_block_row(self, seed):
+    def test_shot_rng_is_default_rng_of_its_index(self, seed):
         for index in self.INDICES:
-            expected = rebuilt_shot_rng(seed, index).bit_generator.state
-            assert shot_rng(seed, index).bit_generator.state == expected, index
-
-    def test_cached_block_is_read_only(self):
-        block = harness._noise_seeds(7, 0)
-        assert harness._noise_seeds(7, 0) is block
-        assert block.shape == (harness._SEED_BLOCK, 4) and block.dtype == np.uint64
-        assert not block.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0] = 0
+            expected = np.random.default_rng([seed, harness._NOISE_STREAM, index])
+            assert shot_rng(seed, index).bit_generator.state == (
+                expected.bit_generator.state), index
 
     def test_first_normals_are_independent_standard_normals(self):
-        # Shots 0-4999 span five tables; each shot's first draw must look
-        # like an independent N(0, 1) value, within and across blocks.
+        # Shots 0-4999 span five event blocks; each shot's first noise draw
+        # must look like an independent N(0, 1) value, within and across
+        # blocks.
         first = np.array([shot_rng(7, i).standard_normal() for i in range(5000)])
         assert kstest(first, "norm").pvalue > 1e-3
         assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < 4 / math.sqrt(len(first))
 
     def test_block_and_worker_boundaries(self, tmp_path, monkeypatch):
-        # 2100 shots cross the event and noise seed blocks at 1024 and 2048; a
-        # pool of three workers runs one block each, the last one 52 shots
-        # long.  Only the noisy run draws from shot_rng.
+        # 2100 shots cross the event blocks at 1024 and 2048; a pool of three
+        # workers runs one block each, the last one 52 shots long.  Only the
+        # noisy run draws from shot_rng, and the rebuilt run draws from
+        # generators made here.
         for noise in ("0", "0.05"):
             outputs = {}
             for label, workers in (("serial", 1), ("pool", 3), ("rebuilt", 1)):
                 with monkeypatch.context() as patch:
                     if label == "rebuilt":
-                        patch.setattr(harness, "shot_rng", rebuilt_shot_rng)
+                        patch.setattr(harness, "shot_rng", lambda seed, i: (
+                            np.random.default_rng([seed, harness._NOISE_STREAM, i])))
                     cfg = tmp_path / f"{label}.cfg"
                     cfg.write_text(
                         "physics.temperature_k = 0.26\nrates.in_total_per_s = 2700\n"
