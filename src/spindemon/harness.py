@@ -22,9 +22,13 @@ Gillespie step turns column i % 1024 of round r into the r-th event of shot
 i.  A shot's events therefore depend on nothing but the master seed and its
 index: not on how shots are grouped into calls, on the worker or on the
 order.  Sensor noise only flips samples away from their noiseless outcome,
-each independently; shot i finds its flips by thinning (Lewis & Shedler
-1979) with its own generator, ``default_rng([master_seed, _NOISE_STREAM, i])``.
-A t_obs sweep follows each shot once, all its thresholds sharing a counter.
+each independently, and the lanes find their flips together by thinning
+(Lewis & Shedler 1979).  The uniforms are keyed the same way: round r of
+block b reads ``default_rng([master_seed, _NOISE_STREAM, b, r])``, whose
+j-th (2, 1024) draw is row j, and a lane reads its j-th (u_gap, u_accept)
+pair of the round from its column of row j.  A shot's flips therefore
+depend on nothing but the master seed and its index either.  A t_obs sweep
+follows each shot once, all its thresholds sharing a counter.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ _EVENT_STREAM = 0xE7E47
 _NOISE_STREAM = 0x4015E
 
 _SEED_BLOCK = 1024  # shots per event generator
+_MIN_BOUND = 1e-300  # least bound on a flip probability (see _next_flip)
 # Blocks per run_detection call.  On op-point (2 vCPU) wall time stops falling
 # at 16 blocks (0.11 s; 0.36 s at 1), and peak RSS grows with the lanes: 83.9
 # MiB at 1 block, 87.0 at 16, 98.9 at 128.
@@ -99,7 +104,8 @@ class ExperimentConfig:
 
     master_seed fixes every draw: shot i's r-th tunneling event comes from
     column i % 1024 of the r-th round of uniforms of its 1024-shot block,
-    and its noise flips from its own generator (see the module docstring).
+    and the flips of its r-th segment from the same column of that block's
+    round-r noise generator (see the module docstring).
     Without monitoring, shot i keeps the spin its first event loads, which
     is the first spin its monitored run loads.
     """
@@ -315,8 +321,13 @@ def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
     return (n, n_cross - n, ~ionized), (n_cross, n_last - n_cross + 1, ionized)
 
 
-def _next_flip(amp: AmplifierParams, noise_std: float, rngs, live: _Lanes, ionized: np.ndarray,
-               at: np.ndarray, n_end: np.ndarray) -> None:
+def _half_erfc(z: np.ndarray) -> np.ndarray:
+    """erfc(z) / 2 element by element with math.erfc: numpy has no erfc."""
+    return 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, len(z))
+
+
+def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: np.ndarray,
+               live: _Lanes, ionized: np.ndarray, at: np.ndarray, n_end: np.ndarray) -> None:
     """Set live.flip of each lane at ``at`` to its first sample from live.n to
     n_end that noise flips away from the noiseless outcome, n_end + 1 if none.
 
@@ -324,25 +335,36 @@ def _next_flip(amp: AmplifierParams, noise_std: float, rngs, live: _Lanes, ioniz
     output.  Candidates lie a geometric gap apart at a bound r on p: p at
     the gap's start once m is past the threshold toward where it settles (p
     only falls from there), 1/2 before.  A candidate is kept with
-    probability p / r.  Each lane draws from its own generator.
+    probability p / r.  r is at least _MIN_BOUND, so that the gap stays
+    finite; any r >= p keeps the thinning exact.  The searching lanes step
+    together, one candidate each per step, and each step reads one (u_gap,
+    u_accept) pair per lane from ``uniforms(lane, rnd, row)`` and moves that
+    lane's row pointer on.
     """
     ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
     scale = noise_std * math.sqrt(2.0)
-    for j, lane, rising, level, seg_start, n, end in zip(
-            at.tolist(), live.lane[at].tolist(), ionized[at].tolist(), live.level[at].tolist(),
-            live.seg_start[at].tolist(), live.n[at].tolist(), n_end[at].tolist()):
-        x, rng, live.flip[j] = float(rising), rngs[lane], end + 1
-        while n <= end:
-            m = x + (level - x) * math.exp(-omega * (n * ts - seg_start))
-            r = 0.5 * math.erfc(abs(m - s_th) / scale) if (m > s_th) == rising else 0.5
-            if r == 0.0 or (gap := math.log1p(-rng.random()) / math.log1p(-r)) >= end - n + 1:
-                break
-            n += int(gap)
-            m = x + (level - x) * math.exp(-omega * (n * ts - seg_start))
-            if rng.random() * r < 0.5 * math.erfc(abs(m - s_th) / scale):
-                live.flip[j] = n
-                break
-            n += 1
+    live.flip[at] = n_end[at] + 1
+    n = live.n[at]
+    while True:
+        go = n <= n_end[at]
+        at, n = at[go], n[go]
+        if not len(at):
+            return
+        rising = ionized[at]
+        m = _output(rising * 1.0, live.level[at], omega, n * ts - live.seg_start[at])
+        z = np.where((m > s_th) == rising, np.abs(m - s_th) / scale, 0.0)  # 0: r = 1/2
+        bound = np.maximum(_half_erfc(z), _MIN_BOUND)
+        u_gap, u_accept = uniforms(live.lane[at], rnd, row[at])
+        row[at] += 1
+        gap = np.log1p(-u_gap) / np.log1p(-bound)  # geometric, by inversion
+        go = gap < n_end[at] - n + 1
+        at, bound, u_accept = at[go], bound[go], u_accept[go]
+        n = n[go] + gap[go].astype(np.int64)
+        rising = ionized[at]
+        m = _output(rising * 1.0, live.level[at], omega, n * ts - live.seg_start[at])
+        kept = u_accept * bound < _half_erfc(np.abs(m - s_th) / scale)
+        live.flip[at[kept]] = n[kept]
+        at, n = at[~kept], n[~kept] + 1
 
 
 def _close(live: _Lanes, flat: _Detection, j: np.ndarray, required, horizon) -> np.ndarray:
@@ -392,7 +414,7 @@ def run_detection(
     latency: float = 0.0,
     detector: str = "amplifier",
     noise_std: float = 0.0,
-    rngs: Sequence[np.random.Generator] | None = None,
+    noise: Callable[[np.ndarray, int, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> _Detection:
     """Run the trigger logic over the samples of ``lanes`` transition streams.
 
@@ -424,19 +446,22 @@ def run_detection(
     that end leave the arrays, so a round costs in proportion to the lanes
     still live.
 
-    With noise, the generator ``rngs[k]`` of lane k finds the samples that
-    noise flips (``_next_flip``), searching each segment up to its event or
-    the last threshold's horizon.  The closed-form runs are cut at each flip
-    and the flipped sample is fed on its own.  A lane searches only until
-    its last threshold fires or is abandoned, so its draws depend neither on
+    With noise, ``_next_flip`` finds the samples that noise flips, searching
+    each segment up to its event or the last threshold's horizon.  The
+    closed-form runs are cut at each flip and the flipped sample is fed on
+    its own.  ``noise(lane, round, row)`` returns the (u_gap, u_accept)
+    arrays of the lanes at positions ``lane`` in round ``round``, each at
+    its own ``row``: a lane's row pointer starts at 0 every round and moves
+    on by one with each pair it reads.  A lane searches only until its last
+    threshold fires or is abandoned, so what it reads depends neither on
     the other lanes nor on the thresholds below its last.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
     t_rise_det = 0.0 if detector == "ideal" else rise_time(amp.cutoff, amp.threshold)
     noisy = noise_std > 0.0 and detector == "amplifier"
-    if noisy and rngs is None:
-        raise ValueError("noise_std > 0 requires an rng per lane")
+    if noisy and noise is None:
+        raise ValueError("noise_std > 0 requires a noise source")
     thresholds = np.atleast_1d(np.asarray(n_required, np.int64))
     horizons = np.broadcast_to(np.asarray(horizon, float), thresholds.shape)
     if not len(thresholds) or min(np.diff(thresholds, prepend=0)) < 1 or min(
@@ -448,13 +473,16 @@ def run_detection(
     live = _Lanes(lanes, required, horizons)
     flat = _Detection(np.full(lanes * K, -1), np.full(lanes * K, -1, np.int8),
                       *(np.zeros(lanes * K, np.int64) for _ in _COUNTS), None)
+    rnd = 0
     while len(live.lane):
         t_event, new_state = events(live.lane, live.state, live.seg_start)
         ionized = live.state == _IONIZED
         if noisy:  # search each counting lane's segment up to the last horizon
             n_end = _last_sample(np.minimum(t_event, horizons[K - 1]), ts)
             live.flip = n_end + 1
-            _next_flip(amp, noise_std, rngs, live, ionized, (live.need > 0).nonzero()[0], n_end)
+            row = np.zeros(len(live.lane), np.int64)
+            _next_flip(amp, noise_std, noise, rnd, row, live, ionized,
+                       (live.need > 0).nonzero()[0], n_end)
         # A lane is fed up to its threshold's horizon; one that reaches it
         # unfired abandons the threshold, and is fed on for the next.
         while True:
@@ -476,8 +504,8 @@ def run_detection(
                 for start, length, is_blip in _noiseless_runs(amp, detector, live, ionized, last):
                     _feed(live, flat, required, horizons, start, length, ~is_blip)
                 live.n = last + 1
-                _next_flip(amp, noise_std, rngs, live, ionized, flipped[live.need[flipped] > 0],
-                           n_end)
+                _next_flip(amp, noise_std, noise, rnd, row, live, ionized,
+                           flipped[live.need[flipped] > 0], n_end)
             live.n = np.maximum(live.n, n_last + 1)  # lanes past their last trigger too
             if len(capped):
                 _close(live, flat, capped[live.fire_k[capped] == was], required, horizons)
@@ -526,6 +554,7 @@ def run_detection(
             live.n_ionizations += ionizes
         live.seg_start = t_event
         live.state = new_state
+        rnd += 1
     rows = slice(None) if np.ndim(n_required) else 0  # an int gives one entry per lane
     trigger, *rest = (getattr(flat, name).reshape(lanes, K).T[rows]
                       for name in ("trigger_sample", "state_at_trigger", *_COUNTS))
@@ -533,9 +562,15 @@ def run_detection(
                                                horizons[:K, None][rows]))
 
 
-def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
-    """Noise generator of shot ``shot_index``."""
-    return np.random.default_rng([master_seed, _NOISE_STREAM, shot_index])
+def shot_rng(master_seed: int, block: int, rnd: int) -> np.random.Generator:
+    """Noise generator of round ``rnd`` of the 1024-shot block ``block``.
+
+    The name dates from when each shot had a noise generator of its own.
+    It stays because bench/tracer.py times the noise set-up by wrapping
+    ``harness.shot_rng``, which _block_noise looks up at call time; its
+    calls now count (block, round) generators.
+    """
+    return np.random.default_rng([master_seed, _NOISE_STREAM, block, rnd])
 
 
 def _block_events(master_seed: int, rates: RateSet, indices: range):
@@ -563,6 +598,44 @@ def _block_events(master_seed: int, rates: RateSet, indices: range):
     return events
 
 
+def _block_noise(master_seed: int, indices: range):
+    """Noise source of the shots ``indices`` for run_detection: lane k is
+    shot ``indices[k]``.
+
+    Round r of block b reads ``shot_rng(master_seed, b, r)``, built when a
+    lane of the block first asks for a pair in that round.  Its j-th (2,
+    _SEED_BLOCK) draw is row j, and a lane reads its pair from its shot's
+    column of the row it asks for.  A call draws only the columns from its
+    first to its last lane's: the generator (PCG64, of period 2**128)
+    advances past the others, or back to a row behind it.
+    """
+    first = indices[0] // _SEED_BLOCK
+    block, column = np.divmod(np.asarray(indices) - first * _SEED_BLOCK, _SEED_BLOCK)
+    blocks = int(block[-1]) + 1
+    streams = {}  # block -> [round, its generator, draws made]
+
+    def uniforms(lane: np.ndarray, rnd: int, row: np.ndarray):
+        col = column[lane]
+        c0 = int(col.min())
+        key = row * blocks + block[lane]  # one key per (row, block)
+        present = np.bincount(key) > 0
+        drawn = np.empty((np.count_nonzero(present), 2, int(col.max()) - c0 + 1))
+        for k, out in zip(np.flatnonzero(present).tolist(), drawn):
+            j, b = divmod(k, blocks)
+            if (stream := streams.get(b)) is None or stream[0] != rnd:
+                stream = streams[b] = [rnd, shot_rng(master_seed, first + b, rnd), 0]
+            gen, at = stream[1], 2 * j * _SEED_BLOCK + c0
+            gen.bit_generator.advance((at - stream[2]) % 2**128)
+            gen.random(out=out[0])
+            gen.bit_generator.advance(_SEED_BLOCK - out.shape[1])
+            gen.random(out=out[1])
+            stream[2] = at + _SEED_BLOCK + out.shape[1]
+        pairs = drawn[(np.cumsum(present) - 1)[key], :, col - c0]
+        return pairs[:, 0], pairs[:, 1]
+
+    return uniforms
+
+
 def _shot_block(args) -> _Detection:
     """Run the shots ``indices`` as the lanes of one run_detection call."""
     cfg, rates, n_required, indices = args
@@ -575,7 +648,7 @@ def _shot_block(args) -> _Detection:
         latency=cfg.demon.latency,
         detector=cfg.detector,
         noise_std=cfg.noise_std,
-        rngs=[shot_rng(cfg.master_seed, i) for i in indices] if cfg.noise_std > 0.0 else None,
+        noise=_block_noise(cfg.master_seed, indices) if cfg.noise_std > 0.0 else None,
     )
 
 

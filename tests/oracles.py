@@ -13,6 +13,8 @@ The views here are independent routes to the same numbers:
 - explicit per-lane transition streams as an event source of the lane
   engine, and the per-shot streams the engine drew before its events were
   keyed by block;
+- one noise generator per lane as a noise source of the lane engine, the
+  stream the scalar loop draws its flips from;
 - the runs of samples the lane engine feeds each counter, recorded by
   wrapping its feed;
 - a t_obs sweep run one grid point at a time, as the program ran it before
@@ -376,10 +378,15 @@ def _noiseless_runs(amp, detector, x, level, seg_start, latched_until, n_first, 
     return [(n_first, n_cross - n_first, not rising), (n_cross, n_last - n_cross + 1, rising)]
 
 
+def _log1p(value: float) -> float:
+    """log1p through numpy's array loop, as the engine takes it (see _exp)."""
+    return float(np.log1p(np.array([value]))[0])
+
+
 def _flip_probability(amp, noise_std, x, level, seg_start, n):
     """Probability that noise flips sample n away from its noiseless outcome,
     and whether the noiseless output is past the threshold toward x."""
-    m = x + (level - x) * math.exp(-amp.angular_cutoff * (n * amp.sample_period - seg_start))
+    m = _output(x, level, amp.angular_cutoff, n * amp.sample_period - seg_start)
     p = 0.5 * math.erfc(abs(m - amp.threshold) / (noise_std * math.sqrt(2.0)))
     return p, (m > amp.threshold) == (x == 1.0)
 
@@ -387,20 +394,34 @@ def _flip_probability(amp, noise_std, x, level, seg_start, n):
 def next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last):
     """First sample from n to n_last that noise flips, or n_last + 1: a
     Bernoulli process at a bound r on the flip probability, thinned by
-    p / r, with r re-bounded after each candidate."""
+    p / r, with r re-bounded after each candidate and kept at least
+    ``harness._MIN_BOUND``.  Each candidate draws one (u_gap, u_accept)
+    pair, as each step of the engine's search does."""
     while n <= n_last:
         p, past = _flip_probability(amp, noise_std, x, level, seg_start, n)
-        bound = p if past else 0.5
-        if bound == 0.0:
-            return n_last + 1
-        gap = math.log1p(-rng.random()) / math.log1p(-bound)
+        bound = max(p, harness._MIN_BOUND) if past else 0.5
+        u_gap, u_accept = rng.random(2).tolist()
+        gap = _log1p(-u_gap) / _log1p(-bound)
         if gap >= n_last - n + 1:
             return n_last + 1
         n += int(gap)
-        if rng.random() * bound < _flip_probability(amp, noise_std, x, level, seg_start, n)[0]:
+        if u_accept * bound < _flip_probability(amp, noise_std, x, level, seg_start, n)[0]:
             return n
         n += 1
     return n_last + 1
+
+
+def lane_uniforms(gens):
+    """Noise source for ``spindemon.harness.run_detection`` in which lane k
+    reads each (u_gap, u_accept) pair as the next two draws of its own
+    generator ``gens[k]``, whatever round and row it asks for: the stream
+    that ``scalar_detection`` draws from one generator."""
+
+    def uniforms(lane, rnd, row):
+        pairs = np.array([gens[k].random(2) for k in lane.tolist()]).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    return uniforms
 
 
 def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector="amplifier",

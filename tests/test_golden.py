@@ -24,7 +24,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "simulate-shot": ["simulate-shot", "--config", "tobs.cfg", "--shots", "12"],
     "simulate-shot-noisy": ["simulate-shot", "--config", "tobs-noisy.cfg", "--shots", "12"],
-    "simulate-shot-noisier": ["simulate-shot", "--config", "tobs-noisier.cfg", "--shots", "12"],
+    "simulate-shot-noisier": ["simulate-shot", "--config", "tobs-noisier.cfg", "--shots", "40"],
     "sweep-tobs-amplifier": ["sweep-tobs", "--config", "tobs.cfg"],
     "sweep-tobs-ideal": ["sweep-tobs", "--config", "tobs-ideal.cfg"],
     "sweep-tobs-noisy": ["sweep-tobs", "--config", "tobs-noisy.cfg"],
@@ -57,7 +57,10 @@ def test_golden_output(name, fmt, tmp_path, monkeypatch):
 def test_noisier_goldens_depend_on_the_noise(name, tmp_path, monkeypatch):
     # At noise 0.05 a settled sample almost never crosses the threshold, so
     # those goldens barely read the noise stream.  The 0.1 case must: run
-    # without noise, its config gives other rows than its golden.
+    # without noise, its config gives other rows than its golden.  About one
+    # shot in seven differs from its noiseless run, so the case has 40
+    # shots and its sweep 600 per point: with 12 shots, 8 of 40 master seeds
+    # gave the noiseless output, and with 150 per point, 5 of 40 sweeps.
     monkeypatch.chdir(GOLDEN)
     text = (GOLDEN / "tobs-noisier.cfg").read_text()
     assert "run.noise_std = 0.1\n" in text

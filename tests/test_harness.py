@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 from dataclasses import replace
@@ -14,6 +15,7 @@ from oracles import (
     first_trigger,
     ideal_blips,
     lane_detection,
+    lane_uniforms,
     list_events,
     per_point_sweep,
     per_shot_transitions,
@@ -22,6 +24,7 @@ from oracles import (
     sample_trajectory,
     scalar_detection,
     transitions,
+    trigger_tick,
 )
 from spindemon.cli import main
 from spindemon.config import load_config
@@ -32,7 +35,6 @@ from spindemon.harness import (
     projection_999,
     run_detection,
     run_initialization_shot,
-    shot_rng,
     sweep_bias,
     sweep_tobs,
 )
@@ -182,6 +184,25 @@ def noisy_trigger_cases():
     return cases + list(zip(loaded, (0.1, 0.14, 0.17, 0.2), (14, 9, 7, 5)))
 
 
+@functools.cache
+def noisy_chain_draws(lanes=10_000):
+    """(engine run, rendered blips, n_required) of each noisy_trigger_cases
+    trajectory: ``lanes`` lanes of one engine call, one noise generator
+    each, and as many rows of the rendered trace's 60 samples with noise
+    added, compared with the threshold."""
+    draws = []
+    for case, (tl, noise_std, n_req) in enumerate(noisy_trigger_cases()):
+        det = run_detection(
+            list_events([tl.events] * lanes), lanes, amp=AMP, n_required=n_req,
+            horizon=60 * AMP.sample_period, noise_std=noise_std,
+            noise=lane_uniforms([np.random.default_rng([case, k]) for k in range(lanes)]),
+        )
+        samples = noiseless_samples(tl)
+        noisy = samples + np.random.default_rng(case).normal(0.0, noise_std, (lanes, len(samples)))
+        draws.append((det, noisy > AMP.threshold, n_req))
+    return draws
+
+
 def noiseless_samples(tl):
     """The rendered noiseless samples 1 .. 60 of a trajectory through AMP."""
     substep = AMP.sample_period / 100
@@ -231,7 +252,7 @@ class TestEngineMatchesReferenceChain:
                 n_required=n_req,
                 horizon=60 * amp.sample_period,
                 noise_std=noise_std,
-                rngs=[np.random.default_rng(case)],
+                noise=lane_uniforms([np.random.default_rng(case)]),
             ), 0)
             assert det.trigger_sample == first_trigger(tiled_blips(det, 60), n_req), case
             n_triggered += det.trigger_sample is not None
@@ -249,7 +270,7 @@ class TestEngineMatchesReferenceChain:
             det = run_recorded(
                 list_events([tl.events] * lanes), lanes, amp=AMP, n_required=61,
                 horizon=60 * AMP.sample_period, noise_std=noise_std,
-                rngs=[np.random.default_rng([case, k]) for k in range(lanes)],
+                noise=lane_uniforms([np.random.default_rng([case, k]) for k in range(lanes)]),
             )
             blips = np.array([tiled_blips(lane_detection(det, k), 60) for k in range(lanes)])
             p = norm.sf((AMP.threshold - noiseless_samples(tl)) / noise_std)
@@ -265,24 +286,35 @@ class TestEngineMatchesReferenceChain:
         # against those of the rendered trace with noise added to its
         # samples, a window scan finding the trigger (0 for none).  The two
         # histograms must pass a chi-square test.
-        lanes = 10_000
-        for case, (tl, noise_std, n_req) in enumerate(noisy_trigger_cases()):
-            det = run_detection(
-                list_events([tl.events] * lanes), lanes, amp=AMP, n_required=n_req,
-                horizon=60 * AMP.sample_period, noise_std=noise_std,
-                rngs=[np.random.default_rng([case, k]) for k in range(lanes)],
-            )
-            samples = noiseless_samples(tl)
-            noisy = samples + np.random.default_rng(case).normal(0.0, noise_std,
-                                                                 (lanes, len(samples)))
-            blips = np.cumsum(noisy > AMP.threshold, axis=1)
+        for case, (det, blips, n_req) in enumerate(noisy_chain_draws()):
+            first = [first_trigger(row, n_req) or 0 for row in blips[:50]]
+            blips = np.cumsum(blips, axis=1)
             silent = blips[:, n_req - 1:] == np.pad(blips, ((0, 0), (1, 0)))[:, :-n_req]
             rendered = np.where(silent.any(axis=1), silent.argmax(axis=1) + n_req, 0)
-            assert [first_trigger(row, n_req) or 0 for row in noisy[:50] > AMP.threshold] == (
-                rendered[:50].tolist())
+            assert first == rendered[:50].tolist()
             engine = np.maximum(det.trigger_sample, 0)
             assert len(np.unique(engine)) > 5, case
             assert two_sample_pvalue(engine, rendered) > 1e-3, case
+
+    def test_noisy_blip_counts_match_the_rendered_chain(self):
+        # The same draws: each lane's n_resets, the blips that cleared a
+        # running counter up to the trigger or the 60th sample, against the
+        # rendered chain's, its counter stepped over the samples together.
+        for case, (det, blips, n_req) in enumerate(noisy_chain_draws()):
+            counter, resets = np.zeros((2, len(blips)), np.int64)
+            for blip in blips.T:
+                resets += blip & (counter > 0) & (counter < n_req)
+                counter = np.where(counter >= n_req, n_req, np.where(blip, 0, counter + 1))
+            for row, expected in zip(blips[:50], resets[:50].tolist()):
+                counter = n_resets = 0
+                for blip in row.tolist():
+                    n_resets += blip and counter > 0
+                    counter, fired = trigger_tick(counter, blip, n_req)
+                    if fired:
+                        break
+                assert n_resets == expected, case
+            assert len(np.unique(det.n_resets)) > 2, case
+            assert two_sample_pvalue(det.n_resets, resets) > 1e-3, case
 
     def test_vanishing_noise_equals_the_noiseless_run(self):
         # At sigma = 1e-9 no sample sits close enough to the threshold to
@@ -301,7 +333,8 @@ class TestEngineMatchesReferenceChain:
                     list_events([transitions(np.random.default_rng(seed), rates,
                                              DonorState.IONIZED) for rates, seed in lanes]),
                     len(lanes), noise_std=noise_std,
-                    rngs=[np.random.default_rng([seed, 1]) for _, seed in lanes], **kwargs)
+                    noise=lane_uniforms([np.random.default_rng([seed, 1]) for _, seed in lanes]),
+                    **kwargs)
 
             noisy, quiet = run(1e-9), run(0.0)
             for name in vars(quiet):
@@ -347,16 +380,16 @@ class TestEngineMatchesReferenceChain:
         else:
             lanes = [(tl, None) for tl, _ in ideal_cases()]
         detector = "ideal" if path == "ideal" else "amplifier"
-        noise = noise_std if path == "noisy" else 0.0
-        gens = [np.random.default_rng(seed) for _, seed in lanes] if noise else None
+        sigma = noise_std if path == "noisy" else 0.0
+        gens = [np.random.default_rng(seed) for _, seed in lanes] if sigma else None
         det = run_recorded(
             list_events([tl.events for tl, _ in lanes]), len(lanes),
             amp=AMP,
             n_required=n_req,
             horizon=horizon,
             detector=detector,
-            noise_std=noise,
-            rngs=gens,
+            noise_std=sigma,
+            noise=lane_uniforms(gens) if sigma else None,
         )
         rounds = set()
         for k, (tl, seed) in enumerate(lanes):
@@ -369,12 +402,12 @@ class TestEngineMatchesReferenceChain:
                 blips = tiled_blips(lane, 60)
             assert lane.trigger_sample == first_trigger(blips, n_req), k
             assert_runs_match(lane, blips)
-            ref_gen = np.random.default_rng(seed) if noise else None
+            ref_gen = np.random.default_rng(seed) if sigma else None
             assert lane == scalar_detection(
                 tl.events, amp=AMP, n_required=n_req, horizon=horizon, detector=detector,
-                noise_std=noise, rng=ref_gen, record_runs=True,
+                noise_std=sigma, rng=ref_gen, record_runs=True,
             ), k
-            if noise:
+            if sigma:
                 assert gens[k].bit_generator.state == ref_gen.bit_generator.state, k
             if lane.trigger_sample is not None:
                 trigger_time = lane.trigger_sample * AMP.sample_period
@@ -409,7 +442,7 @@ class TestEngineMatchesReferenceChain:
             det = run_recorded(
                 list_events([transitions(np.random.default_rng(seed), rates, DonorState.IONIZED)
                              for rates, seed in lanes]),
-                len(lanes), rngs=gens, **kwargs,
+                len(lanes), noise=lane_uniforms(gens), **kwargs,
             )
             for k, (rates, seed) in enumerate(lanes):
                 ref_gen = np.random.default_rng([seed, 1])
@@ -481,7 +514,7 @@ class TestSharedThresholds:
                 return run_detection(
                     list_events(events), len(lanes), amp=amp, n_required=n_required,
                     horizon=horizon, latency=latency, detector=detector, noise_std=noise_std,
-                    rngs=[np.random.default_rng([seed, 1]) for _, seed in lanes],
+                    noise=lane_uniforms([np.random.default_rng([seed, 1]) for _, seed in lanes]),
                 )
 
             shared = run(thresholds, horizons)
@@ -504,23 +537,24 @@ class TestSharedThresholds:
 
 
 class _CountingRng:
-    """Generator stand-in that counts its draws."""
+    """Generator stand-in that counts its draws, one (u_gap, u_accept) pair
+    per call under lane_uniforms."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def random(self):
+    def random(self, size=None):
         self.calls += 1
-        return self.rng.random()
+        return self.rng.random(size)
 
 
 class TestNoiseDraws:
     def test_draws_stop_at_trigger_whatever_the_horizon(self):
         # One spin-down load and no further event: the last segment runs to
-        # the horizon.  The lane draws a few uniforms to find the flips of
-        # its 200-sample silent run and none past the trigger, so a horizon
-        # of a thousand trigger lengths draws no more than one of two.
+        # the horizon.  The lane draws a few pairs to find the flips of its
+        # 200-sample silent run and none past the trigger, so a horizon of a
+        # thousand trigger lengths draws no more than one of two.
         n_req = 200
         for seed in range(5):
             counts = []
@@ -532,7 +566,7 @@ class TestNoiseDraws:
                     n_required=n_req,
                     horizon=factor * n_req * AMP.sample_period,
                     noise_std=0.05,
-                    rngs=[rng],
+                    noise=lane_uniforms([rng]),
                 ), 0)
                 assert det.trigger_sample is not None
                 counts.append(rng.calls)
@@ -551,7 +585,7 @@ class TestNoiseDraws:
             probe = lane_detection(run_detection(
                 list_events([[(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)]]), 1,
                 amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
-                noise_std=0.05, rngs=[np.random.default_rng(seed)],
+                noise_std=0.05, noise=lane_uniforms([np.random.default_rng(seed)]),
             ), 0)
             trigger = probe.trigger_sample
             t_next = (trigger + 10.5) * ts  # inside the latency window
@@ -560,7 +594,7 @@ class TestNoiseDraws:
                 list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED),
                               (t_next + 2 * ts, DonorState.UP), (t_next + 1e-3, DonorState.DOWN)]]),
                 1, amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
-                noise_std=0.05, rngs=[rng],
+                noise_std=0.05, noise=lane_uniforms([rng]),
             ), 0)
             assert det.trigger_sample == trigger
             assert det.state_at_trigger is DonorState.UP
@@ -568,7 +602,7 @@ class TestNoiseDraws:
             drawn = np.random.default_rng(seed)
             run_detection(list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED)]]),
                           1, amp=AMP, n_required=n_req, horizon=2.0, noise_std=0.05,
-                          rngs=[drawn])
+                          noise=lane_uniforms([drawn]))
             assert rng.bit_generator.state == drawn.bit_generator.state
 
     def test_n_required_below_one_is_rejected(self):
@@ -690,25 +724,66 @@ class TestRunInitializationShot:
 
 
 class TestShotStreams:
-    """Shot i's noise generator is default_rng([master_seed, _NOISE_STREAM, i])."""
+    """Round r of 1024-shot block b reads its noise from
+    default_rng([master_seed, _NOISE_STREAM, b, r]); its j-th (2, 1024)
+    draw is row j, and shot i reads column i % 1024."""
 
     SEEDS = (0, 2**32 - 1, 2**32, 2**100 + 3, np.uint64(2**40 + 7))
-    INDICES = (0, 1023, 1024, 2**32 - 1, 2**32)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_shot_rng_is_default_rng_of_its_index(self, seed):
-        for index in self.INDICES:
-            expected = np.random.default_rng([seed, harness._NOISE_STREAM, index])
-            assert shot_rng(seed, index).bit_generator.state == (
-                expected.bit_generator.state), index
+    def test_shot_rng_is_default_rng_of_its_index(self, seed, monkeypatch):
+        # shot_rng(seed, b, r), the generator of a (block, round) index, is
+        # default_rng([seed, _NOISE_STREAM, b, r]), and row j of the round is
+        # its j-th (2, 1024) draw.  Lanes straddle the blocks at shot 1024
+        # and at shot 2**32, and read rows out of order in rounds 0 and 3.
+        # Each generator is built once, when its block first asks in that
+        # round.
+        built, shot_rng = [], harness.shot_rng
+        monkeypatch.setattr(harness, "shot_rng", lambda *key: built.append(key) or shot_rng(*key))
+        for indices in (range(1020, 1030), range(2**32 - 3, 2**32 + 2)):
+            uniforms = harness._block_noise(seed, indices)
+            lane = np.arange(len(indices))
+            built.clear()
+            for rnd in (0, 3):
+                for row in (np.zeros_like(lane), lane % 3, lane[::-1] % 4, lane % 2):
+                    u_gap, u_accept = uniforms(lane, rnd, row)
+                    for k, i in enumerate(indices):
+                        gen = np.random.default_rng([seed, harness._NOISE_STREAM, i // 1024, rnd])
+                        drawn = gen.random((row[k] + 1, 2, 1024))[row[k], :, i % 1024]
+                        assert [u_gap[k], u_accept[k]] == drawn.tolist(), (rnd, i)
+            blocks = sorted({i // 1024 for i in indices})
+            assert built == [(seed, b, rnd) for rnd in (0, 3) for b in blocks]
 
-    def test_first_normals_are_independent_standard_normals(self):
-        # Shots 0-4999 span five event blocks; each shot's first noise draw
-        # must look like an independent N(0, 1) value, within and across
-        # blocks.
-        first = np.array([shot_rng(7, i).standard_normal() for i in range(5000)])
-        assert kstest(first, "norm").pvalue > 1e-3
-        assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < 4 / math.sqrt(len(first))
+    def test_first_pairs_are_independent_uniforms(self):
+        # Shots 0-4999 span five blocks; each shot's first pair in round 0
+        # must look like two independent U(0, 1) values, within and across
+        # blocks, and independent of its first pair in round 1.
+        lane = np.arange(5000)
+        uniforms = harness._block_noise(7, range(5000))
+        first = [*uniforms(lane, 0, np.zeros_like(lane)), uniforms(lane, 1, np.zeros_like(lane))[0]]
+        bound = 4 / math.sqrt(len(lane))
+        for u in first:
+            assert kstest(u, "uniform").pvalue > 1e-3
+            assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < bound
+        assert abs(np.corrcoef(first[0], first[1])[0, 1]) < bound
+        assert abs(np.corrcoef(first[0], first[2])[0, 1]) < bound
+
+    def test_noiseless_runs_build_no_noise_generator(self, tmp_path, monkeypatch):
+        # Without noise neither detector may reach shot_rng: not in a sweep,
+        # not in simulate-shot.
+        def refuse(*key):
+            raise AssertionError(f"noise generator {key} built without noise")
+
+        monkeypatch.setattr(harness, "shot_rng", refuse)
+        for detector in ("amplifier", "ideal"):
+            cfg = make_config(n_required=20, shots=300, seed=5, detector=detector,
+                              sweep=SweepSpec("t_obs", (0.0, 1e-4, 5e-4)))
+            assert len(sweep_tobs(cfg)) == 3
+            path = tmp_path / f"{detector}.cfg"
+            path.write_text("demon.required_samples = 20\nrun.shots = 300\n"
+                            f"run.detector = {detector}\n")
+            out = tmp_path / f"{detector}.csv"
+            assert main(["simulate-shot", "--config", str(path), "--out", str(out)]) == 0
 
     def test_block_and_worker_boundaries(self, tmp_path, monkeypatch):
         # 2100 shots cross the event blocks at 1024 and 2048; a pool of three
@@ -720,8 +795,8 @@ class TestShotStreams:
             for label, workers in (("serial", 1), ("pool", 3), ("rebuilt", 1)):
                 with monkeypatch.context() as patch:
                     if label == "rebuilt":
-                        patch.setattr(harness, "shot_rng", lambda seed, i: (
-                            np.random.default_rng([seed, harness._NOISE_STREAM, i])))
+                        patch.setattr(harness, "shot_rng", lambda seed, b, r: (
+                            np.random.default_rng([seed, harness._NOISE_STREAM, b, r])))
                     cfg = tmp_path / f"{label}.cfg"
                     cfg.write_text(
                         "physics.temperature_k = 0.26\nrates.in_total_per_s = 2700\n"
