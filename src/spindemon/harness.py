@@ -13,22 +13,27 @@ the tests cross-check the two), but runs in time proportional to the number
 of tunneling events.
 
 The engine runs a group of shots as lanes: each shot's counter and the rest
-of its detection state are entries of numpy arrays, and each round advances
-every shot still running by one tunneling event.  A call's lanes are up to
+of its detection state are entries of numpy arrays, and each pass advances
+every shot still running by k tunneling events at once, k chosen from the
+number of lanes still running.  The k segments of a lane become a matrix of
+runs of samples, resolved for every lane with cumulative sums, so a call's
+long tail of few lanes costs passes, not events.  A call's lanes are up to
 _LANE_BLOCKS aligned blocks of 1024 shots.  Block b owns the generator
-``default_rng([master_seed, _EVENT_STREAM, b])``; each round in which it has
-a live lane draws a (2, 1024) array of uniforms from it, and one array
-Gillespie step turns column i % 1024 of round r into the r-th event of shot
-i.  A shot's events therefore depend on nothing but the master seed and its
-index: not on how shots are grouped into calls, on the worker or on the
-order.  Sensor noise only flips samples away from their noiseless outcome,
-each independently, and the lanes find their flips together by thinning
-(Lewis & Shedler 1979).  The uniforms are keyed the same way: round r of
-block b reads ``default_rng([master_seed, _NOISE_STREAM, b, r])``, whose
-j-th (2, 1024) draw is row j, and a lane reads its j-th (u_gap, u_accept)
-pair of the round from its column of row j.  A shot's flips therefore
-depend on nothing but the master seed and its index either.  A t_obs sweep
-follows each shot once, all its thresholds sharing a counter.
+``default_rng([master_seed, _EVENT_STREAM, b])``; each pass in which it has
+a live lane draws a (k, 2, 1024) array of uniforms from it, the same values
+as k draws of (2, 1024), and an array Gillespie step turns column i % 1024
+of round r into the r-th event of shot i.  A shot's events therefore depend
+on nothing but the master seed and its index: not on how shots are grouped
+into calls or passes, on the worker or on the order.  Sensor noise only
+flips samples away from their noiseless outcome, each independently, and
+the lanes find their flips together by thinning (Lewis & Shedler 1979),
+one event per pass while a lane still counts.  The uniforms are keyed the
+same way: round r of block b reads ``default_rng([master_seed,
+_NOISE_STREAM, b, r])``, whose j-th (2, 1024) draw is row j, and a lane
+reads its j-th (u_gap, u_accept) pair of the round from its column of row
+j.  A shot's flips therefore depend on nothing but the master seed and its
+index either.  A t_obs sweep follows each shot once, all its thresholds
+sharing a counter.
 """
 
 from __future__ import annotations
@@ -62,10 +67,23 @@ _NOISE_STREAM = 0x4015E
 
 _SEED_BLOCK = 1024  # shots per event generator
 _MIN_BOUND = 1e-300  # least bound on a flip probability (see _next_flip)
-# Blocks per run_detection call.  On op-point (2 vCPU) wall time stops falling
-# at 16 blocks (0.11 s; 0.36 s at 1), and peak RSS grows with the lanes: 83.9
-# MiB at 1 block, 87.0 at 16, 98.9 at 128.
+# Blocks per run_detection call.  With passes of several events, op-point's
+# sweep (2 vCPU, in one process, 9 interleaved runs) takes 1.43, 1.11 and
+# 0.97 times as long at 4, 8 and 32 blocks as at 16, and its peak RSS
+# (bench/run.py) is 68.5 MiB at 8 blocks, 71.4 at 16 and 79.1 at 32.
 _LANE_BLOCKS = 16
+# Events a pass takes: _PASS_EVENTS over the live lanes, but no more than
+# _PASS_MAX nor than the call has taken so far, so that its last lanes step
+# past their end at most as often as before it (a 1-lane tail at 512 events
+# a pass took 20 ms, against 1.2 ms one event at a time).  Measured against
+# one event a pass (2 vCPU, one process, 9 interleaved runs), 2048, 4096,
+# 8192 and 16384 took 1.10, 0.88, 0.98 and 0.96 of its time on a 16 384-lane
+# op-point call, 0.60, 0.57, 0.47 and 0.50 at mu_D = +25 ueV (2 500 lanes),
+# and 1.05, 0.99, 1.02 and 0.97 on the 8-point t_obs sweep of 10 000 shots.
+# A pass draws 16 KiB per event and live block; caps of 128 to 512 took the
+# same time at mu_D = +50 ueV.
+_PASS_EVENTS = 8192
+_PASS_MAX = 256
 
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_BATCH_DIVISOR = 20
@@ -100,7 +118,8 @@ class ExperimentConfig:
     amplifier output, so noise_std > 0 requires the amplifier detector.  It
     enters as the samples it flips, found with a few draws per segment and
     per flip up to the trigger of the largest threshold a run watches for
-    (see run_detection): a shot costs per event and flip, not per sample.
+    (see run_detection).  A run costs per pass of several events, one event
+    a pass while noise is searched for flips, not per sample.
 
     master_seed fixes every draw: shot i's r-th tunneling event comes from
     column i % 1024 of the r-th round of uniforms of its 1024-shot block,
@@ -243,7 +262,7 @@ class _Lanes:
         self.level = np.ones(count)  # amplifier output at seg_start
         self.seg_start = np.zeros(count)
         self.n = np.ones(count, np.int64)  # next sample to classify
-        self.flip = np.zeros(count, np.int64)  # next sample noise flips (run_detection)
+        self.flip = np.zeros(count, np.int64)  # next sample noise flips (_feed_flips)
         self.counter = np.zeros(count, np.int64)
         # Next threshold to fire or abandon, its need (0 past the last) and horizon.
         self.fire_k = np.zeros(count, np.int64)
@@ -251,12 +270,11 @@ class _Lanes:
         self.need = np.full(count, required[0])
         self.horizon = np.full(count, horizon[0])
         self.latched_until = np.zeros(count, np.int64)  # ideal detector: last
-        # sample index covered by an ionization.  The ionization episode in
-        # progress, once n_ionizations > 0: when it began, whether the donor has
-        # reloaded since, and how many blips it has shown.
-        self.episode_start = np.zeros(count)
-        self.episode_reloaded = np.zeros(count, bool)
-        self.episode_blips = np.zeros(count, np.int64)
+        # sample index covered by an ionization.  Blip samples fed so far, and
+        # how many of them came before the last ionization: the ionization
+        # episode in progress has shown the difference.
+        self.blips = np.zeros(count, np.int64)
+        self.episode_base = np.zeros(count, np.int64)
         self.n_resets = np.zeros(count, np.int64)
         self.n_ionizations = np.zeros(count, np.int64)
         self.n_missed_subrise = np.zeros(count, np.int64)
@@ -278,47 +296,78 @@ def _last_sample(t: np.ndarray, ts: float) -> np.ndarray:
     return n
 
 
+def _scan(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate(x, axis=0), overwriting x.  numpy's accumulate loops
+    once per column, so a matrix of up to four rows is scanned in shifted
+    steps."""
+    if len(x) > 4:
+        return ufunc.accumulate(x, axis=0)
+    for shift in (1, 2)[:len(x) - 1]:
+        ufunc(x[shift:], x[:-shift], out=x[shift:])
+    return x
+
+
+def _before(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``first`` stacked on all of ``rows`` but the last: each row's predecessor."""
+    return first[None] if len(rows) == 1 else np.concatenate((first[None], rows[:-1]))
+
+
+def _rows_where(compare, a: np.ndarray, lanes: np.ndarray, value) -> np.ndarray:
+    """How many rows of ``a`` hold compare(a, value) in each column of
+    ``lanes``: the first row that does not, where the rows ascend."""
+    if len(a) == 1:
+        return compare(a[0][lanes], value).astype(np.int64)
+    return np.count_nonzero(compare(a.take(lanes, axis=1), value), axis=0)
+
+
 def _output(x, level, omega: float, dt):
     """Noiseless amplifier output dt after it was at level, settling toward x."""
     return x + (level - x) * np.exp(-omega * dt)
 
 
-def _noiseless_runs(amp: AmplifierParams, detector: str, live: _Lanes,
-                    ionized: np.ndarray, n_last: np.ndarray):
-    """Two (start, length, is_blip) runs per lane, either possibly empty, that
-    together cover samples live.n .. n_last.
+def _noiseless_runs(amp: AmplifierParams, detector: str, n, n_last, ionized, level, seg_start,
+                    latched):
+    """Where samples n .. n_last of each segment split into two runs, either
+    possibly empty: returns (split, first_blip), samples n .. split - 1
+    being blips where first_blip and split .. n_last where not.
 
     The ideal detector's blips last while the donor is ionized and then up
-    to the latched sample.  The amplifier output moves monotonically from
-    the lane's level toward 1 while the donor is ionized and toward 0 while
+    to the sample ``latched``.  The amplifier output moves monotonically
+    from ``level`` toward 1 while the donor is ionized and toward 0 while
     it is loaded, so its samples split at one crossing: silent then blips
     while rising, blips then silent while falling.
     """
-    n = live.n
     if detector == "ideal":
-        covered = np.where(ionized, n_last, np.minimum(live.latched_until, n_last))
-        start = np.maximum(n, covered + 1)
-        blips = np.ones(len(n), bool)
-        return (n, covered - n + 1, blips), (start, n_last - start + 1, ~blips)
+        covered = np.where(ionized, n_last, np.minimum(latched, n_last))
+        return np.maximum(n, covered + 1), np.ones(n.shape, bool)
     ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
-    n_cross = n.copy()  # where the threshold is already behind or no sample is left
-    ahead = (((live.level > s_th) != ionized) & (n <= n_last)).nonzero()[0]
+    split = n.copy()  # where the threshold is already behind or no sample is left
+    ahead = (((level > s_th) != ionized) & (n <= n_last)).ravel().nonzero()[0]
     if len(ahead):
-        rising, first, last = ionized[ahead], n[ahead], n_last[ahead]
-        x, level, seg_start = rising * 1.0, live.level[ahead], live.seg_start[ahead]
-        t_c = seg_start + np.log((x - level) / (x - s_th)) / omega
+        rising, first, last = ionized.ravel()[ahead], n.ravel()[ahead], n_last.ravel()[ahead]
+        x, start, t0 = rising * 1.0, level.ravel()[ahead], seg_start.ravel()[ahead]
+        t_c = t0 + np.log((x - start) / (x - s_th)) / omega
         cross = np.maximum(first, np.minimum((t_c / ts).astype(np.int64) + 1, last + 1))
         # The closed form can be a sample off either way: step to the exact crossing.
         while np.count_nonzero(fwd := (cross <= last) & (
-            (_output(x, level, omega, cross * ts - seg_start) > s_th) != rising
+            (_output(x, start, omega, cross * ts - t0) > s_th) != rising
         )):
             cross += fwd
         while np.count_nonzero(back := (cross > first) & (
-            (_output(x, level, omega, (cross - 1) * ts - seg_start) > s_th) == rising
+            (_output(x, start, omega, (cross - 1) * ts - t0) > s_th) == rising
         )):
             cross -= back
-        n_cross[ahead] = cross
-    return (n, n_cross - n, ~ionized), (n_cross, n_last - n_cross + 1, ionized)
+        split.flat[ahead] = cross
+    return split, ~ionized
+
+
+def _run_pairs(n, split, n_last, first_blip):
+    """The run matrix of segments split by _noiseless_runs: (n, split,
+    first_blip, silent, blips), each row of each array one segment's pair
+    of runs in sample order, with its silent and blip sample counts."""
+    first = split - n
+    silent = np.where(first_blip, n_last + 1 - split, first)
+    return n, split, first_blip, silent, n_last + 1 - n - silent
 
 
 def _half_erfc(z: np.ndarray) -> np.ndarray:
@@ -351,8 +400,8 @@ def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: 
         if not len(at):
             return
         rising = ionized[at]
-        m = _output(rising * 1.0, live.level[at], omega, n * ts - live.seg_start[at])
-        z = np.where((m > s_th) == rising, np.abs(m - s_th) / scale, 0.0)  # 0: r = 1/2
+        m = _output(rising, live.level[at], omega, n * ts - live.seg_start[at])
+        z = np.abs(m - s_th) / scale * ((m > s_th) == rising)  # 0: r = 1/2
         bound = np.maximum(_half_erfc(z), _MIN_BOUND)
         u_gap, u_accept = uniforms(live.lane[at], rnd, row[at])
         row[at] += 1
@@ -360,52 +409,194 @@ def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: 
         go = gap < n_end[at] - n + 1
         at, bound, u_accept = at[go], bound[go], u_accept[go]
         n = n[go] + gap[go].astype(np.int64)
-        rising = ionized[at]
-        m = _output(rising * 1.0, live.level[at], omega, n * ts - live.seg_start[at])
+        m = _output(ionized[at], live.level[at], omega, n * ts - live.seg_start[at])
         kept = u_accept * bound < _half_erfc(np.abs(m - s_th) / scale)
         live.flip[at[kept]] = n[kept]
         at, n = at[~kept], n[~kept] + 1
 
 
-def _close(live: _Lanes, flat: _Detection, j: np.ndarray, required, horizon) -> np.ndarray:
-    """Record at [lane * K + fire_k] of ``flat`` the counts of the lanes at
-    ``j``, whose threshold fire_k has just fired or been abandoned; return
-    where, and move the lanes on to their next threshold."""
-    k = live.fire_k[j]
-    at = live.lane[j] * (len(required) - 1) + k
-    for name in _COUNTS[:3]:
-        getattr(flat, name)[at] = getattr(live, name)[j]
-    unseen = live.episode_reloaded[j] & (live.episode_blips[j] == 0)  # as a lane ends
-    flat.n_missed_sampled[at] = live.n_missed_sampled[j] + unseen
-    live.fire_k[j] = k + 1
-    live.need[j], live.horizon[j] = required[k + 1], horizon[k + 1]
-    return at
+def _event_counts(live: _Lanes, ionized, ionizes, subrise, b_end):
+    """n_ionizations, n_missed_subrise, n_missed_sampled and episode_base at
+    the start of each of a pass's k segments, as (k, lanes) arrays, and
+    after its last event.
 
-
-def _feed(live: _Lanes, flat: _Detection, required, horizon, start, length, is_blip) -> None:
-    """Feed each lane one (start, length, is_blip) run of samples.
-
-    A blip run resets the silent-sample counter; a silent run adds to it and
-    fires every threshold it reaches.  An empty run, or a lane past its last
-    threshold, is skipped.
+    Event j ionizes where ``ionizes``, and reloads where segment j is
+    ionized after an earlier ionization; a reload is missed below the rise
+    time where ``subrise``.  ``b_end`` holds the blip samples fed by the end
+    of each segment: an ionization counts the episode it closes as missed
+    between samples when that episode showed no blip.
     """
-    go = (length > 0) & (live.need > 0)
-    blip = go & is_blip
-    silent = go ^ blip
-    live.n_resets += blip & (live.counter > 0)
-    live.episode_blips += blip * length
-    total = live.counter + length
-    fire = (silent & (total >= live.need)).nonzero()[0]
-    while len(fire):
-        trigger = start[fire] + (live.need[fire] - 1) - live.counter[fire]
-        flat.trigger_sample[_close(live, flat, fire, required, horizon)] = trigger
-        fire = fire[(total[fire] >= live.need[fire]) & (live.need[fire] > 0)]
-    live.counter = np.where(silent, total, live.counter)
-    live.counter[blip] = 0
+    def prefix(first, steps):
+        if len(steps) == 1:
+            return first[None], first + steps[0]
+        total = _scan(np.add, steps.astype(np.int64))
+        total += first
+        return _before(first, total), total[-1]
+
+    n_ion = prefix(live.n_ionizations, ionizes)
+    seen = n_ion[0] > 0
+    if len(ionizes) == 1:
+        base = live.episode_base[None], np.where(ionizes[0], b_end[0], live.episode_base)
+    else:
+        base = _scan(np.maximum, b_end * ionizes)
+        np.maximum(base, live.episode_base, out=base)
+        base = _before(live.episode_base, base), base[-1]
+    return (n_ion, prefix(live.n_missed_subrise, ionized & seen & subrise),
+            prefix(live.n_missed_sampled, ionizes & seen & (b_end == base[0])), base)
+
+
+def _feed(live: _Lanes, flat: _Detection, runs, fed: np.ndarray, segments, limits) -> None:
+    """Feed each lane the run matrix ``runs`` of _run_pairs, which covers
+    its samples up to ``fed``.
+
+    ``segments`` = (t_event, ionized, counts) describes the k segments the
+    rows split, R / k rows each: each segment's closing event, whether the
+    donor is ionized in it, and the _event_counts.  The silent-sample
+    counter is a cumulative sum over the runs that restarts at each blip
+    run; a blip run entered with a count above 0 is a reset.  Each
+    threshold, in order, fires at the first sample where the count reaches
+    its need, if that is within its horizon (``limits`` = required, horizon
+    and the horizon's last sample, per threshold), and is otherwise
+    abandoned once the runs reach that last sample and an event at or after
+    the horizon.  Its counts are taken at that sample.
+    """
+    n, split, first_blip, silent, blips = runs
+    t_event, ionized, counts = segments
+    required, horizon, last = limits
+    rows, lanes = n.shape
+    per_segment = rows // len(t_event)
+    # The count without resets, at the end of each row ...
+    total = (silent if rows == 1 else _scan(np.add, silent.copy())) + live.counter
+    at_blip = total - silent * first_blip  # ... as the row's blip run starts
+    flashes = blips > 0
+    cleared = _scan(np.maximum, at_blip * flashes)  # ... at the last reset
+    if rows == 1:
+        count = total - silent - cleared * first_blip  # the count as silence starts
+        resets = flashes & (at_blip > 0)
+    else:
+        cleared_before = _before(np.zeros(lanes, np.int64), cleared)
+        count = total - silent - np.where(first_blip, cleared, cleared_before)
+        resets = flashes & (at_blip > cleared_before)
+    n_resets, shown = live.n_resets, live.blips  # as the runs start
+    live.counter = total[-1] - cleared[-1]
+    live.n_resets = n_resets + (resets[0] if rows == 1 else resets.sum(axis=0))
+    live.blips = shown + (blips[0] if rows == 1 else blips.sum(axis=0))
+    # The first row where the count reaches a need is one with silence.
+    ends = count + silent  # the count as each row's silence ends
+    far = t_event[-1] >= live.horizon  # lanes whose threshold may be abandoned
+    reach = ends[0] >= live.need if rows == 1 else (ends >= live.need).any(axis=0)
+    todo = (live.need.astype(bool) & (reach | far)).nonzero()[0]
+    if not len(todo):
+        return
+
+    def pick(a, row, j):  # a[row, j], 0 for a of no rows
+        if not np.ndim(a):
+            return a
+        return a[0][j] if len(a) == 1 else a.ravel()[row * lanes + j]
+
+    def above(a):  # a summed over the rows above, per row
+        return 0 if rows == 1 else _scan(np.add, a.astype(np.int64)) - a
+
+    def per_row(a):  # a per segment, per row
+        return a if per_segment == 1 else np.repeat(a, per_segment, axis=0)
+
+    # Per row, as its silence starts: the sample, less the count and 1, and
+    # the counts of a threshold that fires there.  Its segment's start
+    # counts hold, and the resets and blip samples of the rows above and of
+    # the row's blip run where that comes first count.
+    quiet = np.where(first_blip, split, n) - count - 1
+    prior_resets, prior_blips = above(resets), above(blips)
+    starts = tuple(start for start, _ in counts)
+    n_ion, subrise, sampled, base = (per_row(a) for a in starts)
+    quiet_resets = n_resets + prior_resets + (first_blip & resets)
+    seen = shown + prior_blips + first_blip * blips
+    quiet_sampled = sampled + (  # an episode unseen as the lane ends
+        ~per_row(ionized) & (n_ion > 0) & (seen == base))
+    abandoning = np.count_nonzero(far[todo])
+    j = todo
+    while len(j):
+        k, need = live.fire_k[j], live.need[j]
+        reach = ends.take(j, axis=1) >= need
+        if rows == 1:
+            row, fired = np.zeros(len(j), np.int64), reach[0]
+        else:
+            row = reach.argmax(axis=0)
+            fired = reach[row, np.arange(len(j))]
+        trigger = pick(quiet, row, j) + need
+        fired &= trigger <= last[k]
+        done = fired | ((t_event[-1][j] >= horizon[k]) & (last[k] <= fed[j])) if (
+            abandoning) else fired
+        if not done.all():
+            j, k, row, trigger, fired = (a[done] for a in (j, k, row, trigger, fired))
+            if not len(j):
+                break
+        resets_at, missed = pick(quiet_resets, row, j), pick(quiet_sampled, row, j)
+        ions, subrises = pick(n_ion, row, j), pick(subrise, row, j)
+        if abandoning and not fired.all():
+            # A threshold abandoned takes its counts at its horizon's last
+            # sample instead: in the last row starting by then, and the
+            # segment of the first event at or after the horizon.
+            out = (~fired).nonzero()[0]
+            i, end = j[out], last[k[out]]
+            row = _rows_where(np.less_equal, n, i, end) - 1
+            started, row = row >= 0, np.maximum(row, 0)
+            blip_start = np.where(pick(first_blip, row, i), pick(n, row, i), pick(split, row, i))
+            resets_at[out] = n_resets[i] + pick(prior_resets, row, i) + (
+                started & (blip_start <= end) & pick(resets, row, i))
+            shows = shown[i] + pick(prior_blips, row, i) + started * np.minimum(
+                np.maximum(end - blip_start + 1, 0), pick(blips, row, i))
+            seg = _rows_where(np.less, t_event, i, horizon[k[out]])
+            ions[out], subrises[out], sampled_at, base_at = (a[seg, i] for a in starts)
+            missed[out] = sampled_at + (~ionized[seg, i] & (ions[out] > 0) & (shows == base_at))
+        slot = live.lane[j] * (len(required) - 1) + k
+        flat.trigger_sample[slot[fired] if abandoning else slot] = (
+            trigger[fired] if abandoning else trigger)
+        flat.n_resets[slot] = resets_at
+        flat.n_ionizations[slot] = ions
+        flat.n_missed_subrise[slot] = subrises
+        flat.n_missed_sampled[slot] = missed
+        live.fire_k[j] = k + 1
+        live.need[j], live.horizon[j] = required[k + 1], horizon[k + 1]
+        j = j[live.need[j] > 0]
+
+
+def _feed_flips(amp: AmplifierParams, noise_std: float, noise, rnd: int, live: _Lanes,
+                flat: _Detection, n_last: np.ndarray, segments, limits) -> None:
+    """Feed each counting lane the samples of its one segment up to n_last
+    with sensor noise: the noiseless runs up to the next flip that
+    _next_flip finds, then the flipped sample on its own, searching on
+    after it until the segment ends or the lane's last threshold does.
+    Each step feeds the runs before the flips as one row of a run matrix,
+    and the flipped samples, if any lane has one, as a second."""
+    t_event, ionized = segments
+    segments = (t_event, ionized, tuple((a[None], a) for a in (
+        live.n_ionizations, live.n_missed_subrise, live.n_missed_sampled, live.episode_base)))
+    split, first_blip = (a[0] for a in _noiseless_runs(
+        amp, "amplifier", live.n[None], n_last[None], ionized, live.level[None],
+        live.seg_start[None], None))
+    live.flip = n_last + 1
+    row = np.zeros(len(live.lane), np.int64)
+    at = live.need.nonzero()[0]
+    while len(at):
+        _next_flip(amp, noise_std, noise, rnd, row, live, ionized[0], at, n_last)
+        cut = np.minimum(n_last, live.flip - 1)
+        flipped = (live.flip <= n_last) & (live.need > 0)
+        fed = cut + flipped
+        runs = (live.n, np.minimum(np.maximum(split, live.n), cut + 1), cut, first_blip)
+        if flipped.any():  # the flipped sample, the other way
+            runs = (np.concatenate(pair).reshape(2, -1) for pair in zip(runs, (
+                cut + 1, fed + 1, fed, (fed < split) != first_blip)))
+        else:
+            runs = (a[None] for a in runs)
+        _feed(live, flat, _run_pairs(*runs), fed, segments, limits)
+        live.n = np.maximum(live.n, fed + 1)
+        flipped &= live.need > 0
+        live.flip[~flipped] = n_last[~flipped] + 1
+        at = flipped.nonzero()[0]
 
 
 def run_detection(
-    events: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    events: Callable[..., tuple[np.ndarray, np.ndarray]],
     lanes: int,
     *,
     amp: AmplifierParams,
@@ -432,22 +623,26 @@ def run_detection(
     horizon, and its counts are taken there.  They fire and end in order,
     and a lane stays live until its last has ended.
 
-    The lanes advance in rounds, and round r reads event r of every live
-    lane: ``events(lane, state, t)`` returns the (t_event, new_state)
-    arrays of the lanes at positions ``lane``, which are in ``state`` since
-    time ``t``.  The segment before the event becomes (start_sample,
-    length, is_blip) runs for the silent-sample counters, with array
-    arithmetic over the lanes: a blip run resets a counter, a silent run
-    adds to it or fires the trigger.  Without noise a segment is split in
-    closed form.  The ideal detector latches: a sample is a blip when the
-    donor is ionized at any instant of ((n - 1) T_s, n T_s], so it misses no
-    ionization.  A lane that has fired stays live, taking the state of each
-    event inside the latency window, until an event falls after it; lanes
-    that end leave the arrays, so a round costs in proportion to the lanes
-    still live.
+    The lanes advance in passes of k events each, k chosen from the number
+    of live lanes (_PASS_EVENTS): ``events(lane, state, t, k)`` returns the
+    (t_event, new_state) arrays, (lanes, k), of the next k events of the
+    lanes at positions ``lane``, which are in ``state`` since time ``t``.
+    The level before each segment follows from the last one in one array
+    step per event, and the k segments become a matrix of (start_sample,
+    length, is_blip) runs, two per segment, split in closed form.  _feed
+    resolves the matrix for every lane at once: a blip run resets a
+    counter, a silent run adds to it or fires a trigger.  The ideal
+    detector latches: a sample is a blip when the donor is ionized at any
+    instant of ((n - 1) T_s, n T_s], so it misses no ionization.  A lane
+    that has fired takes the state of each event inside the latency window,
+    until an event falls after it.  Lanes whose last threshold has ended
+    leave the arrays after the pass, ignoring the rest of its events, so a
+    pass costs in proportion to the lanes still live, and a call's long
+    tail of few lanes costs passes, not events.
 
-    With noise, ``_next_flip`` finds the samples that noise flips, searching
-    each segment up to its event or the last threshold's horizon.  The
+    With noise a pass takes one event while any lane still counts, and
+    ``_next_flip`` finds the samples that noise flips, searching each
+    segment up to its event or the last threshold's horizon.  The
     closed-form runs are cut at each flip and the flipped sample is fed on
     its own.  ``noise(lane, round, row)`` returns the (u_gap, u_accept)
     arrays of the lanes at positions ``lane`` in round ``round``, each at
@@ -469,48 +664,55 @@ def run_detection(
         raise ValueError("n_required must be ascending thresholds >= 1, horizons not falling")
     K = len(thresholds)
     required, horizons = np.append(thresholds, 0), np.append(horizons, horizons[-1])
+    limits = (required, horizons, _last_sample(horizons, ts))
 
     live = _Lanes(lanes, required, horizons)
     flat = _Detection(np.full(lanes * K, -1), np.full(lanes * K, -1, np.int8),
                       *(np.zeros(lanes * K, np.int64) for _ in _COUNTS), None)
     rnd = 0
     while len(live.lane):
-        t_event, new_state = events(live.lane, live.state, live.seg_start)
-        ionized = live.state == _IONIZED
-        if noisy:  # search each counting lane's segment up to the last horizon
-            n_end = _last_sample(np.minimum(t_event, horizons[K - 1]), ts)
-            live.flip = n_end + 1
-            row = np.zeros(len(live.lane), np.int64)
-            _next_flip(amp, noise_std, noise, rnd, row, live, ionized,
-                       (live.need > 0).nonzero()[0], n_end)
-        # A lane is fed up to its threshold's horizon; one that reaches it
-        # unfired abandons the threshold, and is fed on for the next.
-        while True:
-            capped = ((t_event >= live.horizon) & (live.need > 0)).nonzero()[0]
-            was = live.fire_k[capped]
-            n_last = _last_sample(np.minimum(t_event, live.horizon), ts)
-            # Feed the noiseless runs up to each lane's next flip, then the
-            # flipped sample on its own, and search on from there.
-            while True:
-                cut = np.minimum(n_last, live.flip - 1) if noisy else n_last
-                for run in _noiseless_runs(amp, detector, live, ionized, cut):
-                    _feed(live, flat, required, horizons, *run)
-                live.n = np.maximum(live.n, cut + 1)
-                if not noisy or not len(flipped := ((live.flip == live.n) & (live.n <= n_last) & (
-                        live.need > 0)).nonzero()[0]):
-                    break
-                last = live.n - 1
-                last[flipped] += 1
-                for start, length, is_blip in _noiseless_runs(amp, detector, live, ionized, last):
-                    _feed(live, flat, required, horizons, start, length, ~is_blip)
-                live.n = last + 1
-                _next_flip(amp, noise_std, noise, rnd, row, live, ionized,
-                           flipped[live.need[flipped] > 0], n_end)
-            live.n = np.maximum(live.n, n_last + 1)  # lanes past their last trigger too
-            if len(capped):
-                _close(live, flat, capped[live.fire_k[capped] == was], required, horizons)
-            if not np.count_nonzero(live.need[capped]):
-                break
+        searching = noisy and np.count_nonzero(live.need)
+        k = 1 if searching else max(1, min(_PASS_EVENTS // len(live.lane), rnd, _PASS_MAX))
+        t_event, new_state = (np.ascontiguousarray(a.T) for a in events(
+            live.lane, live.state, live.seg_start, k))
+        # Row j of each (k, lanes) array is segment j, closed by event j.
+        state = _before(live.state, new_state)
+        ionized = state == _IONIZED
+        seg_start = _before(live.seg_start, t_event)
+        n_last = _last_sample(np.minimum(t_event, horizons[-1]), ts)
+        n_first = live.n[None] if k == 1 else np.concatenate((
+            live.n[None], np.maximum(live.n, n_last[:-1] + 1)))
+        level = latched = None
+        with np.errstate(invalid="ignore"):  # events at inf, past a lane's last
+            dt = t_event - seg_start
+            if detector == "ideal":
+                latched = np.ceil(t_event / ts - 1e-12).astype(np.int64) * ionized
+                np.maximum(latched[0], live.latched_until, out=latched[0])
+                latched = _scan(np.maximum, latched)
+            else:
+                decay = np.exp(-omega * dt)
+                level = np.empty((k + 1, len(live.lane)))
+                level[0] = live.level
+                for j in range(k):  # _output, one event at a time
+                    np.subtract(level[j], ionized[j], out=level[j + 1])
+                    level[j + 1] *= decay[j]
+                    level[j + 1] += ionized[j]
+        if searching:  # k is 1
+            _feed_flips(amp, noise_std, noise, rnd, live, flat, n_last[0], (t_event, ionized),
+                        limits)
+            b_end = live.blips[None]
+        else:
+            split, first_blip = _noiseless_runs(
+                amp, detector, n_first, n_last, ionized, None if level is None else level[:-1],
+                seg_start, None if latched is None else _before(live.latched_until, latched))
+            runs = _run_pairs(n_first, split, n_last, first_blip)
+            b_end = runs[4].copy()
+            b_end[0] += live.blips
+            b_end = _scan(np.add, b_end)
+        counts = _event_counts(live, ionized, ~ionized & (new_state == _IONIZED),
+                               dt < t_rise_det, b_end)
+        if not searching:
+            _feed(live, flat, runs, n_last[-1], (t_event, ionized, counts), limits)
 
         # A threshold ends at once when abandoned, and at the first event
         # after trigger + latency when fired, keeping the state before it.
@@ -518,43 +720,28 @@ def run_detection(
         while len(ending):
             at = live.lane[ending] * K + live.end_k[ending]
             trigger = flat.trigger_sample[at]
-            ends = (trigger < 0) | (t_event[ending] > trigger * ts + latency)
-            ending, at = ending[ends], at[ends]
-            flat.state_at_trigger[at] = np.where(trigger[ends] < 0, -1, live.state[ending])
+            j = _rows_where(np.less_equal, t_event, ending, trigger * ts + latency)
+            ends = (trigger < 0) | (j < k)
+            if not ends.all():
+                ending, at, j, trigger = ending[ends], at[ends], j[ends], trigger[ends]
+            flat.state_at_trigger[at] = np.where(trigger < 0, -1, state.ravel()[
+                np.minimum(j, k - 1) * len(state[0]) + ending])
             live.end_k[ending] += 1
             ending = ending[live.end_k[ending] < live.fire_k[ending]]
-        done = live.end_k == K
-        if np.count_nonzero(done):
-            kept = (~done).nonzero()[0]
-            live.keep(kept)
-            t_event, new_state, ionized = t_event[kept], new_state[kept], ionized[kept]
 
-        # Apply each remaining lane's event; past its last trigger only the
-        # state moves.
-        counting = live.need > 0
+        # Every lane moves past the pass's last event; those whose last
+        # threshold has ended leave.
+        (live.n_ionizations, live.n_missed_subrise, live.n_missed_sampled,
+         live.episode_base) = (after for _, after in counts)
         if detector == "ideal":
-            live.latched_until = np.where(ionized, np.maximum(
-                live.latched_until, np.ceil(t_event / ts - 1e-12).astype(np.int64)
-            ), live.latched_until)
+            live.latched_until = latched[-1]
         else:
-            live.level = _output(ionized * 1.0, live.level, omega, t_event - live.seg_start)
-        ionizes = new_state == _IONIZED
-        reloads = ionized & ~ionizes & counting & (live.n_ionizations > 0)
-        ionizes &= ~ionized & counting
-        if np.count_nonzero(reloads):
-            live.episode_reloaded |= reloads
-            live.n_missed_subrise += reloads & (t_event - live.episode_start < t_rise_det)
-        if np.count_nonzero(ionizes):
-            live.n_missed_sampled += (
-                ionizes & live.episode_reloaded & (live.episode_blips == 0)
-            )
-            live.episode_start[ionizes] = t_event[ionizes]
-            live.episode_reloaded &= ~ionizes
-            live.episode_blips[ionizes] = 0
-            live.n_ionizations += ionizes
-        live.seg_start = t_event
-        live.state = new_state
-        rnd += 1
+            live.level = level[-1]
+        live.n = np.maximum(live.n, n_last[-1] + 1)
+        live.seg_start, live.state = t_event[-1], new_state[-1]
+        if np.count_nonzero(done := live.end_k == K):
+            live.keep((~done).nonzero()[0])
+        rnd += k
     rows = slice(None) if np.ndim(n_required) else 0  # an int gives one entry per lane
     trigger, *rest = (getattr(flat, name).reshape(lanes, K).T[rows]
                       for name in ("trigger_sample", "state_at_trigger", *_COUNTS))
@@ -575,25 +762,45 @@ def shot_rng(master_seed: int, block: int, rnd: int) -> np.random.Generator:
 
 def _block_events(master_seed: int, rates: RateSet, indices: range):
     """Event source of the shots ``indices`` for run_detection: lane k is
-    shot ``indices[k]``.
+    shot ``indices[k]``, and ``lane`` ascends.
 
-    Each round draws (2, _SEED_BLOCK) uniforms from the generator of every
-    block with a live lane, and steps each live lane's chain with its shot's
-    column.  A block whose lanes have ended draws no more, which leaves the
-    other blocks' streams as they were.
+    A call for k events draws (k, 2, _SEED_BLOCK) uniforms once from the
+    generator of every block with a live lane, the same values as k rounds
+    of (2, _SEED_BLOCK) draws: event r of shot i is the Gillespie step of
+    column i % _SEED_BLOCK of round r.  For k > 1 one gillespie_step call
+    steps every state with every lane's k columns, and each lane then
+    follows its chain through them.  A block whose lanes have ended draws
+    no more, which leaves the other blocks' streams as they were.  The
+    arrays are (lanes, k); without k, one event as (lanes,) arrays.
     """
     first = indices[0] // _SEED_BLOCK
     gens = [np.random.default_rng([master_seed, _EVENT_STREAM, b])
             for b in range(first, indices[-1] // _SEED_BLOCK + 1)]
-    block, column = np.divmod(np.asarray(indices) - first * _SEED_BLOCK, _SEED_BLOCK)
-    drawn = np.empty((len(gens), 2, _SEED_BLOCK))  # round r of each block
+    block, column = np.divmod(np.arange(indices.start, indices.stop) - first * _SEED_BLOCK,
+                              _SEED_BLOCK)
+    states = np.arange(len(DonorState))[:, None]
 
-    def events(lane: np.ndarray, state: np.ndarray, t: np.ndarray):
-        live, col = block[lane], column[lane]
-        for b in np.flatnonzero(np.bincount(live, minlength=len(gens))).tolist():
-            gens[b].random(out=drawn[b])
-        dt, new_state = gillespie_step(state, rates, drawn[live, 0, col], drawn[live, 1, col])
-        return t + dt, new_state
+    def events(lane: np.ndarray, state: np.ndarray, t: np.ndarray, k: int | None = None):
+        rounds, width = k or 1, len(lane)
+        u = np.empty((2, rounds, width))
+        lo = 0
+        for b, hi in enumerate(np.bincount(block[lane], minlength=len(gens)).cumsum().tolist()):
+            if hi > lo:
+                u[..., lo:hi] = gens[b].random((rounds, 2, _SEED_BLOCK)).take(
+                    column[lane[lo:hi]], axis=-1).transpose(1, 0, 2)
+            lo = hi
+        if rounds == 1:
+            dt, state = gillespie_step(state, rates, u[0, 0], u[1, 0])
+            return ((t + dt)[:, None], state[:, None]) if k else (t + dt, state)
+        step, to = (a.ravel() for a in gillespie_step(states, rates, u[0].ravel(), u[1].ravel()))
+        times, path = np.empty((rounds, width)), np.empty((rounds, width), np.int64)
+        at = np.arange(width)
+        for r in range(rounds):
+            j = state * (rounds * width) + at
+            t = times[r] = t + step[j]
+            state = path[r] = to[j]
+            at += width
+        return times.T, path.T
 
     return events
 
@@ -610,7 +817,8 @@ def _block_noise(master_seed: int, indices: range):
     advances past the others, or back to a row behind it.
     """
     first = indices[0] // _SEED_BLOCK
-    block, column = np.divmod(np.asarray(indices) - first * _SEED_BLOCK, _SEED_BLOCK)
+    block, column = np.divmod(np.arange(indices.start, indices.stop) - first * _SEED_BLOCK,
+                              _SEED_BLOCK)
     blocks = int(block[-1]) + 1
     streams = {}  # block -> [round, its generator, draws made]
 
@@ -630,8 +838,9 @@ def _block_noise(master_seed: int, indices: range):
             gen.bit_generator.advance(_SEED_BLOCK - out.shape[1])
             gen.random(out=out[1])
             stream[2] = at + _SEED_BLOCK + out.shape[1]
-        pairs = drawn[(np.cumsum(present) - 1)[key], :, col - c0]
-        return pairs[:, 0], pairs[:, 1]
+        width = drawn.shape[2]
+        at = (np.cumsum(present) - 1)[key] * (2 * width) + col - c0  # in drawn, flat
+        return drawn.ravel()[at], drawn.ravel()[at + width]
 
     return uniforms
 
@@ -688,17 +897,23 @@ def _tally_block(args) -> tuple[np.ndarray, np.ndarray]:
 def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, int | list[int]]],
                tally: bool = False) -> list:
     """Every shot of cfg for each (rates, thresholds) job, in run_detection
-    calls of up to _LANE_BLOCKS aligned blocks (with workers > 1, one run per
-    worker).  All go through one map, a pool's one call at a time, so jobs of
-    unequal cost spread over the workers.  Returns each job's _Detection, or
-    with ``tally`` its calls' _tally_block results, in shot-index order.
+    calls of up to _LANE_BLOCKS aligned blocks.  Work that fits one call
+    (one job of at most _LANE_BLOCKS blocks) is that call, made in this
+    process.  Otherwise, with workers > 1, each job's shots are split into
+    one run per worker, and all calls go through one pool's map, one call
+    at a time, so jobs of unequal cost spread over the workers.  Returns
+    each job's _Detection, or with ``tally`` its calls' _tally_block
+    results, in shot-index order.
     """
-    blocks = min(_LANE_BLOCKS, math.ceil(cfg.shots / (cfg.workers * _SEED_BLOCK)))
+    one_call = len(jobs) == 1 and cfg.shots <= _LANE_BLOCKS * _SEED_BLOCK
+    blocks = min(_LANE_BLOCKS, math.ceil(
+        cfg.shots / ((1 if one_call else cfg.workers) * _SEED_BLOCK)))
     ranges = _blocks(cfg.shots, blocks * _SEED_BLOCK)
     calls = [(cfg, rates, n_required, r) for rates, n_required in jobs for r in ranges]
     block = _tally_block if tally else _shot_block
-    processes = min(cfg.workers, len(calls))  # a pool starts no idle worker
-    with Pool(processes=processes) if cfg.workers > 1 else contextlib.nullcontext() as pool:
+    pooled = cfg.workers > 1 and len(calls) > 1  # and starts no idle worker
+    with Pool(processes=min(cfg.workers, len(calls))) if pooled else contextlib.nullcontext() \
+            as pool:
         parts = list(map(block, calls) if pool is None else pool.map(block, calls, 1))
     per_job = [parts[k:k + len(ranges)] for k in range(0, len(parts), len(ranges))]
     return per_job if tally else [_Detection.concatenate(p) for p in per_job]
@@ -707,13 +922,14 @@ def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, int | list[int]]
 def _bootstrap_quartiles(
     successes: np.ndarray, master_seed: int, point_index: int
 ) -> tuple[float, float, float]:
-    """Median and quartiles of batch-resampled success fractions."""
+    """Median and quartiles of batch-resampled success fractions, from a
+    boolean array of successes."""
     rng = np.random.default_rng([master_seed, _BOOTSTRAP_STREAM, point_index])
     if len(successes) == 0:
         return math.nan, math.nan, math.nan
     batch = max(1, len(successes) // BOOTSTRAP_BATCH_DIVISOR)
     draws = rng.integers(0, len(successes), size=(BOOTSTRAP_RESAMPLES, batch))
-    means = successes[draws].mean(axis=1)
+    means = np.count_nonzero(successes[draws], axis=1) / batch
     p25, median, p75 = np.percentile(means, [25.0, 50.0, 75.0])
     return float(median), float(p25), float(p75)
 
@@ -723,7 +939,7 @@ def _draw_load_spin(cfg: ExperimentConfig, rates: RateSet, indices: range) -> np
     ionized donor: round 0 of their events, as a monitored run draws it."""
     lane = np.arange(len(indices))
     events = _block_events(cfg.master_seed, rates, indices)
-    return events(lane, np.full(len(lane), _IONIZED), np.zeros(len(lane)))[1]
+    return events(lane, np.full(len(lane), _IONIZED), np.zeros(len(lane)), 1)[1][:, 0]
 
 
 def _analytic_fidelity(
@@ -760,12 +976,12 @@ def _sweep_point(cfg: ExperimentConfig, point_index: int, grid_value: float, rat
         spins = np.concatenate([_draw_load_spin(cfg, rates, block)
                                 for block in _blocks(cfg.shots, _LANE_BLOCKS * _SEED_BLOCK)])
         counts = {}
-    flags = (spins == DonorState.DOWN).astype(float)
+    flags = spins == DonorState.DOWN
     median, p25, p75 = _bootstrap_quartiles(flags, cfg.master_seed, point_index)
     return SweepResult(
         grid_value=grid_value,
         shots=cfg.shots,
-        successes=int(flags.sum()),
+        successes=int(np.count_nonzero(flags)),
         median=median,
         p25=p25,
         p75=p75,

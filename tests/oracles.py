@@ -236,14 +236,15 @@ def list_events(streams):
     """Event source for ``spindemon.harness.run_detection`` over explicit
     per-lane transition streams (lists or iterators of (time, new_state)).
 
-    Each round takes the next item of each live lane's stream; a stream
-    that has ended reads (inf, -1), which ends its lane.
+    A call for k events takes the next k items of each live lane's stream,
+    as (lanes, k) arrays; a stream that has ended reads (inf, -1), which
+    ends its lane.
     """
     iters = [iter(stream) for stream in streams]
 
-    def events(lane, state, t):
-        items = [next(iters[k], (math.inf, -1)) for k in lane.tolist()]
-        t_event, new_state = np.array(items, float).reshape(-1, 2).T
+    def events(lane, state, t, k):
+        items = [next(iters[j], (math.inf, -1)) for j in lane.tolist() for _ in range(k)]
+        t_event, new_state = np.array(items, float).reshape(len(lane), k, 2).transpose(2, 0, 1)
         return t_event, new_state.astype(np.int64)
 
     return events
@@ -293,17 +294,36 @@ def run_recorded(events, lanes, record_runs=True, **kwargs):
     """``spindemon.harness.run_detection``, with ``runs``: each lane's
     (start_sample, length, is_blip) tuples as its counter was fed them, one
     per nonempty run, up to and including the one that fires its last
-    threshold.  They are read by wrapping the engine's ``_feed``.
-    ``record_runs`` is ignored, so that the keyword arguments of a
-    ``scalar_detection`` call can be passed as they are.
+    threshold.  They are read off the run matrices of the engine's
+    ``_feed``, which it is wrapped to record.  ``record_runs`` is ignored,
+    so that the keyword arguments of a ``scalar_detection`` call can be
+    passed as they are.
     """
     runs = [[] for _ in range(lanes)]
     feed = harness._feed
 
-    def recording_feed(live, flat, required, horizon, start, length, is_blip):
-        for j in ((length > 0) & (live.need > 0)).nonzero()[0].tolist():
-            runs[live.lane[j]].append((int(start[j]), int(length[j]), bool(is_blip[j])))
-        feed(live, flat, required, horizon, start, length, is_blip)
+    def recording_feed(live, flat, matrix, *args):
+        counting = live.need.nonzero()[0]
+        feed(live, flat, matrix, *args)
+        thresholds = len(flat.trigger_sample) // lanes
+        n, split, first_blip, silent, blips = matrix
+        for j in counting.tolist():
+            lane = int(live.lane[j])
+            # The last threshold's trigger if it fired in these runs, else -1.
+            last = int(flat.trigger_sample[(lane + 1) * thresholds - 1]) if not live.need[j] else -1
+            for row in range(len(n)):
+                first = int(split[row, j] - n[row, j])
+                pair = ((int(n[row, j]), first, bool(first_blip[row, j])),
+                        (int(split[row, j]), int(silent[row, j] + blips[row, j]) - first,
+                         not first_blip[row, j]))
+                for start, length, is_blip in pair:
+                    if length > 0:
+                        runs[lane].append((start, length, is_blip))
+                        if start <= last < start + length:
+                            break
+                else:
+                    continue
+                break
 
     harness._feed = recording_feed
     try:

@@ -1,7 +1,7 @@
 import functools
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -854,10 +854,11 @@ class TestShotBlocks:
     @pytest.mark.parametrize("noise_std, detector",
                              [(0.0, "amplifier"), (0.1, "amplifier"), (0.0, "ideal")])
     def test_wide_lanes_match_any_grouping(self, monkeypatch, noise_std, detector):
-        # 2100 shots run serially as one call at the default lane cap and as
-        # three calls at a cap of one block; a pool of two workers gets runs
-        # of up to two blocks, one of three workers runs of one block.  A
-        # short horizon leaves some shots abandoned.
+        # 2100 shots run serially as one call at the default lane cap, which
+        # they fit whatever the workers, and as three calls at a cap of one
+        # block.  At a cap of two blocks they do not fit one call: a pool of
+        # two workers gets runs of up to two blocks, one of three workers
+        # runs of one block.  A short horizon leaves some shots abandoned.
         cfg = make_config(n_required=20, shots=2100, seed=23, noise_std=noise_std,
                           detector=detector, abandon_factor=3.0)
         rates = cfg.rates
@@ -876,7 +877,8 @@ class TestShotBlocks:
                 assert harness._run_shots(cfg, [(rates, 20)])[0].records() == whole
             return [(r.start, r.stop) for r in ranges]
 
-        assert calls(cfg) == [(0, 2100)]
+        assert calls(cfg) == calls(replace(cfg, workers=2)) == [(0, 2100)]
+        monkeypatch.setattr(harness, "_LANE_BLOCKS", 2)
         assert calls(replace(cfg, workers=2)) == [(0, 2048), (2048, 2100)]
         assert calls(replace(cfg, workers=3)) == [(0, 1024), (1024, 2048), (2048, 2100)]
         for workers in (2, 3):
@@ -1039,6 +1041,77 @@ class TestBlockDraws:
         )
 
 
+def counted_events(monkeypatch):
+    """Route harness._block_events through a wrapper that counts the calls
+    of the event sources it makes; return the running count."""
+    calls, block_events = [0], harness._block_events
+
+    def counting(*args):
+        events = block_events(*args)
+
+        def count(*call):
+            calls[0] += 1
+            return events(*call)
+
+        return count
+
+    monkeypatch.setattr(harness, "_block_events", counting)
+    return calls
+
+
+class TestPasses:
+    """A pass steps each live lane through k events, k chosen from the live
+    lanes and the events taken so far (_PASS_EVENTS)."""
+
+    @staticmethod
+    def long_tail():
+        """100 shots across the block boundary at 1024 at mu_D = +50 ueV,
+        where both spins tunnel out: a short horizon leaves some abandoned,
+        after hundreds of events."""
+        cfg = make_config(n_required=1000, shots=100, seed=43, abandon_factor=30.0)
+        rates = build_rates(replace(cfg.physics, donor_potential=50.0))
+        return cfg, rates, 1000, range(1000, 1100)
+
+    @pytest.mark.parametrize("case", ["amplifier", "ideal", "noisy", "thresholds", "abandoned"])
+    def test_pass_length_never_changes_a_shot(self, case, monkeypatch):
+        # Every field of every lane of a _shot_block call must be the same
+        # whether each pass takes one event (_PASS_EVENTS = 1), the default
+        # number, or as many as the events taken so far (2**20).  The calls
+        # cross the block boundaries at 1024 and 2048; a short horizon
+        # leaves some shots abandoned, and a t_obs sweep's call watches for
+        # several thresholds.
+        if case == "abandoned":
+            args = self.long_tail()
+        else:
+            cfg = make_config(n_required=20, shots=1, seed=41, abandon_factor=3.0,
+                              detector="ideal" if case == "ideal" else "amplifier",
+                              noise_std=0.1 if case == "noisy" else 0.0)
+            n_required = [8, 20, 45] if case == "thresholds" else 20
+            args = (cfg, cfg.rates, n_required, range(900, 2200))
+        default = harness._shot_block(args)
+        assert 0 < np.count_nonzero(default.trigger_sample < 0) < default.trigger_sample.size / 2
+        for width in (1, 2**20):
+            monkeypatch.setattr(harness, "_PASS_EVENTS", width)
+            other = harness._shot_block(args)
+            for f in fields(default):
+                assert np.array_equal(getattr(other, f.name), getattr(default, f.name)), (
+                    width, f.name)
+
+    def test_cost_follows_passes(self, monkeypatch):
+        # The long-tail call takes its rounds, one event each, when every
+        # pass is one event; at the default pass length it must make at
+        # most one call of its event source per eight of those rounds.
+        calls = counted_events(monkeypatch)
+        args = self.long_tail()
+        monkeypatch.setattr(harness, "_PASS_EVENTS", 1)
+        harness._shot_block(args)
+        rounds, calls[0] = calls[0], 0
+        monkeypatch.undo()
+        calls = counted_events(monkeypatch)
+        harness._shot_block(args)
+        assert rounds > 200 and calls[0] <= rounds / 8, (rounds, calls[0])
+
+
 class TestSweepTobs:
     def grid_config(self, grid, shots=1500, seed=17, detector="amplifier"):
         return replace(
@@ -1087,11 +1160,11 @@ class TestSweepTobs:
         assert out1.getvalue() == out2.getvalue()
 
     def test_one_pool_per_sweep(self, monkeypatch):
-        # A pooled sweep starts one pool and makes one map for all its
-        # points.  A t_obs sweep maps one call per block range, each
-        # watching for every threshold, not one per range and point; a mu_d
-        # sweep maps one call per range and point.  _sweep_point still
-        # builds each point, and a sweep that runs no shot starts no pool.
+        # A sweep of two or more calls starts one pool and makes one map for
+        # all its points; a sweep of one call, or of none, starts no pool.
+        # A t_obs sweep maps one call per block range, each watching for
+        # every threshold, not one per range and point; a mu_d sweep maps one
+        # call per range and point.  _sweep_point still builds each point.
         starts, maps, points = [], [], []
         pool = harness.Pool
 
@@ -1117,33 +1190,40 @@ class TestSweepTobs:
         grid = [k * 1e-3 for k in range(8)]
         thresholds = list(range(100, 800, 100))
         ranges = [range(0, 2048), range(2048, 2100)]
+        # 2100 shots at one threshold per point fit one call: no pool.
         results = sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2))
-        assert len(results) == 8 and len(starts) == 1
-        assert maps == [[(thresholds, r) for r in ranges]]
+        assert len(results) == 8 and starts == [] and maps == []
         assert points == grid
 
         bias = replace(self.grid_config(grid, shots=2100), workers=2,
                        sweep=SweepSpec(variable="mu_d", grid=(-100.0, 0.0, 20.0)))
-        assert len(sweep_bias(bias, demon_on=True)) == 3 and len(starts) == 2
-        assert maps[1] == [(500, r) for _ in range(3) for r in ranges]
+        assert len(sweep_bias(bias, demon_on=True)) == 3 and len(starts) == 1
+        assert maps == [[(500, r) for _ in range(3) for r in ranges]]
         assert points == grid + [-100.0, 0.0, 20.0]
+
+        # At a cap of two blocks the t_obs sweep is two calls: one pool.
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_LANE_BLOCKS", 2)
+            assert sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2)) == results
+        assert len(starts) == 2 and maps[1] == [(thresholds, r) for r in ranges]
 
         sweep_tobs(replace(self.grid_config([0.0], shots=200), workers=2))
         assert len(starts) == 2 and len(maps) == 2
 
-        # In the workers, each call is one run_detection call.
+        # Each call is one run_detection call.
         detections = []
         run = harness.run_detection
         monkeypatch.setattr(harness, "Pool", SerialPool)
         monkeypatch.setattr(harness, "run_detection", lambda *args, **kwargs: detections.append(
             (kwargs["n_required"], args[1])) or run(*args, **kwargs))
         assert sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2)) == results
-        assert detections == [(thresholds, 2048), (thresholds, 52)]
+        assert detections == [(thresholds, 2100)]
 
     def test_pool_starts_no_idle_worker(self, monkeypatch):
         # A pool asks for no more processes than it has calls: 64 workers on
-        # 1500 shots make two one-block calls.  The stand-in pool records
-        # the count and maps in this process, so no process starts.
+        # two mu_d points of 1500 shots make four one-block calls.  The
+        # stand-in pool records the count and maps in this process, so no
+        # process starts.
         asked = []
 
         class RecordingPool(SerialPool):
@@ -1152,9 +1232,9 @@ class TestSweepTobs:
                 super().__init__(processes)
 
         monkeypatch.setattr(harness, "Pool", RecordingPool)
-        cfg = self.grid_config([1e-3, 2e-3])
-        assert sweep_tobs(replace(cfg, workers=64)) == sweep_tobs(cfg)
-        assert asked == [2]
+        cfg = replace(self.grid_config([1e-3]), sweep=SweepSpec("mu_d", (0.0, 20.0)))
+        assert sweep_bias(replace(cfg, workers=64), True) == sweep_bias(cfg, True)
+        assert asked == [4]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("detector, noise_std",

@@ -54,6 +54,9 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
     pooled.write_text(RUN_CONFIG + "run.workers = 2\n")
     noisy = tmp_path / "noisy.cfg"
     noisy.write_text(RUN_CONFIG + "run.noise_std = 0.05\n")
+    bias = tmp_path / "bias.cfg"  # two points: two calls, so a pool
+    bias.write_text(RUN_CONFIG.replace("sweep.grid = 0, 2e-4", "sweep.variable = mu_d\n"
+                                       "sweep.grid = 0, 20") + "run.workers = 2\n")
     fit_data = Path(__file__).resolve().parent / "golden" / "fit-data.csv"
     runs = [
         (["simulate-shot", "--config", str(serial), "--shots", "1"],
@@ -61,8 +64,9 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
           "cli.load_config", "output.write_shots")),
         (["simulate-shot", "--config", str(noisy), "--shots", "1"], ("harness.shot_rng",)),
         (["sweep-tobs", "--config", str(pooled)],
-         ("harness.Pool", "harness._sweep_point", "harness._draw_load_spin",
+         ("harness._sweep_point", "harness._draw_load_spin",
           "harness._bootstrap_quartiles", "output.write_sweep")),
+        (["sweep-bias", "--config", str(bias)], ("harness.Pool",)),
         (["fit", "--data", str(fit_data)],
          ("cli.fit_fidelity_curve", "fitting._gauss_newton", "output.write_fit")),
         (["histogram", "--shots", "2000", "--threshold", "0.45"],
