@@ -262,7 +262,6 @@ class _Lanes:
         self.level = np.ones(count)  # amplifier output at seg_start
         self.seg_start = np.zeros(count)
         self.n = np.ones(count, np.int64)  # next sample to classify
-        self.flip = np.zeros(count, np.int64)  # next sample noise flips (_feed_flips)
         self.counter = np.zeros(count, np.int64)
         # Next threshold to fire or abandon, its need (0 past the last) and horizon.
         self.fire_k = np.zeros(count, np.int64)
@@ -297,14 +296,20 @@ def _last_sample(t: np.ndarray, ts: float) -> np.ndarray:
 
 
 def _scan(ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc.accumulate(x, axis=0), overwriting x.  numpy's accumulate loops
-    once per column, so a matrix of up to four rows is scanned in shifted
-    steps."""
-    if len(x) > 4:
-        return ufunc.accumulate(x, axis=0)
-    for shift in (1, 2)[:len(x) - 1]:
+    """ufunc.accumulate(x, axis=0) for an associative ufunc, overwriting x,
+    in ceil(log2 rows) shifted steps (Hillis & Steele 1986): numpy's
+    accumulate loops once per column (on a 2-vCPU VM, 295 us on a (2, 16 384)
+    array against 16 us in shifted steps)."""
+    shift = 1
+    while shift < len(x):
         ufunc(x[shift:], x[:-shift], out=x[shift:])
+        shift *= 2
     return x
+
+
+def _reduce(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=0); a's one row as it is."""
+    return a[0] if len(a) == 1 else ufunc.reduce(a, axis=0)
 
 
 def _before(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -376,8 +381,9 @@ def _half_erfc(z: np.ndarray) -> np.ndarray:
 
 
 def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: np.ndarray,
-               live: _Lanes, ionized: np.ndarray, at: np.ndarray, n_end: np.ndarray) -> None:
-    """Set live.flip of each lane at ``at`` to its first sample from live.n to
+               live: _Lanes, flip: np.ndarray, ionized: np.ndarray, at: np.ndarray,
+               n_end: np.ndarray) -> None:
+    """Set ``flip`` of each lane at ``at`` to its first sample from live.n to
     n_end that noise flips away from the noiseless outcome, n_end + 1 if none.
 
     Sample k flips with p_k = Q(|m_k - S_th| / noise_std), m_k its noiseless
@@ -392,7 +398,7 @@ def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: 
     """
     ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
     scale = noise_std * math.sqrt(2.0)
-    live.flip[at] = n_end[at] + 1
+    flip[at] = n_end[at] + 1
     n = live.n[at]
     while True:
         go = n <= n_end[at]
@@ -411,7 +417,7 @@ def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: 
         n = n[go] + gap[go].astype(np.int64)
         m = _output(ionized[at], live.level[at], omega, n * ts - live.seg_start[at])
         kept = u_accept * bound < _half_erfc(np.abs(m - s_th) / scale)
-        live.flip[at[kept]] = n[kept]
+        flip[at[kept]] = n[kept]
         at, n = at[~kept], n[~kept] + 1
 
 
@@ -427,20 +433,15 @@ def _event_counts(live: _Lanes, ionized, ionizes, subrise, b_end):
     between samples when that episode showed no blip.
     """
     def prefix(first, steps):
-        if len(steps) == 1:
-            return first[None], first + steps[0]
         total = _scan(np.add, steps.astype(np.int64))
         total += first
         return _before(first, total), total[-1]
 
     n_ion = prefix(live.n_ionizations, ionizes)
     seen = n_ion[0] > 0
-    if len(ionizes) == 1:
-        base = live.episode_base[None], np.where(ionizes[0], b_end[0], live.episode_base)
-    else:
-        base = _scan(np.maximum, b_end * ionizes)
-        np.maximum(base, live.episode_base, out=base)
-        base = _before(live.episode_base, base), base[-1]
+    base = _scan(np.maximum, b_end * ionizes)
+    np.maximum(base, live.episode_base, out=base)
+    base = _before(live.episode_base, base), base[-1]
     return (n_ion, prefix(live.n_missed_subrise, ionized & seen & subrise),
             prefix(live.n_missed_sampled, ionizes & seen & (b_end == base[0])), base)
 
@@ -450,111 +451,86 @@ def _feed(live: _Lanes, flat: _Detection, runs, fed: np.ndarray, segments, limit
     its samples up to ``fed``.
 
     ``segments`` = (t_event, ionized, counts) describes the k segments the
-    rows split, R / k rows each: each segment's closing event, whether the
-    donor is ionized in it, and the _event_counts.  The silent-sample
-    counter is a cumulative sum over the runs that restarts at each blip
-    run; a blip run entered with a count above 0 is a reset.  Each
-    threshold, in order, fires at the first sample where the count reaches
-    its need, if that is within its horizon (``limits`` = required, horizon
-    and the horizon's last sample, per threshold), and is otherwise
+    rows cover: each segment's closing event, whether the donor is ionized
+    in it, and the _event_counts.  The silent-sample counter is a
+    cumulative sum over the runs that restarts at each blip run; a blip run
+    entered with a count above 0 is a reset.  Each threshold, in order,
+    fires at the first sample where the count reaches its need, if that is
+    within its horizon (``limits`` = required, horizon and the horizon's
+    last sample per threshold, and the sample period), and is otherwise
     abandoned once the runs reach that last sample and an event at or after
-    the horizon.  Its counts are taken at that sample.
+    the horizon.  Its counts are taken at its trigger or at that last
+    sample: the event counts of the segment of the first event at or after
+    the trigger or the horizon, and the resets and blip samples of the rows
+    above the last row starting by then and of that row's blip run if it
+    starts by then.
     """
     n, split, first_blip, silent, blips = runs
     t_event, ionized, counts = segments
-    required, horizon, last = limits
+    required, horizon, last, ts = limits
     rows, lanes = n.shape
-    per_segment = rows // len(t_event)
     # The count without resets, at the end of each row ...
-    total = (silent if rows == 1 else _scan(np.add, silent.copy())) + live.counter
+    total = _scan(np.add, silent.copy()) + live.counter
     at_blip = total - silent * first_blip  # ... as the row's blip run starts
     flashes = blips > 0
     cleared = _scan(np.maximum, at_blip * flashes)  # ... at the last reset
-    if rows == 1:
-        count = total - silent - cleared * first_blip  # the count as silence starts
-        resets = flashes & (at_blip > 0)
-    else:
-        cleared_before = _before(np.zeros(lanes, np.int64), cleared)
-        count = total - silent - np.where(first_blip, cleared, cleared_before)
-        resets = flashes & (at_blip > cleared_before)
+    cleared_before = _before(np.zeros(lanes, np.int64), cleared)
+    count = total - silent - np.where(first_blip, cleared, cleared_before)  # as silence starts
+    resets = flashes & (at_blip > cleared_before)
     n_resets, shown = live.n_resets, live.blips  # as the runs start
     live.counter = total[-1] - cleared[-1]
-    live.n_resets = n_resets + (resets[0] if rows == 1 else resets.sum(axis=0))
-    live.blips = shown + (blips[0] if rows == 1 else blips.sum(axis=0))
+    live.n_resets = n_resets + _reduce(np.add, resets)
+    live.blips = shown + _reduce(np.add, blips)
     # The first row where the count reaches a need is one with silence.
     ends = count + silent  # the count as each row's silence ends
     far = t_event[-1] >= live.horizon  # lanes whose threshold may be abandoned
-    reach = ends[0] >= live.need if rows == 1 else (ends >= live.need).any(axis=0)
+    reach = _reduce(np.logical_or, ends >= live.need)
     todo = (live.need.astype(bool) & (reach | far)).nonzero()[0]
     if not len(todo):
         return
 
-    def pick(a, row, j):  # a[row, j], 0 for a of no rows
-        if not np.ndim(a):
-            return a
-        return a[0][j] if len(a) == 1 else a.ravel()[row * lanes + j]
+    def pick(a, at):  # a at the flat indices ``at``, 0 for a of no rows
+        return a.ravel()[at] if np.ndim(a) else a
 
     def above(a):  # a summed over the rows above, per row
         return 0 if rows == 1 else _scan(np.add, a.astype(np.int64)) - a
 
-    def per_row(a):  # a per segment, per row
-        return a if per_segment == 1 else np.repeat(a, per_segment, axis=0)
-
-    # Per row, as its silence starts: the sample, less the count and 1, and
-    # the counts of a threshold that fires there.  Its segment's start
-    # counts hold, and the resets and blip samples of the rows above and of
-    # the row's blip run where that comes first count.
-    quiet = np.where(first_blip, split, n) - count - 1
+    quiet = np.where(first_blip, split, n) - count - 1  # a need's trigger, less the need
+    blip_start = np.where(first_blip, n, split)
     prior_resets, prior_blips = above(resets), above(blips)
-    starts = tuple(start for start, _ in counts)
-    n_ion, subrise, sampled, base = (per_row(a) for a in starts)
-    quiet_resets = n_resets + prior_resets + (first_blip & resets)
-    seen = shown + prior_blips + first_blip * blips
-    quiet_sampled = sampled + (  # an episode unseen as the lane ends
-        ~per_row(ionized) & (n_ion > 0) & (seen == base))
-    abandoning = np.count_nonzero(far[todo])
     j = todo
     while len(j):
         k, need = live.fire_k[j], live.need[j]
-        reach = ends.take(j, axis=1) >= need
-        if rows == 1:
-            row, fired = np.zeros(len(j), np.int64), reach[0]
-        else:
-            row = reach.argmax(axis=0)
-            fired = reach[row, np.arange(len(j))]
-        trigger = pick(quiet, row, j) + need
-        fired &= trigger <= last[k]
-        done = fired | ((t_event[-1][j] >= horizon[k]) & (last[k] <= fed[j])) if (
-            abandoning) else fired
+        last_k = last[k]
+        # The trigger of the first row to reach the need, rows being in
+        # sample order; past the horizon's last sample when none does.
+        trigger = _reduce(np.minimum, np.where(
+            ends.take(j, axis=1) >= need, quiet.take(j, axis=1), last_k + 1 - need)) + need
+        fired = trigger <= last_k
+        done = fired | ((t_event[-1][j] >= horizon[k]) & (last_k <= fed[j]))
         if not done.all():
-            j, k, row, trigger, fired = (a[done] for a in (j, k, row, trigger, fired))
+            j, k, last_k, trigger, fired = (a[done] for a in (j, k, last_k, trigger, fired))
             if not len(j):
                 break
-        resets_at, missed = pick(quiet_resets, row, j), pick(quiet_sampled, row, j)
-        ions, subrises = pick(n_ion, row, j), pick(subrise, row, j)
-        if abandoning and not fired.all():
-            # A threshold abandoned takes its counts at its horizon's last
-            # sample instead: in the last row starting by then, and the
-            # segment of the first event at or after the horizon.
-            out = (~fired).nonzero()[0]
-            i, end = j[out], last[k[out]]
-            row = _rows_where(np.less_equal, n, i, end) - 1
-            started, row = row >= 0, np.maximum(row, 0)
-            blip_start = np.where(pick(first_blip, row, i), pick(n, row, i), pick(split, row, i))
-            resets_at[out] = n_resets[i] + pick(prior_resets, row, i) + (
-                started & (blip_start <= end) & pick(resets, row, i))
-            shows = shown[i] + pick(prior_blips, row, i) + started * np.minimum(
-                np.maximum(end - blip_start + 1, 0), pick(blips, row, i))
-            seg = _rows_where(np.less, t_event, i, horizon[k[out]])
-            ions[out], subrises[out], sampled_at, base_at = (a[seg, i] for a in starts)
-            missed[out] = sampled_at + (~ionized[seg, i] & (ions[out] > 0) & (shows == base_at))
+        # Counts at the trigger, or the horizon's last sample if that is first:
+        # of the last row starting by then, and the first event at or after it.
+        at = np.minimum(trigger, last_k)
+        row = np.maximum(_rows_where(np.less_equal, n, j, at) - 1, 0) * lanes + j  # flat
+        seg = _rows_where(np.less, t_event, j, np.minimum(trigger * ts, horizon[k])) * lanes + j
+        blip_at = pick(blip_start, row)
+        in_blip = blip_at <= at
+        shows = shown[j] + pick(prior_blips, row) + in_blip * np.minimum(
+            at - blip_at + 1, pick(blips, row))
+        ions, subrises, sampled, base = (pick(start, seg) for start, _ in counts)
         slot = live.lane[j] * (len(required) - 1) + k
-        flat.trigger_sample[slot[fired] if abandoning else slot] = (
-            trigger[fired] if abandoning else trigger)
-        flat.n_resets[slot] = resets_at
+        flat.trigger_sample[slot[fired]] = trigger[fired]
+        flat.n_resets[slot] = n_resets[j] + pick(prior_resets, row) + (
+            in_blip & pick(resets, row))
         flat.n_ionizations[slot] = ions
         flat.n_missed_subrise[slot] = subrises
-        flat.n_missed_sampled[slot] = missed
+        # An episode unseen as the lane ends counts as missed between samples.
+        flat.n_missed_sampled[slot] = sampled + (
+            ~pick(ionized, seg) & (ions > 0) & (shows == base))
         live.fire_k[j] = k + 1
         live.need[j], live.horizon[j] = required[k + 1], horizon[k + 1]
         j = j[live.need[j] > 0]
@@ -574,13 +550,13 @@ def _feed_flips(amp: AmplifierParams, noise_std: float, noise, rnd: int, live: _
     split, first_blip = (a[0] for a in _noiseless_runs(
         amp, "amplifier", live.n[None], n_last[None], ionized, live.level[None],
         live.seg_start[None], None))
-    live.flip = n_last + 1
+    flip = n_last + 1  # each lane's next flipped sample
     row = np.zeros(len(live.lane), np.int64)
     at = live.need.nonzero()[0]
     while len(at):
-        _next_flip(amp, noise_std, noise, rnd, row, live, ionized[0], at, n_last)
-        cut = np.minimum(n_last, live.flip - 1)
-        flipped = (live.flip <= n_last) & (live.need > 0)
+        _next_flip(amp, noise_std, noise, rnd, row, live, flip, ionized[0], at, n_last)
+        cut = np.minimum(n_last, flip - 1)
+        flipped = (flip <= n_last) & (live.need > 0)
         fed = cut + flipped
         runs = (live.n, np.minimum(np.maximum(split, live.n), cut + 1), cut, first_blip)
         if flipped.any():  # the flipped sample, the other way
@@ -591,7 +567,7 @@ def _feed_flips(amp: AmplifierParams, noise_std: float, noise, rnd: int, live: _
         _feed(live, flat, _run_pairs(*runs), fed, segments, limits)
         live.n = np.maximum(live.n, fed + 1)
         flipped &= live.need > 0
-        live.flip[~flipped] = n_last[~flipped] + 1
+        flip[~flipped] = n_last[~flipped] + 1
         at = flipped.nonzero()[0]
 
 
@@ -625,20 +601,21 @@ def run_detection(
 
     The lanes advance in passes of k events each, k chosen from the number
     of live lanes (_PASS_EVENTS): ``events(lane, state, t, k)`` returns the
-    (t_event, new_state) arrays, (lanes, k), of the next k events of the
-    lanes at positions ``lane``, which are in ``state`` since time ``t``.
+    (t_event, new_state) arrays, (k, lanes), of the next k events of the
+    lanes at positions ``lane``, which are in ``state`` since time ``t``:
+    row j is event j of every lane, which closes the lane's segment j.
     The level before each segment follows from the last one in one array
-    step per event, and the k segments become a matrix of (start_sample,
-    length, is_blip) runs, two per segment, split in closed form.  _feed
-    resolves the matrix for every lane at once: a blip run resets a
-    counter, a silent run adds to it or fires a trigger.  The ideal
-    detector latches: a sample is a blip when the donor is ionized at any
-    instant of ((n - 1) T_s, n T_s], so it misses no ionization.  A lane
-    that has fired takes the state of each event inside the latency window,
-    until an event falls after it.  Lanes whose last threshold has ended
-    leave the arrays after the pass, ignoring the rest of its events, so a
-    pass costs in proportion to the lanes still live, and a call's long
-    tail of few lanes costs passes, not events.
+    step per event, and the k segments become a (k, lanes) matrix of
+    (start_sample, length, is_blip) runs, a row of two per segment, split
+    in closed form.  _feed resolves the matrix for every lane at once: a
+    blip run resets a counter, a silent run adds to it or fires a trigger.
+    The ideal detector latches: a sample is a blip when the donor is
+    ionized at any instant of ((n - 1) T_s, n T_s], so it misses no
+    ionization.  A lane that has fired takes the state of each event inside
+    the latency window, until an event falls after it.  Lanes whose last
+    threshold has ended leave the arrays after the pass, ignoring the rest
+    of its events, so a pass costs in proportion to the lanes still live,
+    and a call's long tail of few lanes costs passes, not events.
 
     With noise a pass takes one event while any lane still counts, and
     ``_next_flip`` finds the samples that noise flips, searching each
@@ -657,14 +634,19 @@ def run_detection(
     noisy = noise_std > 0.0 and detector == "amplifier"
     if noisy and noise is None:
         raise ValueError("noise_std > 0 requires a noise source")
-    thresholds = np.atleast_1d(np.asarray(n_required, np.int64))
+    thresholds = np.atleast_1d(n_required)
     horizons = np.broadcast_to(np.asarray(horizon, float), thresholds.shape)
     if not len(thresholds) or min(np.diff(thresholds, prepend=0)) < 1 or min(
             np.diff(horizons), default=0) < 0:
         raise ValueError("n_required must be ascending thresholds >= 1, horizons not falling")
+    # Sample indices are int64, and the engine adds to them: keep a margin.
+    if thresholds[-1] >= 2**62 or not horizons[-1] / ts < 2**62:
+        raise ValueError("thresholds and horizons must lie within 2**62 samples of "
+                         f"{ts!r} s, got {int(thresholds[-1])} and {float(horizons[-1])!r} s")
     K = len(thresholds)
-    required, horizons = np.append(thresholds, 0), np.append(horizons, horizons[-1])
-    limits = (required, horizons, _last_sample(horizons, ts))
+    required = np.append(thresholds, 0).astype(np.int64)
+    horizons = np.append(horizons, horizons[-1])
+    limits = (required, horizons, _last_sample(horizons, ts), ts)
 
     live = _Lanes(lanes, required, horizons)
     flat = _Detection(np.full(lanes * K, -1), np.full(lanes * K, -1, np.int8),
@@ -673,15 +655,13 @@ def run_detection(
     while len(live.lane):
         searching = noisy and np.count_nonzero(live.need)
         k = 1 if searching else max(1, min(_PASS_EVENTS // len(live.lane), rnd, _PASS_MAX))
-        t_event, new_state = (np.ascontiguousarray(a.T) for a in events(
-            live.lane, live.state, live.seg_start, k))
+        t_event, new_state = events(live.lane, live.state, live.seg_start, k)
         # Row j of each (k, lanes) array is segment j, closed by event j.
         state = _before(live.state, new_state)
         ionized = state == _IONIZED
         seg_start = _before(live.seg_start, t_event)
         n_last = _last_sample(np.minimum(t_event, horizons[-1]), ts)
-        n_first = live.n[None] if k == 1 else np.concatenate((
-            live.n[None], np.maximum(live.n, n_last[:-1] + 1)))
+        n_first = _before(live.n, np.maximum(live.n, n_last + 1))
         level = latched = None
         with np.errstate(invalid="ignore"):  # events at inf, past a lane's last
             dt = t_event - seg_start
@@ -767,11 +747,11 @@ def _block_events(master_seed: int, rates: RateSet, indices: range):
     A call for k events draws (k, 2, _SEED_BLOCK) uniforms once from the
     generator of every block with a live lane, the same values as k rounds
     of (2, _SEED_BLOCK) draws: event r of shot i is the Gillespie step of
-    column i % _SEED_BLOCK of round r.  For k > 1 one gillespie_step call
-    steps every state with every lane's k columns, and each lane then
-    follows its chain through them.  A block whose lanes have ended draws
-    no more, which leaves the other blocks' streams as they were.  The
-    arrays are (lanes, k); without k, one event as (lanes,) arrays.
+    column i % _SEED_BLOCK of round r.  One gillespie_step call steps each
+    of the three states with every lane's k columns, and each lane then
+    follows its chain through that table, k = 1 included.  A block whose
+    lanes have ended draws no more, which leaves the other blocks' streams
+    as they were.  The (t_event, new_state) arrays are (k, lanes).
     """
     first = indices[0] // _SEED_BLOCK
     gens = [np.random.default_rng([master_seed, _EVENT_STREAM, b])
@@ -780,27 +760,24 @@ def _block_events(master_seed: int, rates: RateSet, indices: range):
                               _SEED_BLOCK)
     states = np.arange(len(DonorState))[:, None]
 
-    def events(lane: np.ndarray, state: np.ndarray, t: np.ndarray, k: int | None = None):
-        rounds, width = k or 1, len(lane)
-        u = np.empty((2, rounds, width))
+    def events(lane: np.ndarray, state: np.ndarray, t: np.ndarray, k: int):
+        width = len(lane)
+        u = np.empty((2, k, width))
         lo = 0
         for b, hi in enumerate(np.bincount(block[lane], minlength=len(gens)).cumsum().tolist()):
             if hi > lo:
-                u[..., lo:hi] = gens[b].random((rounds, 2, _SEED_BLOCK)).take(
+                u[..., lo:hi] = gens[b].random((k, 2, _SEED_BLOCK)).take(
                     column[lane[lo:hi]], axis=-1).transpose(1, 0, 2)
             lo = hi
-        if rounds == 1:
-            dt, state = gillespie_step(state, rates, u[0, 0], u[1, 0])
-            return ((t + dt)[:, None], state[:, None]) if k else (t + dt, state)
         step, to = (a.ravel() for a in gillespie_step(states, rates, u[0].ravel(), u[1].ravel()))
-        times, path = np.empty((rounds, width)), np.empty((rounds, width), np.int64)
+        times, path = np.empty((k, width)), np.empty((k, width), np.int64)
         at = np.arange(width)
-        for r in range(rounds):
-            j = state * (rounds * width) + at
+        for r in range(k):
+            j = state * (k * width) + at
             t = times[r] = t + step[j]
             state = path[r] = to[j]
             at += width
-        return times.T, path.T
+        return times, path
 
     return events
 
@@ -888,7 +865,9 @@ def _blocks(shots: int, size: int) -> list[range]:
 def _tally_block(args) -> tuple[np.ndarray, np.ndarray]:
     """All a sweep point reads of _shot_block, and all that a pool worker sends
     back: per threshold, each lane's spin at trigger (-1 if none) and the
-    sums of the _TALLIED counts."""
+    sums of the _TALLIED counts.  Dropping the rest of each call's
+    _Detection at once keeps memory down: without it, op-point's peak RSS
+    (bench/run.py, 2-vCPU VM) read 77.6-77.9 MiB against 71.0-71.5 MiB."""
     shots = _shot_block(args)
     return shots.state_at_trigger, np.stack(
         [getattr(shots, name).sum(axis=-1) for name in _TALLIED], axis=-1)
@@ -939,7 +918,7 @@ def _draw_load_spin(cfg: ExperimentConfig, rates: RateSet, indices: range) -> np
     ionized donor: round 0 of their events, as a monitored run draws it."""
     lane = np.arange(len(indices))
     events = _block_events(cfg.master_seed, rates, indices)
-    return events(lane, np.full(len(lane), _IONIZED), np.zeros(len(lane)), 1)[1][:, 0]
+    return events(lane, np.full(len(lane), _IONIZED), np.zeros(len(lane)), 1)[1][0]
 
 
 def _analytic_fidelity(
@@ -1030,7 +1009,7 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
     n_required = cfg.demon.required_samples
     rates = [build_rates(replace(cfg.physics, donor_potential=mu_d)) for mu_d in cfg.sweep.grid]
     tallies = (_run_shots(cfg, [(r, n_required) for r in rates], tally=True)
-               if demon_on and n_required > 0 else [None] * len(rates))
+               if demon_on else [None] * len(rates))
     return [_sweep_point(cfg, k, mu_d, r, n_required, point)
             for k, (mu_d, r, point) in enumerate(zip(cfg.sweep.grid, rates, tallies))]
 

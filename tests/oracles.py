@@ -237,14 +237,14 @@ def list_events(streams):
     per-lane transition streams (lists or iterators of (time, new_state)).
 
     A call for k events takes the next k items of each live lane's stream,
-    as (lanes, k) arrays; a stream that has ended reads (inf, -1), which
+    as (k, lanes) arrays; a stream that has ended reads (inf, -1), which
     ends its lane.
     """
     iters = [iter(stream) for stream in streams]
 
     def events(lane, state, t, k):
         items = [next(iters[j], (math.inf, -1)) for j in lane.tolist() for _ in range(k)]
-        t_event, new_state = np.array(items, float).reshape(len(lane), k, 2).transpose(2, 0, 1)
+        t_event, new_state = np.array(items, float).reshape(len(lane), k, 2).transpose(2, 1, 0)
         return t_event, new_state.astype(np.int64)
 
     return events

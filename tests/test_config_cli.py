@@ -340,6 +340,14 @@ class TestCli:
             (["project", "--seed", "9"], {}),
             (["budget", "--f-init", "0.989", "--f-control", "0.995", "--f-readout", "0.9999",
               "--shots", "7"], {}),
+            # Thresholds and horizons past 2**62 samples, which int64 sample
+            # indices cannot hold with margin.
+            (["sweep-tobs", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 3\nsweep.grid = 1e15\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 3\ndemon.required_samples = 100000000000000000000\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 3\nrun.abandon_factor = 1e17\n"}),
         ],
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
              "fit-negative-t",
@@ -347,7 +355,7 @@ class TestCli:
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
              "sweep-bias-t-obs", "base-rate-with-calibration", "fit-shots", "project-seed",
-             "budget-shots"],
+             "budget-shots", "sweep-grid-huge", "required-samples-huge", "abandon-factor-huge"],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.chdir(tmp_path)

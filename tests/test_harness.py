@@ -948,7 +948,7 @@ class TestBlockDraws:
         replays = [column_replay(31, rates, i) for i in indices]
         state, t = np.full(len(lane), int(DonorState.IONIZED)), np.zeros(len(lane))
         for _ in range(40):
-            t, state = events(lane, state, t)
+            t, state = (a[0] for a in events(lane, state, t, 1))
             assert [next(replay) for replay in replays] == list(
                 zip(t.tolist(), map(DonorState, state.tolist()))
             )
@@ -992,11 +992,12 @@ class TestBlockDraws:
         shots = np.arange(1000, 2100)
         events = harness._block_events(31, rates, range(1000, 2100))
         lane = np.arange(len(shots))
-        t, state = events(lane, np.full(len(lane), int(DonorState.IONIZED)), np.zeros(len(lane)))
+        t, state = (a[0] for a in events(lane, np.full(len(lane), int(DonorState.IONIZED)),
+                                         np.zeros(len(lane)), 1))
         kept = shots // 1024 != 1
         lane, state, t = lane[kept], state[kept], t[kept]
         for _ in range(3):
-            t, state = events(lane, state, t)
+            t, state = (a[0] for a in events(lane, state, t, 1))
         replay = {}
         for b in (0, 2):
             gen = np.random.default_rng([31, harness._EVENT_STREAM, b])
@@ -1110,6 +1111,38 @@ class TestPasses:
         calls = counted_events(monkeypatch)
         harness._shot_block(args)
         assert rounds > 200 and calls[0] <= rounds / 8, (rounds, calls[0])
+
+
+class TestArrayHelpers:
+    """_scan and _reduce against the numpy calls they stand for, at row
+    counts around the powers of two that _scan's shifted steps double
+    through."""
+
+    ROWS = [*range(1, 10), 16, 17, 255, 256]
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    def test_scan_is_accumulate_in_place(self, ufunc):
+        rng = np.random.default_rng(7)
+        for rows in self.ROWS:
+            for width in (1, 3):
+                x = rng.integers(-10**6, 10**6, (rows, width))
+                if ufunc is np.maximum:
+                    x = x / 7.0
+                expected = ufunc.accumulate(x, axis=0)
+                assert harness._scan(ufunc, x) is x
+                assert np.array_equal(x, expected), (rows, width)
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.logical_or])
+    def test_reduce_is_reduce(self, ufunc):
+        rng = np.random.default_rng(8)
+        for rows in self.ROWS:
+            for width in (1, 3):
+                a = rng.integers(0, 2 if ufunc is np.logical_or else 10**6, (rows, width))
+                if ufunc is np.logical_or:
+                    a = a.astype(bool)
+                reduced = harness._reduce(ufunc, a)
+                assert reduced.shape == (width,)
+                assert np.array_equal(reduced, ufunc.reduce(a, axis=0)), (rows, width)
 
 
 class TestSweepTobs:
