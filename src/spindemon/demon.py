@@ -12,15 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .physics import RateSet
+from .physics import RateSet, _sigmoid
 from .telegraph import DonorState
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 def _logit(p: float) -> float:

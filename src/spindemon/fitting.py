@@ -53,9 +53,10 @@ class FitResult:
             raise ValueError("missed_probability must be >= 0")
 
 
-# Array forms of the scalar pair in demon.py.  They stay separate because
-# np.exp and math.exp differ in the last bit for some arguments, and sharing
-# one form would change either the fitted values or the analytic curve.
+# Array forms of the scalar pair, physics._sigmoid and demon._logit.  They
+# stay separate because np.exp and math.exp differ in the last bit for some
+# arguments, and sharing one form would change either the fitted values or
+# the analytic curve.
 def _sigmoid(z):
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)

@@ -27,13 +27,13 @@ on nothing but the master seed and its index: not on how shots are grouped
 into calls or passes, on the worker or on the order.  Sensor noise only
 flips samples away from their noiseless outcome, each independently, and
 the lanes find their flips together by thinning (Lewis & Shedler 1979),
-one event per pass while a lane still counts.  The uniforms are keyed the
-same way: round r of block b reads ``default_rng([master_seed,
-_NOISE_STREAM, b, r])``, whose j-th (2, 1024) draw is row j, and a lane
-reads its j-th (u_gap, u_accept) pair of the round from its column of row
-j.  A shot's flips therefore depend on nothing but the master seed and its
-index either.  A t_obs sweep follows each shot once, all its thresholds
-sharing a counter.
+one event per pass while a lane still counts, each pass feeding once per
+wave of flips.  The uniforms are keyed the same way: round r of block b
+reads ``default_rng([master_seed, _NOISE_STREAM, b, r])``, whose j-th (2,
+1024) draw is row j, and a lane reads its j-th (u_gap, u_accept) pair of
+the round from its column of row j.  A shot's flips therefore depend on
+nothing but the master seed and its index either.  A t_obs sweep follows
+each shot once, all its thresholds sharing a counter.
 """
 
 from __future__ import annotations
@@ -117,9 +117,10 @@ class ExperimentConfig:
     estimator behavior from detection loss.  Sensor noise acts on the
     amplifier output, so noise_std > 0 requires the amplifier detector.  It
     enters as the samples it flips, found with a few draws per segment and
-    per flip up to the trigger of the largest threshold a run watches for
-    (see run_detection).  A run costs per pass of several events, one event
-    a pass while noise is searched for flips, not per sample.
+    per flip up to the first flip after the trigger of the largest threshold
+    a run watches for (see run_detection).  A run costs per pass of several
+    events, not per sample; while noise is searched for flips, a pass takes
+    one event and feeds once per wave of flips.
 
     master_seed fixes every draw: shot i's r-th tunneling event comes from
     column i % 1024 of the r-th round of uniforms of its 1024-shot block,
@@ -384,7 +385,7 @@ def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: 
                live: _Lanes, flip: np.ndarray, ionized: np.ndarray, at: np.ndarray,
                n_end: np.ndarray) -> None:
     """Set ``flip`` of each lane at ``at`` to its first sample from live.n to
-    n_end that noise flips away from the noiseless outcome, n_end + 1 if none.
+    n_end that noise flips away from the noiseless outcome, if it has one.
 
     Sample k flips with p_k = Q(|m_k - S_th| / noise_std), m_k its noiseless
     output.  Candidates lie a geometric gap apart at a bound r on p: p at
@@ -398,7 +399,6 @@ def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: 
     """
     ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
     scale = noise_std * math.sqrt(2.0)
-    flip[at] = n_end[at] + 1
     n = live.n[at]
     while True:
         go = n <= n_end[at]
@@ -536,41 +536,6 @@ def _feed(live: _Lanes, flat: _Detection, runs, fed: np.ndarray, segments, limit
         j = j[live.need[j] > 0]
 
 
-def _feed_flips(amp: AmplifierParams, noise_std: float, noise, rnd: int, live: _Lanes,
-                flat: _Detection, n_last: np.ndarray, segments, limits) -> None:
-    """Feed each counting lane the samples of its one segment up to n_last
-    with sensor noise: the noiseless runs up to the next flip that
-    _next_flip finds, then the flipped sample on its own, searching on
-    after it until the segment ends or the lane's last threshold does.
-    Each step feeds the runs before the flips as one row of a run matrix,
-    and the flipped samples, if any lane has one, as a second."""
-    t_event, ionized = segments
-    segments = (t_event, ionized, tuple((a[None], a) for a in (
-        live.n_ionizations, live.n_missed_subrise, live.n_missed_sampled, live.episode_base)))
-    split, first_blip = (a[0] for a in _noiseless_runs(
-        amp, "amplifier", live.n[None], n_last[None], ionized, live.level[None],
-        live.seg_start[None], None))
-    flip = n_last + 1  # each lane's next flipped sample
-    row = np.zeros(len(live.lane), np.int64)
-    at = live.need.nonzero()[0]
-    while len(at):
-        _next_flip(amp, noise_std, noise, rnd, row, live, flip, ionized[0], at, n_last)
-        cut = np.minimum(n_last, flip - 1)
-        flipped = (flip <= n_last) & (live.need > 0)
-        fed = cut + flipped
-        runs = (live.n, np.minimum(np.maximum(split, live.n), cut + 1), cut, first_blip)
-        if flipped.any():  # the flipped sample, the other way
-            runs = (np.concatenate(pair).reshape(2, -1) for pair in zip(runs, (
-                cut + 1, fed + 1, fed, (fed < split) != first_blip)))
-        else:
-            runs = (a[None] for a in runs)
-        _feed(live, flat, _run_pairs(*runs), fed, segments, limits)
-        live.n = np.maximum(live.n, fed + 1)
-        flipped &= live.need > 0
-        flip[~flipped] = n_last[~flipped] + 1
-        at = flipped.nonzero()[0]
-
-
 def run_detection(
     events: Callable[..., tuple[np.ndarray, np.ndarray]],
     lanes: int,
@@ -617,16 +582,18 @@ def run_detection(
     of its events, so a pass costs in proportion to the lanes still live,
     and a call's long tail of few lanes costs passes, not events.
 
-    With noise a pass takes one event while any lane still counts, and
-    ``_next_flip`` finds the samples that noise flips, searching each
-    segment up to its event or the last threshold's horizon.  The
-    closed-form runs are cut at each flip and the flipped sample is fed on
-    its own.  ``noise(lane, round, row)`` returns the (u_gap, u_accept)
-    arrays of the lanes at positions ``lane`` in round ``round``, each at
-    its own ``row``: a lane's row pointer starts at 0 every round and moves
-    on by one with each pair it reads.  A lane searches only until its last
-    threshold fires or is abandoned, so what it reads depends neither on
-    the other lanes nor on the thresholds below its last.
+    Every pass feeds its rows in one loop.  Without noise the loop runs
+    once.  With noise a pass takes one event while any lane still counts,
+    and the loop runs once per wave of flips: ``_next_flip`` finds each
+    counting lane's next sample that noise flips, searching its segment up
+    to its event or the last threshold's horizon, and the wave feeds the
+    closed-form runs up to that sample, then the flipped sample as one more
+    row.  ``noise(lane, round, row)`` returns the (u_gap, u_accept) arrays
+    of the lanes at positions ``lane`` in round ``round``, each at its own
+    ``row``: a lane's row pointer starts at 0 every round and moves on by
+    one with each pair it reads.  A lane reads pairs up to the first flip
+    after its last trigger, or to its segment's end, so what it reads
+    depends neither on the other lanes nor on the thresholds below its last.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -640,9 +607,11 @@ def run_detection(
             np.diff(horizons), default=0) < 0:
         raise ValueError("n_required must be ascending thresholds >= 1, horizons not falling")
     # Sample indices are int64, and the engine adds to them: keep a margin.
-    if thresholds[-1] >= 2**62 or not horizons[-1] / ts < 2**62:
-        raise ValueError("thresholds and horizons must lie within 2**62 samples of "
-                         f"{ts!r} s, got {int(thresholds[-1])} and {float(horizons[-1])!r} s")
+    # A fired lane steps events until one falls after its latency window.
+    if thresholds[-1] >= 2**62 or not max(horizons[-1], latency) / ts < 2**62:
+        raise ValueError("thresholds, horizons and the latency must lie within 2**62 samples "
+                         f"of {ts!r} s, got {int(thresholds[-1])}, {float(horizons[-1])!r} s "
+                         f"and {float(latency)!r} s")
     K = len(thresholds)
     required = np.append(thresholds, 0).astype(np.int64)
     horizons = np.append(horizons, horizons[-1])
@@ -677,22 +646,31 @@ def run_detection(
                     np.subtract(level[j], ionized[j], out=level[j + 1])
                     level[j + 1] *= decay[j]
                     level[j + 1] += ionized[j]
-        if searching:  # k is 1
-            _feed_flips(amp, noise_std, noise, rnd, live, flat, n_last[0], (t_event, ionized),
-                        limits)
-            b_end = live.blips[None]
-        else:
-            split, first_blip = _noiseless_runs(
-                amp, detector, n_first, n_last, ionized, None if level is None else level[:-1],
-                seg_start, None if latched is None else _before(live.latched_until, latched))
-            runs = _run_pairs(n_first, split, n_last, first_blip)
-            b_end = runs[4].copy()
-            b_end[0] += live.blips
-            b_end = _scan(np.add, b_end)
-        counts = _event_counts(live, ionized, ~ionized & (new_state == _IONIZED),
-                               dt < t_rise_det, b_end)
-        if not searching:
-            _feed(live, flat, runs, n_last[-1], (t_event, ionized, counts), limits)
+        split, first_blip = _noiseless_runs(
+            amp, detector, n_first, n_last, ionized, None if level is None else level[:-1],
+            seg_start, None if latched is None else _before(live.latched_until, latched))
+        ionizes, subrise = ~ionized & (new_state == _IONIZED), dt < t_rise_det
+        row = np.zeros(len(live.lane), np.int64)  # each lane's next noise row
+        while True:  # once, or once per wave of flips
+            flip = n_last[-1] + 1  # each lane's next flipped sample
+            if noisy:
+                _next_flip(amp, noise_std, noise, rnd, row, live, flip, ionized[0],
+                           live.need.nonzero()[0], n_last[-1])
+            flipped = flip <= n_last[-1]
+            n, cut = np.maximum(n_first, live.n), np.minimum(n_last, flip - 1)
+            fed = cut[-1] + flipped
+            runs = (n, np.minimum(np.maximum(split, n), cut + 1), cut, first_blip)
+            if flipped.any():  # the flipped sample as one more row, the other way
+                runs = (np.concatenate((a, b[None])) for a, b in zip(runs, (
+                    cut[-1] + 1, fed + 1, fed, (fed < split[-1]) != first_blip[-1])))
+            runs = _run_pairs(*runs)
+            # The last k rows end the k segments.
+            b_end = _scan(np.add, runs[4].copy())[-k:] + live.blips
+            counts = _event_counts(live, ionized, ionizes, subrise, b_end)
+            _feed(live, flat, runs, fed, (t_event, ionized, counts), limits)
+            live.n = np.maximum(live.n, fed + 1)
+            if not np.count_nonzero(flipped & (live.need > 0)):
+                break
 
         # A threshold ends at once when abandoned, and at the first event
         # after trigger + latency when fired, keeping the state before it.

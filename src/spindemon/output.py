@@ -4,13 +4,16 @@ CSV schemas are fixed: sweeps write (grid_value, shots, successes, median,
 p25, p75, analytic); fits write (param, estimate, std_error); budgets write
 (stage, fidelity).  JSON files mirror the CSV rows and add a metadata header
 with the config hash, seed, and package version.  Floats are serialized with
-repr so identical runs produce byte-identical files.
+repr so identical runs produce byte-identical files.  A float that is not
+finite, such as the quartiles of a point whose every shot was abandoned,
+reads nan in CSV and null in JSON, which has no token for it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import astuple
 from typing import IO
 
@@ -61,6 +64,11 @@ def _shot_row(record: ShotRecord) -> list:
     ]
 
 
+def _json_value(value):
+    """value, or None for a float that is not finite."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write(
     stream: IO[str], columns: tuple[str, ...], rows: list, fmt: str, metadata: dict
 ) -> None:
@@ -68,9 +76,9 @@ def _write(
     if fmt == "json":
         payload = {
             "metadata": metadata,
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "rows": [dict(zip(columns, map(_json_value, row))) for row in rows],
         }
-        json.dump(payload, stream, indent=2, sort_keys=True)
+        json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
         stream.write("\n")
         return
     writer = csv.writer(stream, lineterminator="\n")

@@ -145,6 +145,14 @@ class RateSet:
         return self.in_up + self.in_down
 
 
+def _sigmoid(z: float) -> float:
+    """1 / (1 + exp(-z)), in the branch whose exp cannot overflow."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
 def fermi_occupation(energy: float, reservoir: ReservoirParams) -> float:
     """Occupation probability of a reservoir state at the given energy.
 
@@ -162,12 +170,7 @@ def fermi_occupation(energy: float, reservoir: ReservoirParams) -> float:
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy}")
     x = (energy - reservoir.fermi_level) / (BOLTZMANN_UEV_PER_K * reservoir.temperature)
-    if x >= 0.0:
-        e = math.exp(-x)
-        f = e / (1.0 + e)
-    else:
-        f = 1.0 / (1.0 + math.exp(x))
-    return min(max(f, _OCC_FLOOR), _OCC_CEIL)
+    return min(max(_sigmoid(-x), _OCC_FLOOR), _OCC_CEIL)
 
 
 def build_rates(params: TunnelModelParams) -> RateSet:

@@ -198,6 +198,26 @@ class TestCli:
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["grid_value"] == 0.0
 
+    def test_json_writes_null_for_nan(self, tmp_path):
+        # Every shot is abandoned, so the bootstrap quartiles are nan.
+        text = ("run.shots = 5\nrun.abandon_factor = 1.0\n"
+                "demon.required_samples = 100000\nsweep.grid = 0.5\n")
+        cfg = self.write_config(tmp_path, text)
+        out_csv, out_json = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main(["sweep-tobs", "--config", str(cfg), "--out", str(out_csv)]) == 0
+        assert main(["sweep-tobs", "--config", str(cfg), "--format", "json",
+                     "--out", str(out_json)]) == 0
+        (row,) = csv.DictReader(out_csv.open())
+        assert (row["successes"], row["median"], row["p25"], row["p75"]) == (
+            "0", "nan", "nan", "nan")
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        (row,) = json.loads(out_json.read_text(), parse_constant=reject)["rows"]
+        assert row["successes"] == 0
+        assert row["median"] is row["p25"] is row["p75"] is None
+
     def test_sweep_determinism_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -348,6 +368,11 @@ class TestCli:
              {"run.cfg": "run.shots = 3\ndemon.required_samples = 100000000000000000000\n"}),
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 3\nrun.abandon_factor = 1e17\n"}),
+            # A latency past 2**62 samples: a fired lane would step events
+            # without end, waiting for one after its latency window.
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 3\ndemon.required_samples = 100\n"
+                         "demon.latency_s = 1e300\n"}),
         ],
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
              "fit-negative-t",
@@ -355,7 +380,8 @@ class TestCli:
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
              "sweep-bias-t-obs", "base-rate-with-calibration", "fit-shots", "project-seed",
-             "budget-shots", "sweep-grid-huge", "required-samples-huge", "abandon-factor-huge"],
+             "budget-shots", "sweep-grid-huge", "required-samples-huge", "abandon-factor-huge",
+             "latency-huge"],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.chdir(tmp_path)
