@@ -32,11 +32,9 @@ from .demon import (
 from .fitting import FitConvergenceError, FitResult, fidelity_model, fit_fidelity_curve
 from .harness import (
     ExperimentConfig,
-    ProjectionScenario,
     ShotRecord,
     SweepResult,
     SweepSpec,
-    projection_999,
     run_initialization_shot,
     sweep_bias,
     sweep_tobs,
@@ -57,6 +55,8 @@ from .physics import (
 from .telegraph import (
     AmplifierParams,
     DonorState,
+    ProjectionScenario,
     missed_blip_probability,
+    projection_999,
     rise_time,
 )

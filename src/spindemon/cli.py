@@ -17,7 +17,8 @@ from pathlib import Path
 from . import __version__, ancilla, harness, output
 from .config import ConfigError, load_config
 from .fitting import FitConvergenceError, fit_fidelity_curve
-from .harness import projection_999, sweep_bias, sweep_tobs
+from .harness import sweep_bias, sweep_tobs
+from .telegraph import projection_999
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
         extra, vis = None, None
         if args.command == "simulate-shot":
             writer = output.write_shots
-            (shots,) = harness._run_shots(cfg, [(cfg.rates, cfg.demon.required_samples)])
+            (shots,) = harness._run_shots(cfg, [(cfg.rates, [cfg.demon.required_samples])])
             payload = shots.records()
         elif args.command in ("sweep-tobs", "sweep-bias"):
             writer = output.write_sweep
@@ -149,7 +150,8 @@ def main(argv=None) -> int:
             writer, extra = output.write_fit, {"data": str(args.data)}
             payload = fit_fidelity_curve(_read_fit_data(args.data))
         elif args.command == "project":
-            writer, payload = output.write_projection, projection_999(cfg)
+            writer = output.write_projection
+            payload = projection_999(cfg.amplifier, cfg.rates.in_total)
         elif args.command == "budget":
             writer = output.write_budget
             payload = ancilla.total_fidelity(args.f_init, args.f_control, args.f_readout)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import demon
+
 PARAM_NAMES = ("prior", "rate_gap", "missed_probability")
 
 _MAX_ITERATIONS = 200
@@ -53,10 +55,9 @@ class FitResult:
             raise ValueError("missed_probability must be >= 0")
 
 
-# Array forms of the scalar pair, physics._sigmoid and demon._logit.  They
-# stay separate because np.exp and math.exp differ in the last bit for some
-# arguments, and sharing one form would change either the fitted values or
-# the analytic curve.
+# The array form of physics._sigmoid.  It stays separate because np.exp and
+# math.exp differ in the last bit for some arguments, and sharing one form
+# would change either the fitted values or the analytic curve.
 def _sigmoid(z):
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
@@ -68,8 +69,7 @@ def _sigmoid(z):
 
 
 def _logit(p: float) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return math.log(p / (1.0 - p))
+    return demon._logit(min(max(p, 1e-12), 1.0 - 1e-12))
 
 
 def fidelity_model(t_obs, prior: float, rate_gap: float, p_miss: float):

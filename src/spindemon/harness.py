@@ -1,5 +1,5 @@
-"""Experiment orchestration: the initialization-cycle shot engine, the
-sweeps built on it, and the detection-loss projections.
+"""Experiment orchestration: the initialization-cycle shot engine and the
+sweeps built on it.
 
 One shot follows the hardware cycle: the donor starts ionized (empty pulse),
 an electron loads from the reservoir, and a counter watches the digitized
@@ -32,8 +32,9 @@ wave of flips.  The uniforms are keyed the same way: round r of block b
 reads ``default_rng([master_seed, _NOISE_STREAM, b, r])``, whose j-th (2,
 1024) draw is row j, and a lane reads its j-th (u_gap, u_accept) pair of
 the round from its column of row j.  A shot's flips therefore depend on
-nothing but the master seed and its index either.  A t_obs sweep follows
-each shot once, all its thresholds sharing a counter.
+nothing but the master seed and its index either.  A call's result holds
+a row per threshold and a column per shot, its thresholds sharing one
+counter, so a t_obs sweep follows each shot once.
 """
 
 from __future__ import annotations
@@ -208,22 +209,11 @@ class SweepResult:
 
 
 @dataclass
-class ProjectionScenario:
-    """Detection-loss projection for one hardware variant."""
-
-    label: str
-    cutoff: float
-    in_rate_total: float
-    t_rise: float
-    p_miss: float
-    plateau: float
-
-
-@dataclass
 class _Detection:
-    """Outcome of one run_detection call: an entry per lane, or per threshold and lane.
+    """Outcome of one run_detection call: (thresholds, lanes) arrays, row k
+    for threshold k and column i for lane i.
 
-    trigger_sample and state_at_trigger hold -1 for a lane that did not
+    trigger_sample and state_at_trigger hold -1 where a lane did not
     trigger; state_at_trigger otherwise holds a DonorState value.
     """
 
@@ -242,8 +232,9 @@ class _Detection:
                      for f in fields(cls)))
 
     def records(self, first_index: int = 0) -> list[ShotRecord]:
-        """One ShotRecord per lane, lane k being shot ``first_index + k``."""
-        columns = (getattr(self, f.name).tolist() for f in fields(self))
+        """One ShotRecord per lane at the first threshold, lane k being shot
+        ``first_index + k``."""
+        columns = (getattr(self, f.name)[0].tolist() for f in fields(self))
         return [ShotRecord(first_index + k, trigger >= 0, end if trigger >= 0 else None, resets,
                            DonorState(state) if trigger >= 0 else None, *counts, end)
                 for k, (trigger, state, resets, *counts, end) in enumerate(zip(*columns))]
@@ -446,7 +437,7 @@ def _event_counts(live: _Lanes, ionized, ionizes, subrise, b_end):
             prefix(live.n_missed_sampled, ionizes & seen & (b_end == base[0])), base)
 
 
-def _feed(live: _Lanes, flat: _Detection, runs, fed: np.ndarray, segments, limits) -> None:
+def _feed(live: _Lanes, det: _Detection, runs, fed: np.ndarray, segments, limits) -> None:
     """Feed each lane the run matrix ``runs`` of _run_pairs, which covers
     its samples up to ``fed``.
 
@@ -522,14 +513,14 @@ def _feed(live: _Lanes, flat: _Detection, runs, fed: np.ndarray, segments, limit
         shows = shown[j] + pick(prior_blips, row) + in_blip * np.minimum(
             at - blip_at + 1, pick(blips, row))
         ions, subrises, sampled, base = (pick(start, seg) for start, _ in counts)
-        slot = live.lane[j] * (len(required) - 1) + k
-        flat.trigger_sample[slot[fired]] = trigger[fired]
-        flat.n_resets[slot] = n_resets[j] + pick(prior_resets, row) + (
+        lane = live.lane[j]
+        det.trigger_sample[k[fired], lane[fired]] = trigger[fired]
+        det.n_resets[k, lane] = n_resets[j] + pick(prior_resets, row) + (
             in_blip & pick(resets, row))
-        flat.n_ionizations[slot] = ions
-        flat.n_missed_subrise[slot] = subrises
+        det.n_ionizations[k, lane] = ions
+        det.n_missed_subrise[k, lane] = subrises
         # An episode unseen as the lane ends counts as missed between samples.
-        flat.n_missed_sampled[slot] = sampled + (
+        det.n_missed_sampled[k, lane] = sampled + (
             ~pick(ionized, seg) & (ions > 0) & (shows == base))
         live.fire_k[j] = k + 1
         live.need[j], live.horizon[j] = required[k + 1], horizon[k + 1]
@@ -541,8 +532,8 @@ def run_detection(
     lanes: int,
     *,
     amp: AmplifierParams,
-    n_required: int | Sequence[int],
-    horizon: float | Sequence[float],
+    n_required: Sequence[int],
+    horizon: Sequence[float],
     latency: float = 0.0,
     detector: str = "amplifier",
     noise_std: float = 0.0,
@@ -552,17 +543,16 @@ def run_detection(
 
     The lanes share every argument but their events and noise.  The donor
     starts ionized with the amplifier output settled at 1.  Samples sit at
-    t = n * T_s, n = 1, 2, ...  The trigger fires at the sample completing
-    ``n_required`` consecutive silent samples; the loaded state is then
-    evaluated ``latency`` seconds after that sample instant.  A lane stops
-    at its trigger or at ``horizon``, whichever is first.
-
-    ``n_required`` may be ascending thresholds with a ``horizon`` each; the
-    fields then hold one row per threshold, equal to a run at it alone.  The
-    thresholds share one silent-sample counter: each fires where the run
-    first reaches it, or is abandoned at the first event at or after its
-    horizon, and its counts are taken there.  They fire and end in order,
-    and a lane stays live until its last has ended.
+    t = n * T_s, n = 1, 2, ...  ``n_required`` lists ascending thresholds
+    and ``horizon`` one horizon for each.  A threshold fires at the sample
+    completing that many consecutive silent samples, if that is within its
+    horizon; the loaded state is then evaluated ``latency`` seconds after
+    that sample instant.  Otherwise it is abandoned at the first event at
+    or after its horizon.  Its counts are taken where it fires or is
+    abandoned.  The thresholds share one silent-sample counter, fire and
+    end in order, and a lane stays live until its last has ended.  Every
+    field of the result holds one row per threshold, equal to a run at it
+    alone, and one column per lane.
 
     The lanes advance in passes of k events each, k chosen from the number
     of live lanes (_PASS_EVENTS): ``events(lane, state, t, k)`` returns the
@@ -601,11 +591,11 @@ def run_detection(
     noisy = noise_std > 0.0 and detector == "amplifier"
     if noisy and noise is None:
         raise ValueError("noise_std > 0 requires a noise source")
-    thresholds = np.atleast_1d(n_required)
-    horizons = np.broadcast_to(np.asarray(horizon, float), thresholds.shape)
-    if not len(thresholds) or min(np.diff(thresholds, prepend=0)) < 1 or min(
-            np.diff(horizons), default=0) < 0:
-        raise ValueError("n_required must be ascending thresholds >= 1, horizons not falling")
+    thresholds, horizons = np.asarray(n_required), np.asarray(horizon, float)
+    if len(horizons) != len(thresholds) or not len(thresholds) or min(
+            np.diff(thresholds, prepend=0)) < 1 or min(np.diff(horizons), default=0) < 0:
+        raise ValueError("n_required must be ascending thresholds >= 1, with a horizon each, "
+                         "horizons not falling")
     # Sample indices are int64, and the engine adds to them: keep a margin.
     # A fired lane steps events until one falls after its latency window.
     if thresholds[-1] >= 2**62 or not max(horizons[-1], latency) / ts < 2**62:
@@ -618,8 +608,8 @@ def run_detection(
     limits = (required, horizons, _last_sample(horizons, ts), ts)
 
     live = _Lanes(lanes, required, horizons)
-    flat = _Detection(np.full(lanes * K, -1), np.full(lanes * K, -1, np.int8),
-                      *(np.zeros(lanes * K, np.int64) for _ in _COUNTS), None)
+    det = _Detection(np.full((K, lanes), -1), np.full((K, lanes), -1, np.int8),
+                     *(np.zeros((K, lanes), np.int64) for _ in _COUNTS), None)
     rnd = 0
     while len(live.lane):
         searching = noisy and np.count_nonzero(live.need)
@@ -667,7 +657,7 @@ def run_detection(
             # The last k rows end the k segments.
             b_end = _scan(np.add, runs[4].copy())[-k:] + live.blips
             counts = _event_counts(live, ionized, ionizes, subrise, b_end)
-            _feed(live, flat, runs, fed, (t_event, ionized, counts), limits)
+            _feed(live, det, runs, fed, (t_event, ionized, counts), limits)
             live.n = np.maximum(live.n, fed + 1)
             if not np.count_nonzero(flipped & (live.need > 0)):
                 break
@@ -676,14 +666,13 @@ def run_detection(
         # after trigger + latency when fired, keeping the state before it.
         ending = (live.end_k < live.fire_k).nonzero()[0]
         while len(ending):
-            at = live.lane[ending] * K + live.end_k[ending]
-            trigger = flat.trigger_sample[at]
+            trigger = det.trigger_sample[live.end_k[ending], live.lane[ending]]
             j = _rows_where(np.less_equal, t_event, ending, trigger * ts + latency)
             ends = (trigger < 0) | (j < k)
             if not ends.all():
-                ending, at, j, trigger = ending[ends], at[ends], j[ends], trigger[ends]
-            flat.state_at_trigger[at] = np.where(trigger < 0, -1, state.ravel()[
-                np.minimum(j, k - 1) * len(state[0]) + ending])
+                ending, j, trigger = ending[ends], j[ends], trigger[ends]
+            det.state_at_trigger[live.end_k[ending], live.lane[ending]] = np.where(
+                trigger < 0, -1, state.ravel()[np.minimum(j, k - 1) * len(state[0]) + ending])
             live.end_k[ending] += 1
             ending = ending[live.end_k[ending] < live.fire_k[ending]]
 
@@ -700,11 +689,9 @@ def run_detection(
         if np.count_nonzero(done := live.end_k == K):
             live.keep((~done).nonzero()[0])
         rnd += k
-    rows = slice(None) if np.ndim(n_required) else 0  # an int gives one entry per lane
-    trigger, *rest = (getattr(flat, name).reshape(lanes, K).T[rows]
-                      for name in ("trigger_sample", "state_at_trigger", *_COUNTS))
-    return _Detection(trigger, *rest, np.where(trigger >= 0, trigger * ts + latency,
-                                               horizons[:K, None][rows]))
+    det.end_time = np.where(det.trigger_sample >= 0, det.trigger_sample * ts + latency,
+                            horizons[:K, None])
+    return det
 
 
 def shot_rng(master_seed: int, block: int, rnd: int) -> np.random.Generator:
@@ -803,12 +790,17 @@ def _block_noise(master_seed: int, indices: range):
 def _shot_block(args) -> _Detection:
     """Run the shots ``indices`` as the lanes of one run_detection call."""
     cfg, rates, n_required, indices = args
+    horizon = cfg.abandon_factor * np.asarray(n_required) * cfg.amplifier.sample_period
+    # A fired lane steps every event up to the end of its latency window.
+    if cfg.demon.latency > horizon[-1]:
+        raise ValueError(f"demon latency {float(cfg.demon.latency)!r} s lies past the last "
+                         f"abandon horizon, {float(horizon[-1])!r} s")
     return run_detection(
         _block_events(cfg.master_seed, rates, indices),
         len(indices),
         amp=cfg.amplifier,
         n_required=n_required,
-        horizon=cfg.abandon_factor * np.asarray(n_required) * cfg.amplifier.sample_period,
+        horizon=horizon,
         latency=cfg.demon.latency,
         detector=cfg.detector,
         noise_std=cfg.noise_std,
@@ -832,7 +824,7 @@ def run_initialization_shot(
     rates = cfg.rates if rates is None else rates
     n_required = cfg.demon.required_samples if n_required is None else n_required
     block = range(shot_index, shot_index + 1)
-    return _shot_block((cfg, rates, n_required, block)).records(shot_index)[0]
+    return _shot_block((cfg, rates, [n_required], block)).records(shot_index)[0]
 
 
 def _blocks(shots: int, size: int) -> list[range]:
@@ -851,7 +843,7 @@ def _tally_block(args) -> tuple[np.ndarray, np.ndarray]:
         [getattr(shots, name).sum(axis=-1) for name in _TALLIED], axis=-1)
 
 
-def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, int | list[int]]],
+def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, list[int]]],
                tally: bool = False) -> list:
     """Every shot of cfg for each (rates, thresholds) job, in run_detection
     calls of up to _LANE_BLOCKS aligned blocks.  Work that fits one call
@@ -986,28 +978,9 @@ def sweep_bias(cfg: ExperimentConfig, demon_on: bool) -> list[SweepResult]:
         raise ValueError("sweep_bias needs sweep.variable = mu_d in the config")
     n_required = cfg.demon.required_samples
     rates = [build_rates(replace(cfg.physics, donor_potential=mu_d)) for mu_d in cfg.sweep.grid]
-    tallies = (_run_shots(cfg, [(r, n_required) for r in rates], tally=True)
+    tallies = ([[(spins[0], totals[0]) for spins, totals in job]
+                for job in _run_shots(cfg, [(r, [n_required]) for r in rates], tally=True)]
                if demon_on else [None] * len(rates))
     return [_sweep_point(cfg, k, mu_d, r, n_required, point)
             for k, (mu_d, r, point) in enumerate(zip(cfg.sweep.grid, rates, tallies))]
 
-
-def projection_999(cfg: ExperimentConfig) -> list[ProjectionScenario]:
-    """Detection-loss plateaus for the two hardware improvement paths.
-
-    Evaluates the rise-time and missed-event formulas for the baseline
-    chain, for a faster amplifier with a 300 kHz cutoff, and for loading
-    slowed to 880 /s; each scenario reports its plateau 1 - P_miss.
-    """
-    amp = cfg.amplifier
-    base_in = cfg.rates.in_total
-    rows = []
-    for label, cutoff, in_rate in (
-        ("baseline", amp.cutoff, base_in),
-        ("faster_amplifier", 300e3, base_in),
-        ("slower_loading", amp.cutoff, 880.0),
-    ):
-        t_r = rise_time(cutoff, amp.threshold)
-        p_m = missed_blip_probability(t_r, in_rate)
-        rows.append(ProjectionScenario(label, cutoff, in_rate, t_r, p_m, 1.0 - p_m))
-    return rows

@@ -20,7 +20,8 @@ from typing import IO
 from . import __version__
 from .ancilla import FidelityBudget, NuclearHistogram
 from .fitting import PARAM_NAMES, FitResult
-from .harness import ProjectionScenario, ShotRecord, SweepResult
+from .harness import ShotRecord, SweepResult
+from .telegraph import ProjectionScenario
 
 SWEEP_COLUMNS = ("grid_value", "shots", "successes", "median", "p25", "p75", "analytic")
 FIT_COLUMNS = ("param", "estimate", "std_error")

@@ -6,7 +6,10 @@ ionized state.  Loading rates follow Fermi's golden rule with the reservoir
 occupation f(E) and a phenomenological spin asymmetry chi multiplying the
 spin-up channel; unloading rates use the empty-state factor 1 - f(E) with
 the same chi and base rate.  The spin levels sit symmetrically about the
-donor potential, E_up/down = mu_D +/- E_Z / 2.
+donor potential, E_up/down = mu_D +/- E_Z / 2.  Energies are in
+micro-electronvolts (ueV), temperatures in kelvin, rates in 1/s, magnetic
+fields in tesla and gyromagnetic ratios in GHz/T.  All unit conversions
+live here, so the rest of the code never repeats them.
 
 Everything here is a pure function of value inputs and safe to call from
 any number of threads or processes.
@@ -17,7 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import BOLTZMANN_UEV_PER_K, PLANCK_UEV_PER_GHZ
+# CODATA exact values, re-expressed:
+#   k_B = 1.380649e-23 J/K / 1.602176634e-19 J/eV = 8.617333262e-5 eV/K
+#   h   = 6.62607015e-34 J*s / 1.602176634e-19 J/eV = 4.135667696e-15 eV*s
+BOLTZMANN_UEV_PER_K = 86.17333262  # k_B in ueV per kelvin
+PLANCK_UEV_PER_GHZ = 4.135667696e-9 * 1e9  # h * 1 GHz in ueV
 
 # Guarded bounds so occupations never round to exactly 0 or 1 for finite
 # arguments (the rate model divides by both f and 1 - f).

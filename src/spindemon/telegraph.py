@@ -7,7 +7,9 @@ exact step of it, for any number of chains at once.  The sensor sees 1
 while the donor is ionized and 0 while it is neutral, and a first-order
 low-pass amplifier turns that telegraph signal into the output compared
 against the blip threshold.  ``rise_time`` and ``missed_blip_probability``
-give the amplifier's step response and the detection loss it causes.
+give the amplifier's step response and the detection loss it causes, and
+``projection_999`` evaluates them for the hardware paths to a 99.9 %
+plateau.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def gillespie_step(state, rates, u_time, u_choice):
     rate = np.array([[getattr(rates, name) for name, _ in ch] for ch in _CHANNELS])[state]
     total = rate[..., 0] + rate[..., 1]
     exits = total > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dt = np.where(exits, -np.log1p(-np.asarray(u_time)) / total, math.inf)
     dest = _DESTINATIONS[state, (u_choice * total >= rate[..., 0]).astype(np.intp)]
     return dt, np.where(exits, dest, state)
@@ -105,3 +107,35 @@ def missed_blip_probability(t_rise: float, in_rate_total: float) -> float:
     if t_rise < 0.0 or in_rate_total < 0.0:
         raise ValueError("t_rise and in_rate_total must be >= 0")
     return -math.expm1(-t_rise * in_rate_total)
+
+
+@dataclass
+class ProjectionScenario:
+    """Detection-loss projection for one hardware variant."""
+
+    label: str
+    cutoff: float
+    in_rate_total: float
+    t_rise: float
+    p_miss: float
+    plateau: float
+
+
+def projection_999(amp: AmplifierParams, in_rate_total: float) -> list[ProjectionScenario]:
+    """Detection-loss plateaus for the two hardware improvement paths.
+
+    Evaluates the rise-time and missed-event formulas for the baseline
+    chain (``amp`` and the total loading rate ``in_rate_total``), for a
+    faster amplifier with a 300 kHz cutoff, and for loading slowed to
+    880 /s; each scenario reports its plateau 1 - P_miss.
+    """
+    rows = []
+    for label, cutoff, in_rate in (
+        ("baseline", amp.cutoff, in_rate_total),
+        ("faster_amplifier", 300e3, in_rate_total),
+        ("slower_loading", amp.cutoff, 880.0),
+    ):
+        t_r = rise_time(cutoff, amp.threshold)
+        p_m = missed_blip_probability(t_r, in_rate)
+        rows.append(ProjectionScenario(label, cutoff, in_rate, t_r, p_m, 1.0 - p_m))
+    return rows

@@ -290,8 +290,9 @@ class ShotDetection:
     runs: list[tuple[int, int, bool]] | None
 
 
-def run_recorded(events, lanes, record_runs=True, **kwargs):
-    """``spindemon.harness.run_detection``, with ``runs``: each lane's
+def run_recorded(events, lanes, record_runs=True, *, n_required, horizon, **kwargs):
+    """``spindemon.harness.run_detection`` at the one threshold
+    ``n_required`` and its ``horizon``, with ``runs``: each lane's
     (start_sample, length, is_blip) tuples as its counter was fed them, one
     per nonempty run, up to and including the one that fires its last
     threshold.  They are read off the run matrices of the engine's
@@ -302,15 +303,14 @@ def run_recorded(events, lanes, record_runs=True, **kwargs):
     runs = [[] for _ in range(lanes)]
     feed = harness._feed
 
-    def recording_feed(live, flat, matrix, *args):
+    def recording_feed(live, det, matrix, *args):
         counting = live.need.nonzero()[0]
-        feed(live, flat, matrix, *args)
-        thresholds = len(flat.trigger_sample) // lanes
+        feed(live, det, matrix, *args)
         n, split, first_blip, silent, blips = matrix
         for j in counting.tolist():
             lane = int(live.lane[j])
             # The last threshold's trigger if it fired in these runs, else -1.
-            last = int(flat.trigger_sample[(lane + 1) * thresholds - 1]) if not live.need[j] else -1
+            last = int(det.trigger_sample[-1, lane]) if not live.need[j] else -1
             for row in range(len(n)):
                 first = int(split[row, j] - n[row, j])
                 pair = ((int(n[row, j]), first, bool(first_blip[row, j])),
@@ -327,7 +327,8 @@ def run_recorded(events, lanes, record_runs=True, **kwargs):
 
     harness._feed = recording_feed
     try:
-        detection = harness.run_detection(events, lanes, **kwargs)
+        detection = harness.run_detection(events, lanes, n_required=[n_required],
+                                          horizon=[horizon], **kwargs)
     finally:
         harness._feed = feed
     return SimpleNamespace(**vars(detection), runs=runs)
@@ -342,22 +343,24 @@ def per_point_sweep(cfg) -> list:
         n_required = round(t_obs / ts)
         tallies = None
         if n_required:
-            (tallies,) = harness._run_shots(cfg, [(rates, n_required)], tally=True)
+            (calls,) = harness._run_shots(cfg, [(rates, [n_required])], tally=True)
+            tallies = [(spins[0], totals[0]) for spins, totals in calls]
         results.append(harness._sweep_point(cfg, k, t_obs, rates, n_required, tallies))
     return results
 
 
 def lane_detection(detection, lane: int) -> ShotDetection:
-    """Lane ``lane`` of a ``spindemon.harness.run_detection`` result."""
-    trigger = int(detection.trigger_sample[lane])
+    """Lane ``lane`` of a ``spindemon.harness.run_detection`` result, at its
+    first threshold."""
+    trigger = int(detection.trigger_sample[0, lane])
     return ShotDetection(
         trigger_sample=trigger if trigger >= 0 else None,
-        state_at_trigger=DonorState(detection.state_at_trigger[lane]) if trigger >= 0 else None,
-        n_resets=int(detection.n_resets[lane]),
-        n_ionizations=int(detection.n_ionizations[lane]),
-        n_missed_subrise=int(detection.n_missed_subrise[lane]),
-        n_missed_sampled=int(detection.n_missed_sampled[lane]),
-        end_time=float(detection.end_time[lane]),
+        state_at_trigger=DonorState(detection.state_at_trigger[0, lane]) if trigger >= 0 else None,
+        n_resets=int(detection.n_resets[0, lane]),
+        n_ionizations=int(detection.n_ionizations[0, lane]),
+        n_missed_subrise=int(detection.n_missed_subrise[0, lane]),
+        n_missed_sampled=int(detection.n_missed_sampled[0, lane]),
+        end_time=float(detection.end_time[0, lane]),
         runs=detection.runs[lane] if hasattr(detection, "runs") else None,
     )
 

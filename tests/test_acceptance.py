@@ -36,7 +36,6 @@ from spindemon.fitting import fidelity_model, fit_fidelity_curve
 from spindemon.harness import (
     ExperimentConfig,
     SweepSpec,
-    projection_999,
     sweep_tobs,
 )
 from spindemon.output import build_metadata, write_sweep
@@ -51,7 +50,12 @@ from spindemon.physics import (
     effective_temperature,
     extract_chi,
 )
-from spindemon.telegraph import AmplifierParams, missed_blip_probability, rise_time
+from spindemon.telegraph import (
+    AmplifierParams,
+    missed_blip_probability,
+    projection_999,
+    rise_time,
+)
 
 ZEEMAN = ZeemanParams(b_field=1.423)
 AMP = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
@@ -229,7 +233,7 @@ def test_criterion_9_ancilla_budget():
 
 def test_criterion_10_projected_999_plateaus():
     cfg = operating_point()
-    rows = {row.label: row for row in projection_999(cfg)}
+    rows = {row.label: row for row in projection_999(cfg.amplifier, cfg.rates.in_total)}
     fast = rows["faster_amplifier"]
     slow = rows["slower_loading"]
     # Exact reproduction of the closed forms.

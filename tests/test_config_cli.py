@@ -243,6 +243,20 @@ class TestCli:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_donor_potential_runs_quietly(self, tmp_path, capsys):
+        # At mu_D = +1e6 ueV the loading rates are about 1e-320 /s, so the
+        # first holding time overflows: the donor never loads, and every
+        # shot is abandoned, with no numpy warning on the way.
+        text = FAST_CONFIG.replace("sweep.grid = 0, 2e-4, 5e-4",
+                                   "sweep.variable = mu_d\nsweep.grid = 0, 1e6")
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "bias.csv"
+        assert main(["sweep-bias", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["successes"] for row in rows[1:]] == ["0"]
+        assert "warning: 40 shots abandoned" in capsys.readouterr().err
+
     def test_fit_roundtrip_and_schema(self, tmp_path):
         data = tmp_path / "data.csv"
         with data.open("w", newline="") as fh:
@@ -373,6 +387,11 @@ class TestCli:
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 3\ndemon.required_samples = 100\n"
                          "demon.latency_s = 1e300\n"}),
+            # A latency past the last abandon horizon (here 1 s): a fired
+            # lane would step every event of its latency window.
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 3\ndemon.required_samples = 100\n"
+                         "demon.latency_s = 100\n"}),
         ],
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
              "fit-negative-t",
@@ -381,7 +400,7 @@ class TestCli:
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
              "sweep-bias-t-obs", "base-rate-with-calibration", "fit-shots", "project-seed",
              "budget-shots", "sweep-grid-huge", "required-samples-huge", "abandon-factor-huge",
-             "latency-huge"],
+             "latency-huge", "latency-past-horizon"],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.chdir(tmp_path)

@@ -32,7 +32,6 @@ from spindemon.demon import DemonConfig, batch_posterior
 from spindemon.harness import (
     ExperimentConfig,
     SweepSpec,
-    projection_999,
     run_detection,
     run_initialization_shot,
     sweep_bias,
@@ -54,6 +53,7 @@ from spindemon.telegraph import (
     DonorState,
     gillespie_step,
     missed_blip_probability,
+    projection_999,
     rise_time,
 )
 
@@ -193,8 +193,8 @@ def noisy_chain_draws(lanes=10_000):
     draws = []
     for case, (tl, noise_std, n_req) in enumerate(noisy_trigger_cases()):
         det = run_detection(
-            list_events([tl.events] * lanes), lanes, amp=AMP, n_required=n_req,
-            horizon=60 * AMP.sample_period, noise_std=noise_std,
+            list_events([tl.events] * lanes), lanes, amp=AMP, n_required=[n_req],
+            horizon=[60 * AMP.sample_period], noise_std=noise_std,
             noise=lane_uniforms([np.random.default_rng([case, k]) for k in range(lanes)]),
         )
         samples = noiseless_samples(tl)
@@ -292,7 +292,7 @@ class TestEngineMatchesReferenceChain:
             silent = blips[:, n_req - 1:] == np.pad(blips, ((0, 0), (1, 0)))[:, :-n_req]
             rendered = np.where(silent.any(axis=1), silent.argmax(axis=1) + n_req, 0)
             assert first == rendered[:50].tolist()
-            engine = np.maximum(det.trigger_sample, 0)
+            engine = np.maximum(det.trigger_sample[0], 0)
             assert len(np.unique(engine)) > 5, case
             assert two_sample_pvalue(engine, rendered) > 1e-3, case
 
@@ -313,8 +313,8 @@ class TestEngineMatchesReferenceChain:
                     if fired:
                         break
                 assert n_resets == expected, case
-            assert len(np.unique(det.n_resets)) > 2, case
-            assert two_sample_pvalue(det.n_resets, resets) > 1e-3, case
+            assert len(np.unique(det.n_resets[0])) > 2, case
+            assert two_sample_pvalue(det.n_resets[0], resets) > 1e-3, case
 
     def test_vanishing_noise_equals_the_noiseless_run(self):
         # At sigma = 1e-9 no sample sits close enough to the threshold to
@@ -323,9 +323,9 @@ class TestEngineMatchesReferenceChain:
         rng = np.random.default_rng(8)
         for group in range(30):
             amp = _random_amp(rng)
-            kwargs = dict(amp=amp, n_required=int(rng.integers(1, 60)),
+            kwargs = dict(amp=amp, n_required=[int(rng.integers(1, 60))],
                           latency=rng.uniform(0.0, 1e-3),
-                          horizon=rng.uniform(20, 400) * amp.sample_period)
+                          horizon=[rng.uniform(20, 400) * amp.sample_period])
             lanes = [(_random_rates(rng), int(rng.integers(2**31))) for _ in range(100)]
 
             def run(noise_std):
@@ -415,7 +415,7 @@ class TestEngineMatchesReferenceChain:
         # Mixed lane lengths, triggers in several rounds, and abandoned lanes.
         assert len({len(tl.events) for tl, _ in lanes}) > 5
         assert len(rounds) > 3
-        assert 0 < np.count_nonzero(det.trigger_sample < 0) < len(lanes) / 2
+        assert 0 < np.count_nonzero(det.trigger_sample[0] < 0) < len(lanes) / 2
 
     def test_lanes_match_the_scalar_loop(self):
         # 12 000 random lanes in 120 calls, 40 per detector path: each call
@@ -519,9 +519,9 @@ class TestSharedThresholds:
 
             shared = run(thresholds, horizons)
             for k, (n_required, horizon) in enumerate(zip(thresholds, horizons)):
-                alone = run(n_required, horizon)
+                alone = run([n_required], [horizon])
                 for name in vars(alone):
-                    assert np.array_equal(getattr(shared, name)[k], getattr(alone, name)), (
+                    assert np.array_equal(getattr(shared, name)[k], getattr(alone, name)[0]), (
                         group, n_required, name)
             fired = shared.trigger_sample >= 0
             fired_then_abandoned += np.count_nonzero(fired[:-1] & ~fired[1:])
@@ -563,8 +563,8 @@ class TestNoiseDraws:
                 det = lane_detection(run_detection(
                     list_events([[(3.5e-5, DonorState.DOWN)]]), 1,
                     amp=AMP,
-                    n_required=n_req,
-                    horizon=factor * n_req * AMP.sample_period,
+                    n_required=[n_req],
+                    horizon=[factor * n_req * AMP.sample_period],
                     noise_std=0.05,
                     noise=lane_uniforms([rng]),
                 ), 0)
@@ -584,7 +584,7 @@ class TestNoiseDraws:
         for seed in range(5):
             probe = lane_detection(run_detection(
                 list_events([[(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)]]), 1,
-                amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
+                amp=AMP, n_required=[n_req], horizon=[2.0], latency=latency,
                 noise_std=0.05, noise=lane_uniforms([np.random.default_rng(seed)]),
             ), 0)
             trigger = probe.trigger_sample
@@ -593,7 +593,7 @@ class TestNoiseDraws:
             det = lane_detection(run_detection(
                 list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED),
                               (t_next + 2 * ts, DonorState.UP), (t_next + 1e-3, DonorState.DOWN)]]),
-                1, amp=AMP, n_required=n_req, horizon=2.0, latency=latency,
+                1, amp=AMP, n_required=[n_req], horizon=[2.0], latency=latency,
                 noise_std=0.05, noise=lane_uniforms([rng]),
             ), 0)
             assert det.trigger_sample == trigger
@@ -601,13 +601,19 @@ class TestNoiseDraws:
             assert det.n_ionizations == probe.n_ionizations
             drawn = np.random.default_rng(seed)
             run_detection(list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED)]]),
-                          1, amp=AMP, n_required=n_req, horizon=2.0, noise_std=0.05,
+                          1, amp=AMP, n_required=[n_req], horizon=[2.0], noise_std=0.05,
                           noise=lane_uniforms([drawn]))
             assert rng.bit_generator.state == drawn.bit_generator.state
 
     def test_n_required_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="n_required"):
-            run_detection(list_events([[]]), 1, amp=AMP, n_required=0, horizon=1e-3)
+            run_detection(list_events([[]]), 1, amp=AMP, n_required=[0], horizon=[1e-3])
+
+    def test_horizons_of_another_length_are_rejected(self):
+        for horizon in ([1e-3], [1e-3, 2e-3, 3e-3]):
+            with pytest.raises(ValueError, match="a horizon each"):
+                run_detection(list_events([[]]), 1, amp=AMP, n_required=[5, 6],
+                              horizon=horizon)
 
 
 class TestRunInitializationShot:
@@ -663,7 +669,7 @@ class TestRunInitializationShot:
         n_req = 500
         cfg = make_config(n_required=n_req, shots=20000, seed=13, detector="ideal")
         rates = cfg.rates
-        records = harness._run_shots(cfg, [(rates, n_req)])[0].records()
+        records = harness._run_shots(cfg, [(rates, [n_req])])[0].records()
         assert all(r.triggered for r in records)
         assert sum(r.n_missed_sampled for r in records) == 0
         down = sum(r.spin_at_trigger is DonorState.DOWN for r in records)
@@ -680,7 +686,7 @@ class TestRunInitializationShot:
         n_req = 500
         cfg = make_config(n_required=n_req, shots=30000, seed=14)
         rates = cfg.rates
-        records = harness._run_shots(cfg, [(rates, n_req)])[0].records()
+        records = harness._run_shots(cfg, [(rates, [n_req])])[0].records()
         down_flags = np.array([r.spin_at_trigger is DonorState.DOWN for r in records])
         missed_flags = np.array([r.n_missed_sampled > 0 for r in records])
         p_miss_given_trigger = missed_flags.mean()
@@ -841,7 +847,7 @@ class TestShotBlocks:
                 record
                 for k in range(0, cfg.shots, size)
                 for record in harness._shot_block(
-                    (cfg, rates, 20, range(k, min(k + size, cfg.shots)))
+                    (cfg, rates, [20], range(k, min(k + size, cfg.shots)))
                 ).records(k)
             ]
 
@@ -849,7 +855,7 @@ class TestShotBlocks:
         assert 0 < sum(not r.triggered for r in whole) < cfg.shots / 2
         assert run(1) == whole
         assert run(175) == whole
-        assert harness._run_shots(cfg, [(rates, 20)])[0].records() == whole
+        assert harness._run_shots(cfg, [(rates, [20])])[0].records() == whole
 
     @pytest.mark.parametrize("noise_std, detector",
                              [(0.0, "amplifier"), (0.1, "amplifier"), (0.0, "ideal")])
@@ -862,7 +868,7 @@ class TestShotBlocks:
         cfg = make_config(n_required=20, shots=2100, seed=23, noise_std=noise_std,
                           detector=detector, abandon_factor=3.0)
         rates = cfg.rates
-        whole = harness._shot_block((cfg, rates, 20, range(cfg.shots))).records()
+        whole = harness._shot_block((cfg, rates, [20], range(cfg.shots))).records()
         assert 0 < sum(not r.triggered for r in whole) < cfg.shots / 2
         shot_block = harness._shot_block
 
@@ -874,7 +880,7 @@ class TestShotBlocks:
                 patch.setattr(harness, "Pool", SerialPool)
                 patch.setattr(harness, "_shot_block", lambda args: ranges.append(args[3]) or (
                     shot_block(args)))
-                assert harness._run_shots(cfg, [(rates, 20)])[0].records() == whole
+                assert harness._run_shots(cfg, [(rates, [20])])[0].records() == whole
             return [(r.start, r.stop) for r in ranges]
 
         assert calls(cfg) == calls(replace(cfg, workers=2)) == [(0, 2100)]
@@ -882,7 +888,7 @@ class TestShotBlocks:
         assert calls(replace(cfg, workers=2)) == [(0, 2048), (2048, 2100)]
         assert calls(replace(cfg, workers=3)) == [(0, 1024), (1024, 2048), (2048, 2100)]
         for workers in (2, 3):
-            (pooled,) = harness._run_shots(replace(cfg, workers=workers), [(rates, 20)])
+            (pooled,) = harness._run_shots(replace(cfg, workers=workers), [(rates, [20])])
             assert pooled.records() == whole, workers
         monkeypatch.setattr(harness, "_LANE_BLOCKS", 1)
         assert calls(cfg) == [(0, 1024), (1024, 2048), (2048, 2100)]
@@ -909,8 +915,8 @@ def per_shot_detection(cfg, rates, n_required):
         streams = [per_shot_transitions(np.random.default_rng([cfg.master_seed, i]), rates)
                    for i in block]
         parts.append(run_detection(
-            list_events(streams), len(block), amp=cfg.amplifier, n_required=n_required,
-            horizon=cfg.abandon_factor * n_required * cfg.amplifier.sample_period,
+            list_events(streams), len(block), amp=cfg.amplifier, n_required=[n_required],
+            horizon=[cfg.abandon_factor * n_required * cfg.amplifier.sample_period],
             latency=cfg.demon.latency, detector=cfg.detector,
         ))
     return harness._Detection.concatenate(parts)
@@ -955,18 +961,18 @@ class TestBlockDraws:
 
         cfg = make_config(n_required=20, shots=1, seed=31, abandon_factor=5.0)
         cfg = replace(cfg, demon=DemonConfig(required_samples=20, latency=3e-4))
-        block = harness._shot_block((cfg, rates, 20, indices))
+        block = harness._shot_block((cfg, rates, [20], indices))
         replayed = run_detection(
             list_events([column_replay(31, rates, i) for i in indices]), len(indices),
-            amp=AMP, n_required=20, horizon=5.0 * 20 * AMP.sample_period, latency=3e-4,
+            amp=AMP, n_required=[20], horizon=[5.0 * 20 * AMP.sample_period], latency=3e-4,
         )
         for k in range(len(indices)):
             assert lane_detection(block, k) == lane_detection(replayed, k), k
         # Some lanes end abandoned, and some take events inside the window.
-        fired = block.trigger_sample >= 0
+        fired = block.trigger_sample[0] >= 0
         assert 0 < np.count_nonzero(~fired) < len(indices) / 2
         in_window = 0
-        for i, trigger in zip(indices, block.trigger_sample.tolist()):
+        for i, trigger in zip(indices, block.trigger_sample[0].tolist()):
             t_fire = trigger * AMP.sample_period
             times = (t for t, _ in column_replay(31, rates, i))
             in_window += trigger >= 0 and t_fire < next(t for t in times if t > t_fire) <= (
@@ -1019,7 +1025,7 @@ class TestBlockDraws:
             physics = replace(paper_point_physics(), donor_potential=0.0)
             cfg = replace(make_config(n_required=2000, shots=200_000, seed=5), physics=physics)
         rates, n_req = cfg.rates, cfg.demon.required_samples
-        (new,) = harness._run_shots(cfg, [(rates, n_req)])
+        (new,) = harness._run_shots(cfg, [(rates, [n_req])])
         old = per_shot_detection(cfg, rates, n_req)
 
         (down_new, n_new), (down_old, n_old) = fidelity(new), fidelity(old)
@@ -1029,11 +1035,11 @@ class TestBlockDraws:
         assert abs(f_new - f_old) < 3 * sigma
 
         for name in ("n_ionizations", "n_resets"):
-            assert two_sample_pvalue(getattr(new, name), getattr(old, name)) > 1e-3, name
-        edges = np.quantile(np.concatenate([new.trigger_sample, old.trigger_sample]),
+            assert two_sample_pvalue(getattr(new, name)[0], getattr(old, name)[0]) > 1e-3, name
+        edges = np.quantile(np.concatenate([new.trigger_sample[0], old.trigger_sample[0]]),
                             np.linspace(0.05, 0.95, 19))
-        assert two_sample_pvalue(np.searchsorted(edges, new.trigger_sample, "right"),
-                                 np.searchsorted(edges, old.trigger_sample, "right")) > 1e-3
+        assert two_sample_pvalue(np.searchsorted(edges, new.trigger_sample[0], "right"),
+                                 np.searchsorted(edges, old.trigger_sample[0], "right")) > 1e-3
 
         p_miss = missed_blip_probability(rise_time(AMP.cutoff, AMP.threshold), rates.in_total)
         ionizations, missed = int(new.n_ionizations.sum()), int(new.n_missed_subrise.sum())
@@ -1071,7 +1077,7 @@ class TestPasses:
         after hundreds of events."""
         cfg = make_config(n_required=1000, shots=100, seed=43, abandon_factor=30.0)
         rates = build_rates(replace(cfg.physics, donor_potential=50.0))
-        return cfg, rates, 1000, range(1000, 1100)
+        return cfg, rates, [1000], range(1000, 1100)
 
     @pytest.mark.parametrize("case", ["amplifier", "ideal", "noisy", "thresholds", "abandoned"])
     def test_pass_length_never_changes_a_shot(self, case, monkeypatch):
@@ -1087,7 +1093,7 @@ class TestPasses:
             cfg = make_config(n_required=20, shots=1, seed=41, abandon_factor=3.0,
                               detector="ideal" if case == "ideal" else "amplifier",
                               noise_std=0.1 if case == "noisy" else 0.0)
-            n_required = [8, 20, 45] if case == "thresholds" else 20
+            n_required = [8, 20, 45] if case == "thresholds" else [20]
             args = (cfg, cfg.rates, n_required, range(900, 2200))
         default = harness._shot_block(args)
         assert 0 < np.count_nonzero(default.trigger_sample < 0) < default.trigger_sample.size / 2
@@ -1231,7 +1237,7 @@ class TestSweepTobs:
         bias = replace(self.grid_config(grid, shots=2100), workers=2,
                        sweep=SweepSpec(variable="mu_d", grid=(-100.0, 0.0, 20.0)))
         assert len(sweep_bias(bias, demon_on=True)) == 3 and len(starts) == 1
-        assert maps == [[(500, r) for _ in range(3) for r in ranges]]
+        assert maps == [[([500], r) for _ in range(3) for r in ranges]]
         assert points == grid + [-100.0, 0.0, 20.0]
 
         # At a cap of two blocks the t_obs sweep is two calls: one pool.
@@ -1418,7 +1424,7 @@ class TestChiExtraction:
 class TestProjections:
     def test_scenarios(self):
         cfg = make_config()
-        rows = projection_999(cfg)
+        rows = projection_999(cfg.amplifier, cfg.rates.in_total)
         by_label = {row.label: row for row in rows}
         base = by_label["baseline"]
         assert base.in_rate_total == pytest.approx(2700.0, rel=1e-9)
