@@ -45,8 +45,6 @@ class FitResult:
     missed_probability: float
     std_errors: dict[str, float]
     residual_norm: float
-    weighted_cost: float
-    n_iterations: int
 
     def __post_init__(self):
         if not (0.0 <= self.prior <= 1.0):
@@ -181,18 +179,18 @@ def fit_fidelity_curve(data) -> FitResult:
     weights = np.sqrt(shots / (y_clamped * (1.0 - y_clamped)))
 
     best = None
-    for start_index, theta0 in enumerate(_initial_guesses(t, y)):
-        theta, cost, iterations, converged = _gauss_newton(theta0, t, y, weights)
+    for theta0 in _initial_guesses(t, y):
+        theta, cost, _, converged = _gauss_newton(theta0, t, y, weights)
         if not converged:
             continue
         if best is None or cost < best[1] - 1e-15:
-            best = (theta, cost, iterations)
+            best = (theta, cost)
     if best is None:
         raise FitConvergenceError(
             f"no start point converged within {_MAX_ITERATIONS} iterations "
             f"({len(rows)} points, t in [{t.min()}, {t.max()}])"
         )
-    theta, cost, iterations = best
+    theta = best[0]
 
     jac = _jacobian_theta(theta, t) * weights[:, None]
     try:
@@ -215,6 +213,4 @@ def fit_fidelity_curve(data) -> FitResult:
         missed_probability=p_miss,
         std_errors=std_errors,
         residual_norm=residual_norm,
-        weighted_cost=cost,
-        n_iterations=iterations,
     )

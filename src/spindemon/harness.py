@@ -299,21 +299,14 @@ def _scan(ufunc, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _reduce(ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(a, axis=0); a's one row as it is."""
-    return a[0] if len(a) == 1 else ufunc.reduce(a, axis=0)
-
-
 def _before(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``first`` stacked on all of ``rows`` but the last: each row's predecessor."""
-    return first[None] if len(rows) == 1 else np.concatenate((first[None], rows[:-1]))
+    return np.concatenate((first[None], rows[:-1]))
 
 
 def _rows_where(compare, a: np.ndarray, lanes: np.ndarray, value) -> np.ndarray:
     """How many rows of ``a`` hold compare(a, value) in each column of
     ``lanes``: the first row that does not, where the rows ascend."""
-    if len(a) == 1:
-        return compare(a[0][lanes], value).astype(np.int64)
     return np.count_nonzero(compare(a.take(lanes, axis=1), value), axis=0)
 
 
@@ -459,7 +452,7 @@ def _feed(live: _Lanes, det: _Detection, runs, fed: np.ndarray, segments, limits
     n, split, first_blip, silent, blips = runs
     t_event, ionized, counts = segments
     required, horizon, last, ts = limits
-    rows, lanes = n.shape
+    lanes = n.shape[1]
     # The count without resets, at the end of each row ...
     total = _scan(np.add, silent.copy()) + live.counter
     at_blip = total - silent * first_blip  # ... as the row's blip run starts
@@ -470,21 +463,21 @@ def _feed(live: _Lanes, det: _Detection, runs, fed: np.ndarray, segments, limits
     resets = flashes & (at_blip > cleared_before)
     n_resets, shown = live.n_resets, live.blips  # as the runs start
     live.counter = total[-1] - cleared[-1]
-    live.n_resets = n_resets + _reduce(np.add, resets)
-    live.blips = shown + _reduce(np.add, blips)
+    live.n_resets = n_resets + resets.sum(axis=0)
+    live.blips = shown + blips.sum(axis=0)
     # The first row where the count reaches a need is one with silence.
     ends = count + silent  # the count as each row's silence ends
     far = t_event[-1] >= live.horizon  # lanes whose threshold may be abandoned
-    reach = _reduce(np.logical_or, ends >= live.need)
+    reach = (ends >= live.need).any(axis=0)
     todo = (live.need.astype(bool) & (reach | far)).nonzero()[0]
     if not len(todo):
         return
 
-    def pick(a, at):  # a at the flat indices ``at``, 0 for a of no rows
-        return a.ravel()[at] if np.ndim(a) else a
+    def pick(a, at):  # a at the flat indices ``at``
+        return a.ravel()[at]
 
     def above(a):  # a summed over the rows above, per row
-        return 0 if rows == 1 else _scan(np.add, a.astype(np.int64)) - a
+        return _scan(np.add, a.astype(np.int64)) - a
 
     quiet = np.where(first_blip, split, n) - count - 1  # a need's trigger, less the need
     blip_start = np.where(first_blip, n, split)
@@ -495,14 +488,13 @@ def _feed(live: _Lanes, det: _Detection, runs, fed: np.ndarray, segments, limits
         last_k = last[k]
         # The trigger of the first row to reach the need, rows being in
         # sample order; past the horizon's last sample when none does.
-        trigger = _reduce(np.minimum, np.where(
-            ends.take(j, axis=1) >= need, quiet.take(j, axis=1), last_k + 1 - need)) + need
+        trigger = np.where(ends.take(j, axis=1) >= need, quiet.take(j, axis=1),
+                           last_k + 1 - need).min(axis=0) + need
         fired = trigger <= last_k
         done = fired | ((t_event[-1][j] >= horizon[k]) & (last_k <= fed[j]))
-        if not done.all():
-            j, k, last_k, trigger, fired = (a[done] for a in (j, k, last_k, trigger, fired))
-            if not len(j):
-                break
+        j, k, last_k, trigger, fired = (a[done] for a in (j, k, last_k, trigger, fired))
+        if not len(j):
+            break
         # Counts at the trigger, or the horizon's last sample if that is first:
         # of the last row starting by then, and the first event at or after it.
         at = np.minimum(trigger, last_k)
@@ -525,6 +517,23 @@ def _feed(live: _Lanes, det: _Detection, runs, fed: np.ndarray, segments, limits
         live.fire_k[j] = k + 1
         live.need[j], live.horizon[j] = required[k + 1], horizon[k + 1]
         j = j[live.need[j] > 0]
+
+
+def _checked_limits(n_required: Sequence[int], horizon: Sequence[float], latency: float,
+                    ts: float) -> tuple[np.ndarray, np.ndarray]:
+    """run_detection's thresholds and horizons as arrays; ValueError if out of range."""
+    thresholds, horizons = np.asarray(n_required), np.asarray(horizon, float)
+    if len(horizons) != len(thresholds) or not len(thresholds) or min(
+            np.diff(thresholds, prepend=0)) < 1 or min(np.diff(horizons), default=0) < 0:
+        raise ValueError("n_required must be ascending thresholds >= 1, with a horizon each, "
+                         "horizons not falling")
+    # Sample indices are int64, and the engine adds to them: keep a margin.
+    # A fired lane steps events until one falls after its latency window.
+    if thresholds[-1] >= 2**62 or not max(horizons[-1], latency) / ts < 2**62:
+        raise ValueError("thresholds, horizons and the latency must lie within 2**62 samples "
+                         f"of {ts!r} s, got {int(thresholds[-1])}, {float(horizons[-1])!r} s "
+                         f"and {float(latency)!r} s")
+    return thresholds, horizons
 
 
 def run_detection(
@@ -591,17 +600,7 @@ def run_detection(
     noisy = noise_std > 0.0 and detector == "amplifier"
     if noisy and noise is None:
         raise ValueError("noise_std > 0 requires a noise source")
-    thresholds, horizons = np.asarray(n_required), np.asarray(horizon, float)
-    if len(horizons) != len(thresholds) or not len(thresholds) or min(
-            np.diff(thresholds, prepend=0)) < 1 or min(np.diff(horizons), default=0) < 0:
-        raise ValueError("n_required must be ascending thresholds >= 1, with a horizon each, "
-                         "horizons not falling")
-    # Sample indices are int64, and the engine adds to them: keep a margin.
-    # A fired lane steps events until one falls after its latency window.
-    if thresholds[-1] >= 2**62 or not max(horizons[-1], latency) / ts < 2**62:
-        raise ValueError("thresholds, horizons and the latency must lie within 2**62 samples "
-                         f"of {ts!r} s, got {int(thresholds[-1])}, {float(horizons[-1])!r} s "
-                         f"and {float(latency)!r} s")
+    thresholds, horizons = _checked_limits(n_required, horizon, latency, ts)
     K = len(thresholds)
     required = np.append(thresholds, 0).astype(np.int64)
     horizons = np.append(horizons, horizons[-1])
@@ -669,8 +668,7 @@ def run_detection(
             trigger = det.trigger_sample[live.end_k[ending], live.lane[ending]]
             j = _rows_where(np.less_equal, t_event, ending, trigger * ts + latency)
             ends = (trigger < 0) | (j < k)
-            if not ends.all():
-                ending, j, trigger = ending[ends], j[ends], trigger[ends]
+            ending, j, trigger = ending[ends], j[ends], trigger[ends]
             det.state_at_trigger[live.end_k[ending], live.lane[ending]] = np.where(
                 trigger < 0, -1, state.ravel()[np.minimum(j, k - 1) * len(state[0]) + ending])
             live.end_k[ending] += 1
@@ -787,20 +785,27 @@ def _block_noise(master_seed: int, indices: range):
     return uniforms
 
 
-def _shot_block(args) -> _Detection:
-    """Run the shots ``indices`` as the lanes of one run_detection call."""
-    cfg, rates, n_required, indices = args
-    horizon = cfg.abandon_factor * np.asarray(n_required) * cfg.amplifier.sample_period
-    # A fired lane steps every event up to the end of its latency window.
+def _horizons(cfg: ExperimentConfig, n_required: Sequence[int]) -> np.ndarray:
+    """The abandon horizon of each threshold; ValueError where run_detection
+    would reject the run, or where the latency lies past the last horizon:
+    a fired lane steps every event up to the end of its latency window."""
+    ts = cfg.amplifier.sample_period
+    horizon = cfg.abandon_factor * np.asarray(n_required) * ts
     if cfg.demon.latency > horizon[-1]:
         raise ValueError(f"demon latency {float(cfg.demon.latency)!r} s lies past the last "
                          f"abandon horizon, {float(horizon[-1])!r} s")
+    return _checked_limits(n_required, horizon, cfg.demon.latency, ts)[1]
+
+
+def _shot_block(args) -> _Detection:
+    """Run the shots ``indices`` as the lanes of one run_detection call."""
+    cfg, rates, n_required, indices = args
     return run_detection(
         _block_events(cfg.master_seed, rates, indices),
         len(indices),
         amp=cfg.amplifier,
         n_required=n_required,
-        horizon=horizon,
+        horizon=_horizons(cfg, n_required),
         latency=cfg.demon.latency,
         detector=cfg.detector,
         noise_std=cfg.noise_std,
@@ -852,8 +857,11 @@ def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, list[int]]],
     one run per worker, and all calls go through one pool's map, one call
     at a time, so jobs of unequal cost spread over the workers.  Returns
     each job's _Detection, or with ``tally`` its calls' _tally_block
-    results, in shot-index order.
+    results, in shot-index order.  A job that a call would reject raises
+    ValueError here, before any pool starts.
     """
+    for _, n_required in jobs:
+        _horizons(cfg, n_required)
     one_call = len(jobs) == 1 and cfg.shots <= _LANE_BLOCKS * _SEED_BLOCK
     blocks = min(_LANE_BLOCKS, math.ceil(
         cfg.shots / ((1 if one_call else cfg.workers) * _SEED_BLOCK)))

@@ -91,8 +91,9 @@ class TunnelModelParams:
     Attributes:
         base_rate_down: spin-down base tunnel rate in 1/s (> 0).
         asymmetry: spin-up to spin-down coupling ratio chi (> 0).
-        donor_potential: donor electrochemical potential mu_D in ueV,
-            relative to the reservoir Fermi level.
+        donor_potential: donor electrochemical potential mu_D in ueV, on
+            the same energy scale as the reservoir Fermi level E_F: the
+            rates depend only on mu_D - E_F.
         zeeman: field parameters; the splitting must be positive.
         reservoir: reservoir temperature and Fermi level.
     """
@@ -241,11 +242,11 @@ def effective_temperature(
 ) -> float:
     """Reservoir temperature whose Fermi statistics yield a given bare fidelity.
 
-    Inverts ``bare_init_fidelity_from_chi`` at mu_D = 0 by bisection.  The
-    fidelity is strictly decreasing in temperature from 1 (T -> 0) to
-    1 / (1 + chi) (T -> infinity), so the inverse is unique.  The search is
-    capped at ``TEMPERATURE_CAP_K``; targets only reachable beyond the cap
-    return the cap (saturation) rather than diverging.
+    Inverts ``bare_init_fidelity_from_chi`` at mu_D = E_F (``fermi_level``)
+    by bisection.  The fidelity is strictly decreasing in temperature from 1
+    (T -> 0) to 1 / (1 + chi) (T -> infinity), so the inverse is unique.
+    The search is capped at ``TEMPERATURE_CAP_K``; targets only reachable
+    beyond the cap return the cap (saturation) rather than diverging.
 
     Args:
         fidelity_target: bare fidelity to invert, strictly inside

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from spindemon import harness
 from spindemon.cli import main
 from spindemon.config import (
     ConfigError,
@@ -392,6 +393,16 @@ class TestCli:
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 3\ndemon.required_samples = 100\n"
                          "demon.latency_s = 100\n"}),
+            # The same two checks on a sweep of several calls with 2
+            # workers: each rejects the run before a pool starts.
+            (["sweep-bias", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 300\nrun.workers = 2\nsweep.variable = mu_d\n"
+                         "sweep.grid = -100, 0, 20\ndemon.required_samples = 100\n"
+                         "demon.latency_s = 100\n"}),
+            (["sweep-bias", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 300\nrun.workers = 2\nsweep.variable = mu_d\n"
+                         "sweep.grid = -100, 0, 20\n"
+                         "demon.required_samples = 4611686018427387904\n"}),
         ],
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
              "fit-negative-t",
@@ -400,10 +411,13 @@ class TestCli:
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
              "sweep-bias-t-obs", "base-rate-with-calibration", "fit-shots", "project-seed",
              "budget-shots", "sweep-grid-huge", "required-samples-huge", "abandon-factor-huge",
-             "latency-huge", "latency-past-horizon"],
+             "latency-huge", "latency-past-horizon", "pooled-latency-past-horizon",
+             "pooled-required-samples-huge"],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.chdir(tmp_path)
+        starts, pool = [], harness.Pool
+        monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(1) or pool(**kwargs))
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         try:
@@ -416,6 +430,7 @@ class TestCli:
         assert "Traceback" not in err
         # A rejected run leaves no output that could pass for a good one.
         assert not (tmp_path / "out.csv").exists()
+        assert not starts, "a rejected run started a pool"
 
     def test_fit_data_not_utf8_cannot_be_read(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

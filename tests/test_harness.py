@@ -1120,9 +1120,9 @@ class TestPasses:
 
 
 class TestArrayHelpers:
-    """_scan and _reduce against the numpy calls they stand for, at row
-    counts around the powers of two that _scan's shifted steps double
-    through."""
+    """_scan, _before and _rows_where against the plain numpy forms they
+    stand for, at row counts around the powers of two that _scan's shifted
+    steps double through, one row included."""
 
     ROWS = [*range(1, 10), 16, 17, 255, 256]
 
@@ -1138,17 +1138,26 @@ class TestArrayHelpers:
                 assert harness._scan(ufunc, x) is x
                 assert np.array_equal(x, expected), (rows, width)
 
-    @pytest.mark.parametrize("ufunc", [np.add, np.logical_or])
-    def test_reduce_is_reduce(self, ufunc):
+    @pytest.mark.parametrize("compare", [np.less, np.less_equal])
+    def test_before_and_rows_where_are_plain_numpy(self, compare):
         rng = np.random.default_rng(8)
         for rows in self.ROWS:
             for width in (1, 3):
-                a = rng.integers(0, 2 if ufunc is np.logical_or else 10**6, (rows, width))
-                if ufunc is np.logical_or:
-                    a = a.astype(bool)
-                reduced = harness._reduce(ufunc, a)
-                assert reduced.shape == (width,)
-                assert np.array_equal(reduced, ufunc.reduce(a, axis=0)), (rows, width)
+                first = rng.integers(-10**6, 10**6, width)
+                a = np.sort(rng.integers(-50, 50, (rows, width)), axis=0)
+                before = harness._before(first, a)
+                assert before.shape == (rows, width)
+                assert np.array_equal(before, np.vstack([first, a[:-1]])), (rows, width)
+                lanes = rng.permutation(width)[:max(1, width - 1)]
+                value = rng.integers(-60, 60, len(lanes))
+                where = harness._rows_where(compare, a, lanes, value)
+                assert where.dtype == np.int64
+                expected = [np.sum(compare(a[:, lane], v)) for lane, v in zip(lanes, value)]
+                assert where.tolist() == expected, (rows, width)
+                # Rows ascend, so that count is the first row that fails.
+                for lane, v, row in zip(lanes, value, where.tolist()):
+                    assert compare(a[:row, lane], v).all()
+                    assert row == rows or not compare(a[row, lane], v)
 
 
 class TestSweepTobs:
