@@ -152,8 +152,8 @@ def simulate_nuclear_histogram(
     for p in (p_up_given_nuclear_up, p_up_given_nuclear_down):
         if not (0.0 <= p <= 1.0):
             raise ValueError("conditional probabilities must be in [0, 1]")
-    if shots_per_read < 1 or reads < 1:
-        raise ValueError("shots_per_read and reads must be >= 1")
+    if not (1 <= shots_per_read < 2**63 and 1 <= reads < 2**63):  # numpy's int64 counts
+        raise ValueError("shots_per_read and reads must be >= 1 and < 2**63")
     rng = np.random.default_rng(seed)
     nuclear_up = rng.random(reads) < 0.5
     p_per_read = np.where(nuclear_up, p_up_given_nuclear_up, p_up_given_nuclear_down)

@@ -2,13 +2,15 @@
 
 Subcommands: simulate-shot, sweep-tobs, sweep-bias, fit, project, budget,
 histogram.  Exit codes: 0 success, 2 configuration error or any other
-rejected input, 3 fit non-convergence.
+rejected input, 3 fit non-convergence, 141 (128 + SIGPIPE) stdout closed
+before the output was written, as by ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -23,6 +25,7 @@ from .telegraph import projection_999
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
+EXIT_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_out(path: Path | None):
     if path is None:
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
@@ -157,20 +161,27 @@ def main(argv=None) -> int:
             payload = ancilla.total_fidelity(args.f_init, args.f_control, args.f_readout)
         else:  # histogram
             writer, extra = output.write_histogram, {"reads": cfg.shots}
-            payload = ancilla.simulate_nuclear_histogram(
+            hist = ancilla.simulate_nuclear_histogram(
                 args.p_up_given_up,
                 args.p_up_given_down,
                 args.shots_per_read,
                 cfg.shots,
                 seed=cfg.master_seed,
             )
-            # Visibility rejects data that are not bimodal; check before any
-            # output is written so that an exit 2 leaves no file behind.
+            # The bins, and visibility, which rejects data that are not
+            # bimodal, are built before any output is opened, so that an
+            # exit 2 leaves no file behind.
+            payload = hist.histogram()
             if args.threshold is not None:
-                vis = ancilla.visibility(payload, args.threshold)
+                vis = ancilla.visibility(hist, args.threshold)
         meta = output.build_metadata(cfg_hash, cfg.master_seed, extra)
-        with _open_out(args.out) as fh:
-            writer(fh, payload, args.format, meta)
+        try:
+            with _open_out(args.out) as fh:
+                writer(fh, payload, args.format, meta)
+        except BrokenPipeError:
+            # Point stdout at devnull so that the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_PIPE
         if vis is not None:
             print(
                 f"visibility={vis.visibility!r} overlap={vis.overlap!r} "

@@ -5,12 +5,10 @@ lines are ignored.  Unknown keys are errors.  All keys, their units, and
 their defaults:
 
     physics.temperature_k          reservoir electron temperature, K (0.26)
-    physics.fermi_level_uev        reservoir Fermi level, ueV (0)
     physics.b_field_t              magnetic field, T (1.423)
     physics.gyromagnetic_ghz_per_t gyromagnetic ratio, GHz/T (28)
     physics.asymmetry              spin-up/down coupling ratio chi (0.388)
-    physics.donor_potential_uev    donor potential mu_D, ueV (0)
-    physics.base_rate_down_per_s   spin-down base tunnel rate, 1/s (blank)
+    physics.donor_potential_uev    donor potential mu_D from the Fermi level, ueV (0)
     rates.in_total_per_s           total loading rate the base rate is
                                    calibrated to at the configured donor
                                    potential, 1/s (2700)
@@ -28,10 +26,6 @@ their defaults:
     sweep.variable                 't_obs' or 'mu_d' (t_obs)
     sweep.grid                     comma-separated grid values; seconds for
                                    t_obs, ueV for mu_d
-
-Exactly one of the two rate keys may be set, because the calibration
-rescales any base rate to the same loading rate.  To give the base rate
-directly, blank the loading rate with ``rates.in_total_per_s =``.
 """
 
 from __future__ import annotations
@@ -53,12 +47,10 @@ class ConfigError(ValueError):
 
 _DEFAULTS: dict[str, str] = {
     "physics.temperature_k": "0.26",
-    "physics.fermi_level_uev": "0.0",
     "physics.b_field_t": "1.423",
     "physics.gyromagnetic_ghz_per_t": "28.0",
     "physics.asymmetry": "0.388",
     "physics.donor_potential_uev": "0.0",
-    "physics.base_rate_down_per_s": "",
     "rates.in_total_per_s": "2700.0",
     "amplifier.cutoff_hz": "50e3",
     "amplifier.threshold": "0.3",
@@ -117,34 +109,20 @@ def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
             b_field=_as_float(values, "physics.b_field_t"),
             gyromagnetic_ratio=_as_float(values, "physics.gyromagnetic_ghz_per_t"),
         )
-        reservoir = ReservoirParams(
-            temperature=_as_float(values, "physics.temperature_k"),
-            fermi_level=_as_float(values, "physics.fermi_level_uev"),
-        )
-        base_rate_text = values["physics.base_rate_down_per_s"].strip()
-        in_total_text = values["rates.in_total_per_s"].strip()
-        if bool(base_rate_text) == bool(in_total_text):
-            raise ConfigError(
-                "give exactly one of physics.base_rate_down_per_s and "
-                "rates.in_total_per_s, and blank the other ('key =')"
-            )
-        base_rate = _as_float(values, "physics.base_rate_down_per_s") if base_rate_text else 1.0
         physics = TunnelModelParams(
-            base_rate_down=base_rate,
+            base_rate_down=1.0,
             asymmetry=_as_float(values, "physics.asymmetry"),
             donor_potential=_as_float(values, "physics.donor_potential_uev"),
             zeeman=zeeman,
-            reservoir=reservoir,
+            reservoir=ReservoirParams(temperature=_as_float(values, "physics.temperature_k")),
         )
-        if in_total_text:
-            # Calibrate the base rate so the loading rate at the configured
-            # potential matches the measured total; the potential can then be
-            # swept with the base rate held fixed.
-            target = _as_float(values, "rates.in_total_per_s")
-            if not (math.isfinite(target) and target > 0.0):
-                raise ConfigError("rates.in_total_per_s must be finite and > 0")
-            scale = target / build_rates(physics).in_total
-            physics = replace(physics, base_rate_down=physics.base_rate_down * scale)
+        # Calibrate the unit base rate so the loading rate at the configured
+        # potential matches the measured total; the potential can then be
+        # swept with the base rate held fixed.
+        target = _as_float(values, "rates.in_total_per_s")
+        if not (math.isfinite(target) and target > 0.0):
+            raise ConfigError("rates.in_total_per_s must be finite and > 0")
+        physics = replace(physics, base_rate_down=target / build_rates(physics).in_total)
         amplifier = AmplifierParams(
             cutoff=_as_float(values, "amplifier.cutoff_hz"),
             threshold=_as_float(values, "amplifier.threshold"),

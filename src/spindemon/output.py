@@ -18,7 +18,7 @@ from dataclasses import astuple
 from typing import IO
 
 from . import __version__
-from .ancilla import FidelityBudget, NuclearHistogram
+from .ancilla import FidelityBudget
 from .fitting import PARAM_NAMES, FitResult
 from .harness import ShotRecord, SweepResult
 from .telegraph import ProjectionScenario
@@ -113,7 +113,8 @@ def write_budget(stream, budget: FidelityBudget, fmt: str, metadata: dict) -> No
     _write(stream, BUDGET_COLUMNS, rows, fmt, metadata)
 
 
-def write_histogram(stream, histogram: NuclearHistogram, fmt: str, metadata: dict) -> None:
-    centers, counts = histogram.histogram()
+def write_histogram(stream, bins: tuple, fmt: str, metadata: dict) -> None:
+    """Write the (centers, counts) of ``NuclearHistogram.histogram``."""
+    centers, counts = bins
     rows = [[float(c), int(n)] for c, n in zip(centers, counts)]
     _write(stream, ("bin_center", "count"), rows, fmt, metadata)

@@ -42,17 +42,13 @@ class ReservoirParams:
 
     Attributes:
         temperature: electron temperature in K, strictly positive.
-        fermi_level: Fermi energy in ueV, conventionally 0.
     """
 
     temperature: float
-    fermi_level: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0.0):
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
-        if not math.isfinite(self.fermi_level):
-            raise ValueError("fermi_level must be finite")
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,10 @@ class TunnelModelParams:
     Attributes:
         base_rate_down: spin-down base tunnel rate in 1/s (> 0).
         asymmetry: spin-up to spin-down coupling ratio chi (> 0).
-        donor_potential: donor electrochemical potential mu_D in ueV, on
-            the same energy scale as the reservoir Fermi level E_F: the
-            rates depend only on mu_D - E_F.
+        donor_potential: donor electrochemical potential mu_D in ueV,
+            measured from the reservoir Fermi level.
         zeeman: field parameters; the splitting must be positive.
-        reservoir: reservoir temperature and Fermi level.
+        reservoir: reservoir temperature.
     """
 
     base_rate_down: float
@@ -164,12 +159,12 @@ def _sigmoid(z: float) -> float:
 def fermi_occupation(energy: float, reservoir: ReservoirParams) -> float:
     """Occupation probability of a reservoir state at the given energy.
 
-    Evaluates 1 / (1 + exp((E - E_F) / (k_B T))) with overflow-safe
+    Evaluates 1 / (1 + exp(E / (k_B T))) with overflow-safe
     branching, clamped away from exactly 0 and 1 so downstream ratios stay
     finite.
 
     Args:
-        energy: state energy in ueV.
+        energy: state energy in ueV, measured from the Fermi level.
         reservoir: reservoir parameters.
 
     Returns:
@@ -177,7 +172,7 @@ def fermi_occupation(energy: float, reservoir: ReservoirParams) -> float:
     """
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy}")
-    x = (energy - reservoir.fermi_level) / (BOLTZMANN_UEV_PER_K * reservoir.temperature)
+    x = energy / (BOLTZMANN_UEV_PER_K * reservoir.temperature)
     return min(max(_sigmoid(-x), _OCC_FLOOR), _OCC_CEIL)
 
 
@@ -237,12 +232,12 @@ def effective_temperature(
     fidelity_target: float,
     chi: float,
     splitting: float,
-    fermi_level: float = 0.0,
+    *,
     tolerance_k: float = 1e-4,
 ) -> float:
     """Reservoir temperature whose Fermi statistics yield a given bare fidelity.
 
-    Inverts ``bare_init_fidelity_from_chi`` at mu_D = E_F (``fermi_level``)
+    Inverts ``bare_init_fidelity_from_chi`` at mu_D = 0, the Fermi level,
     by bisection.  The fidelity is strictly decreasing in temperature from 1
     (T -> 0) to 1 / (1 + chi) (T -> infinity), so the inverse is unique.
     The search is capped at ``TEMPERATURE_CAP_K``; targets only reachable
@@ -253,7 +248,6 @@ def effective_temperature(
             (1 / (1 + chi), 1).
         chi: spin asymmetry (> 0).
         splitting: spin splitting in ueV (> 0).
-        fermi_level: reservoir Fermi level in ueV.
         tolerance_k: absolute bisection tolerance in K (default 0.1 mK).
 
     Returns:
@@ -274,8 +268,7 @@ def effective_temperature(
         )
 
     def fidelity_at(temperature: float) -> float:
-        res = ReservoirParams(temperature=temperature, fermi_level=fermi_level)
-        return bare_init_fidelity_from_chi(chi, splitting, res, donor_potential=fermi_level)
+        return bare_init_fidelity_from_chi(chi, splitting, ReservoirParams(temperature))
 
     t_lo, t_hi = 1e-6, TEMPERATURE_CAP_K
     if fidelity_at(t_hi) >= fidelity_target:

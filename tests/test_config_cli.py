@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from spindemon import harness
+from spindemon import config, harness
 from spindemon.cli import main
 from spindemon.config import (
     ConfigError,
@@ -64,35 +64,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_experiment_config({"amplifier.threshold": "1.5"})
 
-    def test_explicit_base_rate_without_calibration(self):
-        cfg = build_experiment_config(
-            {"physics.base_rate_down_per_s": "2000", "rates.in_total_per_s": ""}
-        )
-        assert cfg.physics.base_rate_down == 2000.0
-
-    def test_missing_rate_specification(self):
-        with pytest.raises(ConfigError, match="base_rate_down"):
-            build_experiment_config({"rates.in_total_per_s": ""})
-
-    def test_base_rate_with_calibration_is_rejected(self):
-        # The calibration rescales any base rate to the same loading rate, so
-        # a base rate given next to it would change nothing.
-        with pytest.raises(ConfigError, match="blank the other"):
-            build_experiment_config({"physics.base_rate_down_per_s": "2000"})
-
     @pytest.mark.parametrize(
         "raw",
         [
-            {"physics.base_rate_down_per_s": "fast", "rates.in_total_per_s": ""},
+            {"rates.in_total_per_s": ""},
             {"rates.in_total_per_s": "fast"},
             {"rates.in_total_per_s": "nan"},
             {"rates.in_total_per_s": "inf"},
             {"sweep.grid": "1e-3, soon"},
         ],
-        ids=["base-rate-text", "in-total-text", "in-total-nan", "in-total-inf", "grid-text"],
+        ids=["in-total-blank", "in-total-text", "in-total-nan", "in-total-inf", "grid-text"],
     )
     def test_bad_value_message_names_the_key(self, raw):
-        key = next(key for key, value in raw.items() if value)
+        (key,) = raw
         with pytest.raises(ConfigError, match=re.escape(key)):
             build_experiment_config(raw)
 
@@ -123,6 +107,11 @@ class TestConfigParsing:
         # stream, so it is checked here rather than through a run.
         with pytest.raises(ConfigError, match="finite"):
             build_experiment_config({key: value})
+
+    def test_docstring_lists_every_key(self):
+        # The module docstring is the key reference: one line per key, in order.
+        listed = re.findall(r"^    ([a-z]+\.[a-z_]+) ", config.__doc__, re.MULTILINE)
+        assert listed == list(config._DEFAULTS)
 
     @pytest.mark.parametrize("key", ["demon.trigger_duration_s", "sweep.demon_on"])
     def test_removed_keys_are_unknown(self, key):
@@ -350,6 +339,9 @@ class TestCli:
                           "2e-3,100,95\n3e-3,100,97\n5e-3,100,98\n"}),
             (["histogram", "--p-up-given-up", "1.5"], {}),
             (["histogram", "--shots-per-read", "0"], {}),
+            # Past int64, and past what one histogram can hold.
+            (["histogram", "--shots-per-read", "9223372036854775808"], {}),
+            (["histogram", "--shots-per-read", "4611686018427387904"], {}),
             (["histogram", "--shots", "2000", "--threshold", "0.99"], {}),
             (["budget", "--f-init", "1.5", "--f-control", "0.995", "--f-readout", "0.9999"],
              {}),
@@ -367,8 +359,11 @@ class TestCli:
              {"run.cfg": "run.shots = 5\ndemon.latency_s = nan\n"}),
             (["sweep-bias", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 5\nsweep.grid = 1e-3\n"}),
+            # Keys that repeated another degree of freedom are unknown now.
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 5\nphysics.base_rate_down_per_s = 2000\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nphysics.fermi_level_uev = 0\n"}),
             (["fit", "--data", "data.csv", "--shots", "3"],
              {"data.csv": "grid_value,shots,successes\n0,100,80\n1e-3,100,90\n"
                           "2e-3,100,95\n3e-3,100,97\n5e-3,100,98\n"}),
@@ -407,9 +402,10 @@ class TestCli:
         ids=["fit-3-rows", "fit-short-row", "fit-grid-nan", "fit-successes-above-shots",
              "fit-negative-t",
              "histogram-probability", "histogram-zero-reads",
+             "histogram-shots-per-read-past-int64", "histogram-too-many-bins",
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
-             "sweep-bias-t-obs", "base-rate-with-calibration", "fit-shots", "project-seed",
+             "sweep-bias-t-obs", "base-rate-key", "fermi-level-key", "fit-shots", "project-seed",
              "budget-shots", "sweep-grid-huge", "required-samples-huge", "abandon-factor-huge",
              "latency-huge", "latency-past-horizon", "pooled-latency-past-horizon",
              "pooled-required-samples-huge"],

@@ -9,19 +9,35 @@ from spindemon.cli import main
 from spindemon.config import load_config
 
 
+# A child interpreter that imports this package from the same tree.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(spindemon.__file__).resolve().parent.parent))
+
+
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency; importing the package and its CLI
     # must not pull it in.
-    src = str(Path(spindemon.__file__).resolve().parent.parent)
     code = (
         "import sys, spindemon, spindemon.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # As `spindemon simulate-shot ... | head -1`: stdout closes after one
+    # line, while most of the output (far more than a pipe holds) is unsent.
+    argv = ["simulate-shot", "--shots", "5000", "--format", "json"]
+    err = tmp_path / "stderr.txt"
+    with err.open("wb") as err_fh:
+        proc = subprocess.Popen([sys.executable, "-m", "spindemon.cli", *argv], env=SRC_ENV,
+                                stdout=subprocess.PIPE, stderr=err_fh)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+    assert err.read_bytes() == b""
 
 
 RUN_CONFIG = """

@@ -30,8 +30,9 @@ def make_params(base=1.0, chi=0.388, mu=0.0, b=1.423, t_e=0.26):
 
 class TestFermiOccupation:
     def test_midpoint(self):
-        res = ReservoirParams(temperature=1.0, fermi_level=12.5)
-        assert fermi_occupation(12.5, res) == pytest.approx(0.5, abs=1e-15)
+        # Energies are measured from the Fermi level, where f = 1/2.
+        for t in (0.001, 1.0, 100.0):
+            assert fermi_occupation(0.0, ReservoirParams(temperature=t)) == 0.5
 
     def test_saturation_limits_guarded(self):
         res = ReservoirParams(temperature=0.001)
@@ -48,10 +49,9 @@ class TestFermiOccupation:
     def test_particle_hole_symmetry(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            e_f = rng.uniform(-50, 50)
-            res = ReservoirParams(temperature=10 ** rng.uniform(-2, 1), fermi_level=e_f)
+            res = ReservoirParams(temperature=10 ** rng.uniform(-2, 1))
             e = rng.uniform(-300, 300)
-            total = fermi_occupation(e, res) + fermi_occupation(2 * e_f - e, res)
+            total = fermi_occupation(e, res) + fermi_occupation(-e, res)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_decreasing(self):
@@ -200,6 +200,12 @@ class TestEffectiveTemperature:
         t = effective_temperature(0.989, 0.388, self.EZ)
         assert t == pytest.approx(self.closed_form(0.989), abs=2e-4)
         assert t == pytest.approx(0.27, abs=0.01)
+        # The tolerance is keyword-only: a fourth positional argument is
+        # refused rather than read as a tolerance.
+        fine = effective_temperature(0.989, 0.388, self.EZ, tolerance_k=1e-7)
+        assert fine == pytest.approx(self.closed_form(0.989), abs=1e-6)
+        with pytest.raises(TypeError):
+            effective_temperature(0.989, 0.388, self.EZ, 0.0)
 
     def test_warm_point(self):
         t = effective_temperature(0.78, 0.388, self.EZ)
