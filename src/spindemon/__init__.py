@@ -41,9 +41,7 @@ from .harness import (
 )
 from .physics import (
     RateSet,
-    ReservoirParams,
     TunnelModelParams,
-    ZeemanParams,
     bare_init_fidelity_from_chi,
     bare_init_fidelity_from_rates,
     build_rates,

@@ -128,11 +128,11 @@ class NuclearHistogram:
     shots_per_read: int
 
     def histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        """Counts over the fraction axis, one bin per possible value."""
-        bins = self.shots_per_read + 1
-        counts, edges = np.histogram(self.up_fractions, bins=bins, range=(0.0, 1.0))
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return centers, counts
+        """Counts of each possible fraction k / shots_per_read, with those
+        fractions as bin centres."""
+        n = self.shots_per_read
+        counts = np.bincount(np.rint(self.up_fractions * n).astype(np.int64), minlength=n + 1)
+        return np.arange(n + 1) / n, counts
 
 
 def simulate_nuclear_histogram(

@@ -103,7 +103,7 @@ def _load(args) -> tuple:
 
 def _read_fit_data(path: Path) -> list[tuple[float, float, float]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ConfigError(f"{path}: empty data file")

@@ -6,7 +6,9 @@ their defaults:
 
     physics.temperature_k          reservoir electron temperature, K (0.26)
     physics.b_field_t              magnetic field, T (1.423)
-    physics.gyromagnetic_ghz_per_t gyromagnetic ratio, GHz/T (28)
+    physics.gyromagnetic_ghz_per_t gyromagnetic ratio, GHz/T (28); only
+                                   its product with the field, the spin
+                                   splitting h * gamma * B, enters
     physics.asymmetry              spin-up/down coupling ratio chi (0.388)
     physics.donor_potential_uev    donor potential mu_D from the Fermi level, ueV (0)
     rates.in_total_per_s           total loading rate the base rate is
@@ -37,7 +39,7 @@ from pathlib import Path
 
 from .demon import DemonConfig
 from .harness import ExperimentConfig, SweepSpec
-from .physics import ReservoirParams, TunnelModelParams, ZeemanParams, build_rates
+from .physics import PLANCK_UEV_PER_GHZ, TunnelModelParams, build_rates
 from .telegraph import AmplifierParams
 
 
@@ -105,16 +107,17 @@ def build_experiment_config(raw: dict[str, str]) -> ExperimentConfig:
     values = dict(_DEFAULTS)
     values.update(raw)
     try:
-        zeeman = ZeemanParams(
-            b_field=_as_float(values, "physics.b_field_t"),
-            gyromagnetic_ratio=_as_float(values, "physics.gyromagnetic_ghz_per_t"),
-        )
+        b_field = _as_float(values, "physics.b_field_t")
+        gyromagnetic = _as_float(values, "physics.gyromagnetic_ghz_per_t")
+        # Checked apart, since two negative values give a positive splitting.
+        if not (b_field > 0.0 and gyromagnetic > 0.0):
+            raise ConfigError("physics.b_field_t and physics.gyromagnetic_ghz_per_t must be > 0")
         physics = TunnelModelParams(
             base_rate_down=1.0,
             asymmetry=_as_float(values, "physics.asymmetry"),
             donor_potential=_as_float(values, "physics.donor_potential_uev"),
-            zeeman=zeeman,
-            reservoir=ReservoirParams(temperature=_as_float(values, "physics.temperature_k")),
+            splitting=PLANCK_UEV_PER_GHZ * gyromagnetic * b_field,
+            temperature=_as_float(values, "physics.temperature_k"),
         )
         # Calibrate the unit base rate so the loading rate at the configured
         # potential matches the measured total; the potential can then be

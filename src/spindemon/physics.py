@@ -7,9 +7,8 @@ occupation f(E) and a phenomenological spin asymmetry chi multiplying the
 spin-up channel; unloading rates use the empty-state factor 1 - f(E) with
 the same chi and base rate.  The spin levels sit symmetrically about the
 donor potential, E_up/down = mu_D +/- E_Z / 2.  Energies are in
-micro-electronvolts (ueV), temperatures in kelvin, rates in 1/s, magnetic
-fields in tesla and gyromagnetic ratios in GHz/T.  All unit conversions
-live here, so the rest of the code never repeats them.
+micro-electronvolts (ueV), temperatures in kelvin and rates in 1/s.  The
+physical constants live here, so the rest of the code never repeats them.
 
 Everything here is a pure function of value inputs and safe to call from
 any number of threads or processes.
@@ -37,45 +36,6 @@ TEMPERATURE_CAP_K = 1000.0
 
 
 @dataclass(frozen=True)
-class ReservoirParams:
-    """Fermi reservoir supplying and absorbing the donor electron.
-
-    Attributes:
-        temperature: electron temperature in K, strictly positive.
-    """
-
-    temperature: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
-
-
-@dataclass(frozen=True)
-class ZeemanParams:
-    """Static field and gyromagnetic ratio setting the spin splitting.
-
-    Attributes:
-        b_field: magnetic field in tesla (>= 0).
-        gyromagnetic_ratio: in GHz/T; 28 is the silicon-electron value.
-    """
-
-    b_field: float
-    gyromagnetic_ratio: float = 28.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.b_field) and self.b_field >= 0.0):
-            raise ValueError(f"b_field must be finite and >= 0, got {self.b_field}")
-        if not (math.isfinite(self.gyromagnetic_ratio) and self.gyromagnetic_ratio > 0.0):
-            raise ValueError("gyromagnetic_ratio must be finite and > 0")
-
-    @property
-    def splitting(self) -> float:
-        """Spin energy splitting h * gamma * B in ueV."""
-        return PLANCK_UEV_PER_GHZ * self.gyromagnetic_ratio * self.b_field
-
-
-@dataclass(frozen=True)
 class TunnelModelParams:
     """Inputs of the spin-dependent tunnel-rate model.
 
@@ -89,35 +49,33 @@ class TunnelModelParams:
         asymmetry: spin-up to spin-down coupling ratio chi (> 0).
         donor_potential: donor electrochemical potential mu_D in ueV,
             measured from the reservoir Fermi level.
-        zeeman: field parameters; the splitting must be positive.
-        reservoir: reservoir temperature.
+        splitting: spin (Zeeman) splitting E_Z in ueV (> 0).
+        temperature: reservoir electron temperature T_e in K (> 0).
     """
 
     base_rate_down: float
     asymmetry: float
     donor_potential: float
-    zeeman: ZeemanParams
-    reservoir: ReservoirParams
+    splitting: float
+    temperature: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.base_rate_down) and self.base_rate_down > 0.0):
-            raise ValueError("base_rate_down must be finite and > 0")
-        if not (math.isfinite(self.asymmetry) and self.asymmetry > 0.0):
-            raise ValueError("asymmetry must be finite and > 0")
+        for name in ("base_rate_down", "asymmetry", "splitting", "temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not math.isfinite(self.donor_potential):
             raise ValueError("donor_potential must be finite")
-        if self.zeeman.splitting <= 0.0:
-            raise ValueError("zeeman splitting must be > 0 for the rate model")
 
     @property
     def level_up(self) -> float:
         """Spin-up level energy mu_D + E_Z / 2 in ueV."""
-        return self.donor_potential + 0.5 * self.zeeman.splitting
+        return self.donor_potential + 0.5 * self.splitting
 
     @property
     def level_down(self) -> float:
         """Spin-down level energy mu_D - E_Z / 2 in ueV."""
-        return self.donor_potential - 0.5 * self.zeeman.splitting
+        return self.donor_potential - 0.5 * self.splitting
 
 
 @dataclass(frozen=True)
@@ -156,7 +114,7 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def fermi_occupation(energy: float, reservoir: ReservoirParams) -> float:
+def fermi_occupation(energy: float, temperature: float) -> float:
     """Occupation probability of a reservoir state at the given energy.
 
     Evaluates 1 / (1 + exp(E / (k_B T))) with overflow-safe
@@ -165,14 +123,16 @@ def fermi_occupation(energy: float, reservoir: ReservoirParams) -> float:
 
     Args:
         energy: state energy in ueV, measured from the Fermi level.
-        reservoir: reservoir parameters.
+        temperature: reservoir electron temperature in K (> 0).
 
     Returns:
         Occupation in the open interval (0, 1).
     """
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy}")
-    x = energy / (BOLTZMANN_UEV_PER_K * reservoir.temperature)
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    x = energy / (BOLTZMANN_UEV_PER_K * temperature)
     return min(max(_sigmoid(-x), _OCC_FLOOR), _OCC_CEIL)
 
 
@@ -185,8 +145,8 @@ def build_rates(params: TunnelModelParams) -> RateSet:
         in_up    = chi * G0 * f(E_up)        out_up   = chi * G0 * (1 - f(E_up))
         in_down  =       G0 * f(E_down)      out_down =       G0 * (1 - f(E_down))
     """
-    f_up = fermi_occupation(params.level_up, params.reservoir)
-    f_down = fermi_occupation(params.level_down, params.reservoir)
+    f_up = fermi_occupation(params.level_up, params.temperature)
+    f_down = fermi_occupation(params.level_down, params.temperature)
     g0 = params.base_rate_down
     chi = params.asymmetry
     return RateSet(
@@ -212,7 +172,7 @@ def bare_init_fidelity_from_rates(rates: RateSet) -> float:
 def bare_init_fidelity_from_chi(
     chi: float,
     splitting: float,
-    reservoir: ReservoirParams,
+    temperature: float,
     donor_potential: float = 0.0,
 ) -> float:
     """No-monitoring initialization fidelity from the asymmetry model.
@@ -223,8 +183,8 @@ def bare_init_fidelity_from_chi(
     """
     if chi <= 0.0:
         raise ValueError("chi must be > 0")
-    f_up = fermi_occupation(donor_potential + 0.5 * splitting, reservoir)
-    f_down = fermi_occupation(donor_potential - 0.5 * splitting, reservoir)
+    f_up = fermi_occupation(donor_potential + 0.5 * splitting, temperature)
+    f_down = fermi_occupation(donor_potential - 0.5 * splitting, temperature)
     return 1.0 / (1.0 + chi * f_up / f_down)
 
 
@@ -268,7 +228,7 @@ def effective_temperature(
         )
 
     def fidelity_at(temperature: float) -> float:
-        return bare_init_fidelity_from_chi(chi, splitting, ReservoirParams(temperature))
+        return bare_init_fidelity_from_chi(chi, splitting, temperature)
 
     t_lo, t_hi = 1e-6, TEMPERATURE_CAP_K
     if fidelity_at(t_hi) >= fidelity_target:
@@ -303,13 +263,12 @@ def donor_potential_for_prior(params: TunnelModelParams, prior_target: float) ->
     the closed form is exact.  Used to place a measured prior inside the
     rate model.
     """
-    splitting = params.zeeman.splitting
-    span = 40.0 * splitting
+    span = 40.0 * params.splitting
     lo, hi = -span, span
 
     def prior_at(mu: float) -> float:
         return bare_init_fidelity_from_chi(
-            params.asymmetry, splitting, params.reservoir, donor_potential=mu
+            params.asymmetry, params.splitting, params.temperature, donor_potential=mu
         )
 
     p_lo, p_hi = prior_at(lo), prior_at(hi)

@@ -40,10 +40,9 @@ from spindemon.harness import (
 )
 from spindemon.output import build_metadata, write_sweep
 from spindemon.physics import (
+    PLANCK_UEV_PER_GHZ,
     RateSet,
-    ReservoirParams,
     TunnelModelParams,
-    ZeemanParams,
     bare_init_fidelity_from_rates,
     build_rates,
     donor_potential_for_prior,
@@ -57,7 +56,7 @@ from spindemon.telegraph import (
     rise_time,
 )
 
-ZEEMAN = ZeemanParams(b_field=1.423)
+EZ = PLANCK_UEV_PER_GHZ * 28.0 * 1.423  # spin splitting at 1.423 T and 28 GHz/T, ueV
 AMP = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
 
 
@@ -82,8 +81,8 @@ def operating_point() -> ExperimentConfig:
         base_rate_down=1.0,
         asymmetry=0.388,
         donor_potential=0.0,
-        zeeman=ZEEMAN,
-        reservoir=ReservoirParams(temperature=0.26),
+        splitting=EZ,
+        temperature=0.26,
     )
     mu = donor_potential_for_prior(seed_params, 0.78)
     params = replace(seed_params, donor_potential=mu)
@@ -186,9 +185,8 @@ def test_criterion_5_fidelity_budget():
 
 
 def test_criterion_6_effective_temperature():
-    ez = ZEEMAN.splitting
-    cold = effective_temperature(0.989, 0.388, ez)
-    warm = effective_temperature(0.78, 0.388, ez)
+    cold = effective_temperature(0.989, 0.388, EZ)
+    warm = effective_temperature(0.78, 0.388, EZ)
     assert cold == pytest.approx(0.270, abs=0.010)
     assert warm == pytest.approx(2.95, abs=0.05)
     report(6, f"T_eff(0.989) = {cold * 1e3:.1f} mK, T_eff(0.78) = {warm:.3f} K")

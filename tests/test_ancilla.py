@@ -120,6 +120,17 @@ class TestNuclearHistogram:
         assert abs(np.mean(hist.up_fractions[~hist.nuclear_up]) - 0.04) < 0.005
         assert abs(np.mean(hist.up_fractions[hist.nuclear_up]) - 0.85) < 0.005
 
+    def test_bins_centre_on_each_fraction(self):
+        # Bin k holds the reads with fraction k / shots_per_read and is
+        # labelled with that fraction.
+        hist = simulate_nuclear_histogram(reads=500, seed=45, **WELL_SEPARATED)
+        centers, counts = hist.histogram()
+        n = hist.shots_per_read
+        assert np.array_equal(centers, np.arange(n + 1) / n)
+        assert [int(k) for k in counts] == [
+            np.count_nonzero(hist.up_fractions == c) for c in centers
+        ]
+
     def test_deterministic_by_seed(self):
         a = simulate_nuclear_histogram(reads=500, seed=44, **WELL_SEPARATED)
         b = simulate_nuclear_histogram(reads=500, seed=44, **WELL_SEPARATED)

@@ -364,6 +364,15 @@ class TestCli:
              {"run.cfg": "run.shots = 5\nphysics.base_rate_down_per_s = 2000\n"}),
             (["simulate-shot", "--config", "run.cfg"],
              {"run.cfg": "run.shots = 5\nphysics.fermi_level_uev = 0\n"}),
+            # Only the product of the two field keys enters, so each is
+            # checked on its own: two negatives would give a positive splitting.
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nphysics.b_field_t = -1.423\n"
+                         "physics.gyromagnetic_ghz_per_t = -28\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nphysics.b_field_t = inf\n"}),
+            (["simulate-shot", "--config", "run.cfg"],
+             {"run.cfg": "run.shots = 5\nphysics.b_field_t = 0\n"}),
             (["fit", "--data", "data.csv", "--shots", "3"],
              {"data.csv": "grid_value,shots,successes\n0,100,80\n1e-3,100,90\n"
                           "2e-3,100,95\n3e-3,100,97\n5e-3,100,98\n"}),
@@ -405,7 +414,8 @@ class TestCli:
              "histogram-shots-per-read-past-int64", "histogram-too-many-bins",
              "histogram-not-bimodal", "budget-fidelity", "sweep-tobs-mu-d", "sweep-tobs-negative",
              "sweep-grid-inf", "noise-std-nan", "abandon-factor-nan", "latency-nan",
-             "sweep-bias-t-obs", "base-rate-key", "fermi-level-key", "fit-shots", "project-seed",
+             "sweep-bias-t-obs", "base-rate-key", "fermi-level-key",
+             "field-keys-both-negative", "field-inf", "field-zero", "fit-shots", "project-seed",
              "budget-shots", "sweep-grid-huge", "required-samples-huge", "abandon-factor-huge",
              "latency-huge", "latency-past-horizon", "pooled-latency-past-horizon",
              "pooled-required-samples-huge"],

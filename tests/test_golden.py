@@ -10,6 +10,7 @@ change that alters output on purpose regenerates them with
 and says why in CHANGES.md.
 """
 
+import codecs
 import os
 from pathlib import Path
 
@@ -70,6 +71,15 @@ def test_noisier_goldens_depend_on_the_noise(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
     assert out.read_bytes() != (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_fit_reads_data_behind_a_byte_order_mark(tmp_path, monkeypatch):
+    # Spreadsheets export CSV with a UTF-8 byte-order mark before the header.
+    monkeypatch.chdir(tmp_path)
+    data = (GOLDEN / "fit-data.csv").read_bytes()
+    (tmp_path / "fit-data.csv").write_bytes(codecs.BOM_UTF8 + data)
+    render("fit", "csv", tmp_path / "fit.csv")
+    assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
 
 
 def test_goldens_hold_no_numpy_reprs():

@@ -39,10 +39,9 @@ from spindemon.harness import (
 )
 from spindemon.output import build_metadata, write_sweep
 from spindemon.physics import (
+    PLANCK_UEV_PER_GHZ,
     RateSet,
-    ReservoirParams,
     TunnelModelParams,
-    ZeemanParams,
     bare_init_fidelity_from_rates,
     build_rates,
     donor_potential_for_prior,
@@ -57,6 +56,7 @@ from spindemon.telegraph import (
     rise_time,
 )
 
+EZ = PLANCK_UEV_PER_GHZ * 28.0 * 1.423  # spin splitting at 1.423 T and 28 GHz/T, ueV
 AMP = AmplifierParams(cutoff=50e3, threshold=0.3, sample_period=1e-5)
 
 
@@ -68,8 +68,8 @@ def paper_point_physics(prior=0.78, t_e=0.26, in_total=2700.0):
         base_rate_down=1.0,
         asymmetry=0.388,
         donor_potential=0.0,
-        zeeman=ZeemanParams(b_field=1.423),
-        reservoir=ReservoirParams(temperature=t_e),
+        splitting=EZ,
+        temperature=t_e,
     )
     mu = donor_potential_for_prior(seed_params, prior)
     params = replace(seed_params, donor_potential=mu)
@@ -1320,8 +1320,8 @@ class TestSweepBias:
             base_rate_down=1.0,
             asymmetry=0.388,
             donor_potential=0.0,
-            zeeman=ZeemanParams(b_field=1.423),
-            reservoir=ReservoirParams(temperature=t_e),
+            splitting=EZ,
+            temperature=t_e,
         )
         scale = 2700.0 / build_rates(physics).in_total
         physics = replace(physics, base_rate_down=scale)
@@ -1338,8 +1338,7 @@ class TestSweepBias:
         # The no-monitoring curve at the warm effective temperature: about
         # 0.72 at deep plunge (the asymmetry limit) and 0.81 at the readout
         # point.
-        ez = ZeemanParams(b_field=1.423).splitting
-        cfg = self.bias_config([-20 * ez, 0.0], t_e=2.0, shots=20000)
+        cfg = self.bias_config([-20 * EZ, 0.0], t_e=2.0, shots=20000)
         results = sweep_bias(cfg, demon_on=False)
         plunge, read = results
         assert plunge.analytic == pytest.approx(1.0 / 1.388, abs=1e-4)
@@ -1351,7 +1350,6 @@ class TestSweepBias:
     def test_monitored_plateau_width(self):
         # Real-time monitoring flattens the tuning dependence: the fidelity
         # stays within 1% of its maximum over a span of at least 0.4 E_Z.
-        ez = ZeemanParams(b_field=1.423).splitting
         grid = [-140.0, -120.0, -100.0, -80.0, -60.0, -40.0, -20.0, 0.0, 20.0, 40.0, 60.0]
         cfg = self.bias_config(grid, t_e=0.26, shots=600, seed=21)
         results = sweep_bias(cfg, demon_on=True)
@@ -1360,7 +1358,7 @@ class TestSweepBias:
         ])
         best = fidelities.max()
         within = [row.grid_value for row, f in zip(results, fidelities) if f >= best - 0.01]
-        assert max(within) - min(within) >= 0.4 * ez
+        assert max(within) - min(within) >= 0.4 * EZ
         # The monitored curve beats the bare curve everywhere on the grid.
         bare = sweep_bias(cfg, demon_on=False)
         for mon, off in zip(results, bare):
@@ -1391,8 +1389,8 @@ class TestDonorPotentialSolver:
             base_rate_down=1.0,
             asymmetry=0.388,
             donor_potential=0.0,
-            zeeman=ZeemanParams(b_field=1.423),
-            reservoir=ReservoirParams(temperature=0.26),
+            splitting=EZ,
+            temperature=0.26,
         )
         for target in (0.75, 0.78, 0.9, 0.99):
             mu = donor_potential_for_prior(params, target)
@@ -1406,8 +1404,8 @@ class TestDonorPotentialSolver:
             base_rate_down=1.0,
             asymmetry=0.388,
             donor_potential=0.0,
-            zeeman=ZeemanParams(b_field=1.423),
-            reservoir=ReservoirParams(temperature=0.26),
+            splitting=EZ,
+            temperature=0.26,
         )
         with pytest.raises(ValueError):
             donor_potential_for_prior(params, 0.5)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from spindemon.config import ConfigError, build_experiment_config
 from spindemon.physics import (
+    PLANCK_UEV_PER_GHZ,
     RateSet,
-    ReservoirParams,
     TunnelModelParams,
-    ZeemanParams,
     bare_init_fidelity_from_chi,
     bare_init_fidelity_from_rates,
     build_rates,
@@ -16,15 +16,16 @@ from spindemon.physics import (
 )
 
 KB = 86.17333262
+EZ = PLANCK_UEV_PER_GHZ * 28.0 * 1.423  # 1.423 T at 28 GHz/T, in ueV
 
 
-def make_params(base=1.0, chi=0.388, mu=0.0, b=1.423, t_e=0.26):
+def make_params(base=1.0, chi=0.388, mu=0.0, ez=EZ, t_e=0.26):
     return TunnelModelParams(
         base_rate_down=base,
         asymmetry=chi,
         donor_potential=mu,
-        zeeman=ZeemanParams(b_field=b),
-        reservoir=ReservoirParams(temperature=t_e),
+        splitting=ez,
+        temperature=t_e,
     )
 
 
@@ -32,59 +33,65 @@ class TestFermiOccupation:
     def test_midpoint(self):
         # Energies are measured from the Fermi level, where f = 1/2.
         for t in (0.001, 1.0, 100.0):
-            assert fermi_occupation(0.0, ReservoirParams(temperature=t)) == 0.5
+            assert fermi_occupation(0.0, t) == 0.5
 
     def test_saturation_limits_guarded(self):
-        res = ReservoirParams(temperature=0.001)
-        high = fermi_occupation(1e6, res)
-        low = fermi_occupation(-1e6, res)
+        t_e = 0.001
+        high = fermi_occupation(1e6, t_e)
+        low = fermi_occupation(-1e6, t_e)
         assert 0.0 < high < 1e-100
         assert 1.0 - 1e-10 < low < 1.0  # never exactly 0 or 1
 
     def test_frozen_value(self):
         # Direct double-precision evaluation at the warm-reservoir point.
-        res = ReservoirParams(temperature=2.95)
-        assert fermi_occupation(-82.5, res) == pytest.approx(0.5804286126155778, rel=1e-12)
+        assert fermi_occupation(-82.5, 2.95) == pytest.approx(0.5804286126155778, rel=1e-12)
 
     def test_particle_hole_symmetry(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            res = ReservoirParams(temperature=10 ** rng.uniform(-2, 1))
+            t_e = 10 ** rng.uniform(-2, 1)
             e = rng.uniform(-300, 300)
-            total = fermi_occupation(e, res) + fermi_occupation(-e, res)
+            total = fermi_occupation(e, t_e) + fermi_occupation(-e, t_e)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_decreasing(self):
-        res = ReservoirParams(temperature=0.26)
         energies = np.linspace(-200, 200, 100)
-        values = [fermi_occupation(e, res) for e in energies]
+        values = [fermi_occupation(e, 0.26) for e in energies]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_non_finite(self):
-        res = ReservoirParams(temperature=1.0)
         with pytest.raises(ValueError):
-            fermi_occupation(math.nan, res)
+            fermi_occupation(math.nan, 1.0)
 
     def test_rejects_bad_temperature(self):
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fermi_occupation(1.0, t)
         with pytest.raises(ValueError):
-            ReservoirParams(temperature=0.0)
-        with pytest.raises(ValueError):
-            ReservoirParams(temperature=-1.0)
+            make_params(t_e=0.0)
 
 
 class TestZeeman:
+    """The config's field keys give the splitting h * gamma * B."""
+
+    @staticmethod
+    def splitting(b_field):
+        return build_experiment_config({"physics.b_field_t": b_field}).physics.splitting
+
     def test_field_value(self):
         # 1.423 T at 28 GHz/T sits just below 165 ueV.
-        z = ZeemanParams(b_field=1.423)
-        assert z.splitting == pytest.approx(164.7815, abs=1e-3)
-        assert 0.5 * z.splitting == pytest.approx(82.4, abs=0.05)
+        ez = self.splitting("1.423")
+        assert ez == EZ
+        assert ez == pytest.approx(164.7815, abs=1e-3)
+        assert 0.5 * ez == pytest.approx(82.4, abs=0.05)
 
     def test_zero_field(self):
-        assert ZeemanParams(b_field=0.0).splitting == 0.0
+        # No splitting, no spin-selective loading: the rate model needs E_Z > 0.
+        with pytest.raises(ConfigError):
+            self.splitting("0")
 
     def test_one_tesla_in_kelvin(self):
-        z = ZeemanParams(b_field=1.0)
-        assert z.splitting / KB == pytest.approx(1.3438, abs=1e-3)
+        assert self.splitting("1.0") / KB == pytest.approx(1.3438, abs=1e-3)
 
 
 class TestBuildRates:
@@ -106,16 +113,7 @@ class TestBuildRates:
         # mu_D = 0, T = 260 mK, E_Z = 165 ueV, chi = 0.388, base rate chosen
         # so the loading total is 2700/s.  Expected values from an
         # independent algebraic solve of the occupation model.
-        g0 = 2741.1845662120572
-        splitting = 165.0
-        gyro = splitting / (4.135667696 * 1.423)
-        p = TunnelModelParams(
-            base_rate_down=g0,
-            asymmetry=0.388,
-            donor_potential=0.0,
-            zeeman=ZeemanParams(b_field=1.423, gyromagnetic_ratio=gyro),
-            reservoir=ReservoirParams(temperature=0.26),
-        )
+        p = make_params(base=2741.1845662120572, ez=165.0)
         r = build_rates(p)
         assert r.in_total == pytest.approx(2700.0, rel=1e-9)
         assert r.in_up == pytest.approx(26.110476618101746, rel=1e-9)
@@ -124,8 +122,9 @@ class TestBuildRates:
         assert r.out_down == pytest.approx(67.29504283015913, rel=1e-9)
 
     def test_requires_positive_splitting(self):
-        with pytest.raises(ValueError):
-            make_params(b=0.0)
+        for ez in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                make_params(ez=ez)
 
 
 class TestBareFidelity:
@@ -150,24 +149,20 @@ class TestBareFidelity:
             )
             from_rates = bare_init_fidelity_from_rates(build_rates(p))
             from_chi = bare_init_fidelity_from_chi(
-                p.asymmetry, p.zeeman.splitting, p.reservoir, p.donor_potential
+                p.asymmetry, p.splitting, p.temperature, p.donor_potential
             )
             assert from_rates == pytest.approx(from_chi, abs=1e-12)
 
     def test_warm_and_cold_points(self):
-        assert bare_init_fidelity_from_chi(
-            0.388, 165.0, ReservoirParams(temperature=2.95)
-        ) == pytest.approx(0.781, abs=5e-4)
-        assert bare_init_fidelity_from_chi(
-            0.388, 165.0, ReservoirParams(temperature=0.27)
-        ) == pytest.approx(0.989, abs=5e-4)
+        assert bare_init_fidelity_from_chi(0.388, 165.0, 2.95) == pytest.approx(0.781, abs=5e-4)
+        assert bare_init_fidelity_from_chi(0.388, 165.0, 0.27) == pytest.approx(0.989, abs=5e-4)
 
     def test_symmetric_barrier_reduction(self):
-        res = ReservoirParams(temperature=1.3)
-        f_up = fermi_occupation(82.5, res)
-        f_down = fermi_occupation(-82.5, res)
+        t_e = 1.3
+        f_up = fermi_occupation(82.5, t_e)
+        f_down = fermi_occupation(-82.5, t_e)
         expected = f_down / (f_down + f_up)
-        assert bare_init_fidelity_from_chi(1.0, 165.0, res) == pytest.approx(
+        assert bare_init_fidelity_from_chi(1.0, 165.0, t_e) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -179,10 +174,7 @@ class TestBareFidelity:
 
     def test_monotone_in_temperature(self):
         temps = np.linspace(0.05, 8.0, 40)
-        values = [
-            bare_init_fidelity_from_chi(0.388, 164.78, ReservoirParams(temperature=t))
-            for t in temps
-        ]
+        values = [bare_init_fidelity_from_chi(0.388, 164.78, t) for t in temps]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -216,9 +208,7 @@ class TestEffectiveTemperature:
         # Representable fidelities require chi * ratio > ~1e-16, i.e.
         # temperatures above about 30 mK for this splitting.
         for t_true in np.geomspace(0.03, 10.0, 25):
-            f = bare_init_fidelity_from_chi(
-                0.388, self.EZ, ReservoirParams(temperature=t_true)
-            )
+            f = bare_init_fidelity_from_chi(0.388, self.EZ, t_true)
             t_back = effective_temperature(f, 0.388, self.EZ)
             assert t_back == pytest.approx(t_true, abs=1e-4)
 
