@@ -21,7 +21,9 @@ their defaults:
     demon.latency_s                trigger assertion latency, s (1e-7)
     run.shots                      shots per point (10000)
     run.master_seed                master RNG seed (1)
-    run.workers                    worker processes (1)
+    run.workers                    most worker processes (1); runs too
+                                   small to gain from a pool stay in
+                                   one process
     run.abandon_factor             abandon after this multiple of t_obs (1000)
     run.noise_std                  additive sensor noise std (0 = off)
     run.detector                   'amplifier' or 'ideal' (amplifier)

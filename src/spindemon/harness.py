@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
 from typing import Callable, Sequence
@@ -73,6 +74,16 @@ _MIN_BOUND = 1e-300  # least bound on a flip probability (see _next_flip)
 # 0.97 times as long at 4, 8 and 32 blocks as at 16, and its peak RSS
 # (bench/run.py) is 68.5 MiB at 8 blocks, 71.4 at 16 and 79.1 at 32.
 _LANE_BLOCKS = 16
+# Lanes (shots x jobs) past which _run_shots starts a pool.  In-process
+# medians of 10 interleaved runs at 1 and 2 workers (2 vCPU, fork start
+# method, Python 3.11): op-point at 100 000 shots 79 / 83 ms, 131 072 100 /
+# 93, 160 000 122 / 105, 10**6 776 / 494; the 7-point mu_d sweep at 5 000
+# shots a point 94 / 97, 15 000 233 / 170, 19 000 316 / 213.  Pooling only
+# past 2**17 lanes keeps the 100 000-shot op-point and paper-pipeline's
+# sweeps (35 000 lanes and less) in one process, at the cost of the gain of
+# sweeps of 105 000 to 131 072 lanes.  Repeats (BENCH_pool-crossover.json)
+# swing by about 30 %.  Not measured under forkserver.
+_POOL_MIN_LANES = 2 ** 17
 # Events a pass takes: _PASS_EVENTS over the live lanes, but no more than
 # _PASS_MAX nor than the call has taken so far, so that its last lanes step
 # past their end at most as often as before it (a 1-lane tail at 512 events
@@ -122,6 +133,10 @@ class ExperimentConfig:
     a run watches for (see run_detection).  A run costs per pass of several
     events, not per sample; while noise is searched for flips, a pass takes
     one event and feeds once per wave of flips.
+
+    workers is an upper bound on the processes a run uses: a run too small
+    to gain from a pool stays in this process, and a pool gets no more
+    workers than the CPUs this process may use (see _run_shots).
 
     master_seed fixes every draw: shot i's r-th tunneling event comes from
     column i % 1024 of the r-th round of uniforms of its 1024-shot block,
@@ -848,28 +863,37 @@ def _tally_block(args) -> tuple[np.ndarray, np.ndarray]:
         [getattr(shots, name).sum(axis=-1) for name in _TALLIED], axis=-1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _run_shots(cfg: ExperimentConfig, jobs: list[tuple[RateSet, list[int]]],
                tally: bool = False) -> list:
     """Every shot of cfg for each (rates, thresholds) job, in run_detection
-    calls of up to _LANE_BLOCKS aligned blocks.  Work that fits one call
-    (one job of at most _LANE_BLOCKS blocks) is that call, made in this
-    process.  Otherwise, with workers > 1, each job's shots are split into
-    one run per worker, and all calls go through one pool's map, one call
-    at a time, so jobs of unequal cost spread over the workers.  Returns
-    each job's _Detection, or with ``tally`` its calls' _tally_block
-    results, in shot-index order.  A job that a call would reject raises
-    ValueError here, before any pool starts.
+    calls of up to _LANE_BLOCKS aligned blocks.  cfg.workers is an upper
+    bound: work of at most _POOL_MIN_LANES lanes (shots x jobs) runs in this
+    process, one call of up to _LANE_BLOCKS blocks per job, and larger work
+    uses no more workers than the CPUs this process may use.  With more than
+    one worker, each job's shots are split into one run per worker, and all
+    calls go through one pool's map, one call at a time, so jobs of unequal
+    cost spread over the workers.  Returns each job's _Detection, or with
+    ``tally`` its calls' _tally_block results, in shot-index order.  A job
+    that a call would reject raises ValueError here, before any pool starts.
     """
     for _, n_required in jobs:
         _horizons(cfg, n_required)
-    one_call = len(jobs) == 1 and cfg.shots <= _LANE_BLOCKS * _SEED_BLOCK
-    blocks = min(_LANE_BLOCKS, math.ceil(
-        cfg.shots / ((1 if one_call else cfg.workers) * _SEED_BLOCK)))
+    workers = (min(cfg.workers, _usable_cpus())
+               if cfg.shots * len(jobs) > _POOL_MIN_LANES else 1)
+    blocks = min(_LANE_BLOCKS, math.ceil(cfg.shots / (workers * _SEED_BLOCK)))
     ranges = _blocks(cfg.shots, blocks * _SEED_BLOCK)
     calls = [(cfg, rates, n_required, r) for rates, n_required in jobs for r in ranges]
     block = _tally_block if tally else _shot_block
-    pooled = cfg.workers > 1 and len(calls) > 1  # and starts no idle worker
-    with Pool(processes=min(cfg.workers, len(calls))) if pooled else contextlib.nullcontext() \
+    pooled = workers > 1 and len(calls) > 1  # and starts no idle worker
+    with Pool(processes=min(workers, len(calls))) if pooled else contextlib.nullcontext() \
             as pool:
         parts = list(map(block, calls) if pool is None else pool.map(block, calls, 1))
     per_job = [parts[k:k + len(ranges)] for k in range(0, len(parts), len(ranges))]

@@ -22,6 +22,7 @@ from oracles import (
     posterior_step,
     window_scan_trigger,
 )
+from spindemon import harness
 from spindemon.ancilla import (
     ControlParams,
     QndParams,
@@ -249,7 +250,7 @@ def test_criterion_10_projected_999_plateaus():
     )
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(monkeypatch):
     rng = np.random.default_rng(111)
 
     # Posterior monotonicity in the sample count (strict until the value
@@ -300,10 +301,12 @@ def test_criterion_11_property_suites():
         blips = list(rng.random(int(rng.integers(1, 100))) < rng.uniform(0.05, 0.9))
         assert first_trigger(blips, n_req) == window_scan_trigger(blips, n_req)
 
-    # Parallel sweeps are byte-identical to serial ones.
+    # Parallel sweeps are byte-identical to serial ones.  With the pool's
+    # crossover lowered to 0 lanes and calls of one block, 2100 shots are
+    # three calls on a pool of two workers, whatever the CPUs here.
     cfg = replace(
         operating_point(),
-        shots=400,
+        shots=2100,
         demon=DemonConfig(required_samples=100),
         sweep=SweepSpec(variable="t_obs", grid=(5e-4, 1e-3)),
     )
@@ -312,7 +315,13 @@ def test_criterion_11_property_suites():
     serial, parallel = io.StringIO(), io.StringIO()
     meta = build_metadata("cfg", cfg.master_seed)
     write_sweep(serial, sweep_tobs(cfg), "csv", meta)
+    starts, pool = [], harness.Pool
+    monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(kwargs) or pool(**kwargs))
+    monkeypatch.setattr(harness, "_POOL_MIN_LANES", 0)
+    monkeypatch.setattr(harness, "_LANE_BLOCKS", 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     write_sweep(parallel, sweep_tobs(replace(cfg, workers=2)), "csv", meta)
+    assert starts == [{"processes": 2}]
     assert serial.getvalue() == parallel.getvalue()
 
     report(

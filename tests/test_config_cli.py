@@ -424,6 +424,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         starts, pool = [], harness.Pool
         monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(1) or pool(**kwargs))
+        monkeypatch.setattr(harness, "_POOL_MIN_LANES", 0)  # so that any sweep would pool
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         try:

@@ -792,10 +792,15 @@ class TestShotStreams:
             assert main(["simulate-shot", "--config", str(path), "--out", str(out)]) == 0
 
     def test_block_and_worker_boundaries(self, tmp_path, monkeypatch):
-        # 2100 shots cross the event blocks at 1024 and 2048; a pool of three
+        # 2100 shots cross the event blocks at 1024 and 2048; past a
+        # crossover lowered to 0 lanes, on 3 usable CPUs, a pool of three
         # workers runs one block each, the last one 52 shots long.  Only the
         # noisy run draws from shot_rng, and the rebuilt run draws from
         # generators made here.
+        starts, pool = [], harness.Pool
+        monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(kwargs) or pool(**kwargs))
+        monkeypatch.setattr(harness, "_POOL_MIN_LANES", 0)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         for noise in ("0", "0.05"):
             outputs = {}
             for label, workers in (("serial", 1), ("pool", 3), ("rebuilt", 1)):
@@ -814,6 +819,7 @@ class TestShotStreams:
                     outputs[label] = out.read_bytes()
             assert outputs["serial"] == outputs["pool"], noise
             assert outputs["serial"] == outputs["rebuilt"], noise
+        assert starts == [{"processes": 3}] * 2
 
 
 class SerialPool:
@@ -830,6 +836,18 @@ class SerialPool:
 
     def map(self, fn, args, chunksize=None):
         return map(fn, args)
+
+
+def recording_pool(asked):
+    """A SerialPool that appends the processes each start asks for to
+    ``asked``."""
+
+    class RecordingPool(SerialPool):
+        def __init__(self, processes):
+            asked.append(processes)
+            super().__init__(processes)
+
+    return RecordingPool
 
 
 class TestShotBlocks:
@@ -860,11 +878,12 @@ class TestShotBlocks:
     @pytest.mark.parametrize("noise_std, detector",
                              [(0.0, "amplifier"), (0.1, "amplifier"), (0.0, "ideal")])
     def test_wide_lanes_match_any_grouping(self, monkeypatch, noise_std, detector):
-        # 2100 shots run serially as one call at the default lane cap, which
-        # they fit whatever the workers, and as three calls at a cap of one
-        # block.  At a cap of two blocks they do not fit one call: a pool of
-        # two workers gets runs of up to two blocks, one of three workers
-        # runs of one block.  A short horizon leaves some shots abandoned.
+        # 2100 shots are below the pool's crossover, so they run serially
+        # as one call at the default lane cap whatever the workers, and as
+        # three calls at a cap of one block.  Past a crossover lowered to 0
+        # lanes, at a cap of two blocks, a pool of two workers gets runs of
+        # up to two blocks, one of three workers runs of one block.  A short
+        # horizon leaves some shots abandoned.
         cfg = make_config(n_required=20, shots=2100, seed=23, noise_std=noise_std,
                           detector=detector, abandon_factor=3.0)
         rates = cfg.rates
@@ -884,6 +903,8 @@ class TestShotBlocks:
             return [(r.start, r.stop) for r in ranges]
 
         assert calls(cfg) == calls(replace(cfg, workers=2)) == [(0, 2100)]
+        monkeypatch.setattr(harness, "_POOL_MIN_LANES", 0)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(harness, "_LANE_BLOCKS", 2)
         assert calls(replace(cfg, workers=2)) == [(0, 2048), (2048, 2100)]
         assert calls(replace(cfg, workers=3)) == [(0, 1024), (1024, 2048), (2048, 2100)]
@@ -1208,8 +1229,9 @@ class TestSweepTobs:
         assert out1.getvalue() == out2.getvalue()
 
     def test_one_pool_per_sweep(self, monkeypatch):
-        # A sweep of two or more calls starts one pool and makes one map for
-        # all its points; a sweep of one call, or of none, starts no pool.
+        # A sweep of two or more calls past the crossover starts one pool and
+        # makes one map for all its points; a sweep below it, or of one call
+        # or of none, starts no pool.
         # A t_obs sweep maps one call per block range, each watching for
         # every threshold, not one per range and point; a mu_d sweep maps one
         # call per range and point.  _sweep_point still builds each point.
@@ -1238,25 +1260,27 @@ class TestSweepTobs:
         grid = [k * 1e-3 for k in range(8)]
         thresholds = list(range(100, 800, 100))
         ranges = [range(0, 2048), range(2048, 2100)]
-        # 2100 shots at one threshold per point fit one call: no pool.
+        # 2100 shots at one threshold per point are below the crossover, and
+        # each job is one call: no pool.
         results = sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2))
         assert len(results) == 8 and starts == [] and maps == []
         assert points == grid
 
-        bias = replace(self.grid_config(grid, shots=2100), workers=2,
-                       sweep=SweepSpec(variable="mu_d", grid=(-100.0, 0.0, 20.0)))
-        assert len(sweep_bias(bias, demon_on=True)) == 3 and len(starts) == 1
-        assert maps == [[([500], r) for _ in range(3) for r in ranges]]
-        assert points == grid + [-100.0, 0.0, 20.0]
-
-        # At a cap of two blocks the t_obs sweep is two calls: one pool.
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_LANE_BLOCKS", 2)
-            assert sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2)) == results
-        assert len(starts) == 2 and maps[1] == [(thresholds, r) for r in ranges]
+            patch.setattr(harness, "_POOL_MIN_LANES", 0)
+            patch.setattr(harness, "_usable_cpus", lambda: 2)
+            bias = replace(self.grid_config(grid, shots=2100), workers=2,
+                           sweep=SweepSpec(variable="mu_d", grid=(-100.0, 0.0, 20.0)))
+            assert len(sweep_bias(bias, demon_on=True)) == 3 and len(starts) == 1
+            assert maps == [[([500], r) for _ in range(3) for r in ranges]]
+            assert points == grid + [-100.0, 0.0, 20.0]
 
-        sweep_tobs(replace(self.grid_config([0.0], shots=200), workers=2))
-        assert len(starts) == 2 and len(maps) == 2
+            # Split for two workers, the t_obs sweep is two calls: one pool.
+            assert sweep_tobs(replace(self.grid_config(grid, shots=2100), workers=2)) == results
+            assert len(starts) == 2 and maps[1] == [(thresholds, r) for r in ranges]
+
+            sweep_tobs(replace(self.grid_config([0.0], shots=200), workers=2))
+            assert len(starts) == 2 and len(maps) == 2
 
         # Each call is one run_detection call.
         detections = []
@@ -1268,21 +1292,53 @@ class TestSweepTobs:
         assert detections == [(thresholds, 2100)]
 
     def test_pool_starts_no_idle_worker(self, monkeypatch):
-        # A pool asks for no more processes than it has calls: 64 workers on
-        # two mu_d points of 1500 shots make four one-block calls.  The
-        # stand-in pool records the count and maps in this process, so no
-        # process starts.
+        # A pool asks for no more processes than it has calls: past a
+        # crossover lowered to 0 lanes, on 64 usable CPUs, 64 workers on two
+        # mu_d points of 1500 shots make four one-block calls.  The stand-in
+        # pool records the count and maps in this process, so no process
+        # starts.
         asked = []
-
-        class RecordingPool(SerialPool):
-            def __init__(self, processes):
-                asked.append(processes)
-                super().__init__(processes)
-
-        monkeypatch.setattr(harness, "Pool", RecordingPool)
+        monkeypatch.setattr(harness, "Pool", recording_pool(asked))
+        monkeypatch.setattr(harness, "_POOL_MIN_LANES", 0)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
         cfg = replace(self.grid_config([1e-3]), sweep=SweepSpec("mu_d", (0.0, 20.0)))
         assert sweep_bias(replace(cfg, workers=64), True) == sweep_bias(cfg, True)
         assert asked == [4]
+
+    def test_pool_starts_no_more_workers_than_cpus(self, monkeypatch):
+        # run.workers = 10000 at 10**6 shots on 2 usable CPUs: the split is
+        # made for two workers, 62 calls of up to 16 blocks, not 977
+        # one-block calls and a pool of 977 processes.  The stand-in pool
+        # and _tally_block run nothing, so no process starts.
+        asked = []
+        monkeypatch.setattr(harness, "Pool", recording_pool(asked))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_tally_block", lambda args: (args[3].start, args[3].stop))
+        cfg = replace(self.grid_config([1e-3], shots=10**6), workers=10_000)
+        (calls,) = harness._run_shots(cfg, [(cfg.rates, [100])], tally=True)
+        assert asked == [2]
+        assert calls == [(k, min(k + 16 * 1024, 10**6)) for k in range(0, 10**6, 16 * 1024)]
+
+    def test_pool_starts_only_past_the_crossover(self, monkeypatch):
+        # Two mu_d points of 1500 shots are 3000 lanes.  At a crossover of
+        # 3000 lanes no pool starts and each job is one call; at 2999 one
+        # pool starts.  The results are identical either way.
+        starts, ranges, pool = [], [], harness.Pool
+        tally_block = harness._tally_block
+        monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(1) or pool(**kwargs))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = replace(self.grid_config([1e-3], shots=1500), workers=2,
+                      sweep=SweepSpec("mu_d", (0.0, 20.0)))
+        serial = sweep_bias(replace(cfg, workers=1), True)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_POOL_MIN_LANES", 3000)
+            patch.setattr(harness, "_tally_block", lambda args: ranges.append(
+                (args[3].start, args[3].stop)) or tally_block(args))
+            assert sweep_bias(cfg, True) == serial
+        assert starts == [] and ranges == [(0, 1500)] * 2
+        monkeypatch.setattr(harness, "_POOL_MIN_LANES", 2999)
+        assert sweep_bias(cfg, True) == serial
+        assert starts == [1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("detector, noise_std",
@@ -1368,6 +1424,8 @@ class TestSweepBias:
         starts = []
         pool = harness.Pool
         monkeypatch.setattr(harness, "Pool", lambda **kwargs: starts.append(1) or pool(**kwargs))
+        monkeypatch.setattr(harness, "_POOL_MIN_LANES", 0)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         cfg = replace(self.bias_config([-100.0, 0.0, 60.0], t_e=0.26, shots=200), workers=2)
         sweep_bias(cfg, demon_on=False)
         assert starts == []

@@ -70,7 +70,12 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
     pooled.write_text(RUN_CONFIG + "run.workers = 2\n")
     noisy = tmp_path / "noisy.cfg"
     noisy.write_text(RUN_CONFIG + "run.noise_std = 0.05\n")
-    bias = tmp_path / "bias.cfg"  # two points: two calls, so a pool
+    # Two points are two calls, so a pool past a crossover lowered to 0 lanes
+    # on 2 usable CPUs.
+    harness = importlib.import_module("spindemon.harness")
+    monkeypatch.setattr(harness, "_POOL_MIN_LANES", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    bias = tmp_path / "bias.cfg"
     bias.write_text(RUN_CONFIG.replace("sweep.grid = 0, 2e-4", "sweep.variable = mu_d\n"
                                        "sweep.grid = 0, 20") + "run.workers = 2\n")
     fit_data = Path(__file__).resolve().parent / "golden" / "fit-data.csv"
@@ -108,7 +113,6 @@ def test_traced_attributes_are_looked_up_at_call_time(tmp_path, monkeypatch):
 
     # The benchmark's set-up calls run_initialization_shot directly, and its
     # tracer reads the config and n_required from positions 0 and 3.
-    harness = importlib.import_module("spindemon.harness")
     cfg, _ = load_config(serial)
     by_position = harness.run_initialization_shot(cfg, 0, cfg.rates, 3)
     assert by_position == harness.run_initialization_shot(
