@@ -221,7 +221,8 @@ def visibility(data, threshold: float) -> VisibilityResult:
     The two profiles are fit by sample moments, the overlap is the integral
     of min(g_low, g_high) over the fraction axis [0, 1], in closed form, and
     the visibility is 1 minus that overlap.  f_low / f_high are the
-    threshold-classification fidelities of each fitted mode.
+    threshold-classification fidelities of each side's own fitted mode,
+    exactly 1 for a degenerate side; a degenerate side overlaps nothing.
 
     Args:
         data: NuclearHistogram or array of up-fractions.
@@ -238,16 +239,17 @@ def visibility(data, threshold: float) -> VisibilityResult:
     mean_low, std_low = float(np.mean(low)), float(np.std(low))
     mean_high, std_high = float(np.mean(high)), float(np.std(high))
 
-    if std_low < 1e-12 or std_high < 1e-12:
-        # Degenerate (delta-like) modes on opposite sides of the threshold
-        # cannot overlap.
-        overlap = 0.0
-        f_low = 1.0
-        f_high = 1.0
-    else:
-        overlap = _gauss_overlap(mean_low, std_low, mean_high, std_high)
-        f_low = 0.5 * (1.0 + math.erf((threshold - mean_low) / (std_low * math.sqrt(2.0))))
-        f_high = 0.5 * (1.0 - math.erf((threshold - mean_high) / (std_high * math.sqrt(2.0))))
+    def fidelity(mean: float, std: float, side: float) -> float:
+        """Share of a fitted mode on its own side of the threshold: all of a
+        degenerate (delta-like) one."""
+        if std < 1e-12:
+            return 1.0
+        return 0.5 * (1.0 + side * math.erf((threshold - mean) / (std * math.sqrt(2.0))))
+
+    # A degenerate mode overlaps nothing: min(delta, g) integrates to 0.
+    overlap = (0.0 if min(std_low, std_high) < 1e-12
+               else _gauss_overlap(mean_low, std_low, mean_high, std_high))
+    f_low, f_high = fidelity(mean_low, std_low, 1.0), fidelity(mean_high, std_high, -1.0)
     return VisibilityResult(
         visibility=1.0 - overlap,
         overlap=overlap,

@@ -26,15 +26,18 @@ of round r into the r-th event of shot i.  A shot's events therefore depend
 on nothing but the master seed and its index: not on how shots are grouped
 into calls or passes, on the worker or on the order.  Sensor noise only
 flips samples away from their noiseless outcome, each independently, and
-the lanes find their flips together by thinning (Lewis & Shedler 1979),
-one event per pass while a lane still counts, each pass feeding once per
-wave of flips.  The uniforms are keyed the same way: round r of block b
-reads ``default_rng([master_seed, _NOISE_STREAM, b, r])``, whose j-th (2,
-1024) draw is row j, and a lane reads its j-th (u_gap, u_accept) pair of
-the round from its column of row j.  A shot's flips therefore depend on
-nothing but the master seed and its index either.  A call's result holds
-a row per threshold and a column per shot, its thresholds sharing one
-counter, so a t_obs sweep follows each shot once.
+the lanes find their flips together by thinning (Lewis & Shedler 1979).  A
+noisy pass takes as many events as a noiseless one, and feeds once per
+wave of flips: each wave finds every flip of the pass's segments up to
+each lane's trigger bound, the earliest sample at which its last
+threshold can still fire.  The uniforms are keyed the same way: round r of
+block b reads ``default_rng([master_seed, _NOISE_STREAM, b, r])``, whose
+j-th (2, 1024) draw is row j, and a lane reads its j-th (u_gap, u_accept)
+pair of round r from its column of row j, whatever order it searches its
+segments in.  A shot's flips therefore depend on nothing but the master
+seed and its index either.  A call's result holds a row per threshold and
+a column per shot, its thresholds sharing one counter, so a t_obs sweep
+follows each shot once.
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ class ExperimentConfig:
     enters as the samples it flips, found with a few draws per segment and
     per flip up to the first flip after the trigger of the largest threshold
     a run watches for (see run_detection).  A run costs per pass of several
-    events, not per sample; while noise is searched for flips, a pass takes
-    one event and feeds once per wave of flips.
+    events, not per sample, with noise or without: a noisy pass takes as
+    many events as a noiseless one and feeds once per wave of flips, each
+    wave every flip up to each lane's trigger bound.
 
     workers is an upper bound on the processes a run uses: a run too small
     to gain from a pool stays in this process, and a pool gets no more
@@ -375,49 +379,124 @@ def _run_pairs(n, split, n_last, first_blip):
     return n, split, first_blip, silent, n_last + 1 - n - silent
 
 
+def _flip_runs(flips, n0, fed, n_first, n_last, split, first_blip):
+    """The run matrix of a noisy wave, in _run_pairs' form, and the row that
+    ends each segment, (k, lanes): each lane's samples n0 .. fed, its
+    segments cut before and after each of the flips that _next_flip found,
+    and each flipped sample a row of its own, the other way.
+
+    Segment j of lane i starts at row j + 2 c, c being the lane's flips in
+    its earlier segments.  The lane's q-th flip in sample order, in segment
+    j, is row j + 2 q + 1, and the rest of segment j past it row j + 2 q +
+    2.  The rows tile n0 .. fed in sample order, each ending where the next
+    starts and the lane's last at fed; rows past fed, and those past a
+    lane's own k + 2 c rows, are empty.  Without flips each segment is one
+    row, and the second array is None.
+    """
+    if flips is None or not len(flips[0]):  # a row per segment
+        cut = np.minimum(n_last, fed)
+        n = np.minimum(np.maximum(n_first, n0), cut + 1)
+        return _run_pairs(n, np.minimum(np.maximum(split, n), cut + 1), cut, first_blip), None
+    k, width = n_last.shape
+    flat, sample = flips
+    seg, lane = np.divmod(flat, width)
+    order = np.lexsort((sample, lane))
+    seg, lane, sample = seg[order], lane[order], sample[order]
+    per_lane = np.bincount(lane, minlength=width)
+    rank = np.arange(len(lane)) - (np.cumsum(per_lane) - per_lane)[lane]
+    per_seg = np.bincount(flat, minlength=k * width).reshape(k, width)
+    first_row = np.arange(k)[:, None] + 2 * (np.cumsum(per_seg, axis=0) - per_seg)
+    rows = k + 2 * int(per_lane.max())
+    start = np.empty((rows, width), np.int64)
+    start[:] = fed + 1
+    head = np.zeros((rows, width), bool)
+    at = first_row * width + np.arange(width)
+    start.flat[at], head.flat[at] = np.maximum(n_first, n0), True
+    at = (seg + 2 * rank + 1) * width + lane
+    start.flat[at], start.flat[at + width] = sample, sample + 1
+    np.minimum(start, fed + 1, out=start)
+    flipped = np.zeros((rows, width), bool)
+    flipped.flat[at] = True
+    at = (np.cumsum(head, axis=0) - 1) * width + np.arange(width)  # each row's segment
+    cut, blip_first = split.ravel()[at], first_blip.ravel()[at]
+    end = np.concatenate((start[1:], (fed + 1)[None])) - 1
+    split = np.where(flipped, start + 1, np.minimum(np.maximum(cut, start), end + 1))
+    blip_first = np.where(flipped, (start < cut) != blip_first, blip_first)
+    runs = _run_pairs(start, split, end, blip_first)
+    return runs, np.concatenate((first_row[1:], (k + 2 * per_lane)[None])) - 1
+
+
 def _half_erfc(z: np.ndarray) -> np.ndarray:
     """erfc(z) / 2 element by element with math.erfc: numpy has no erfc."""
     return 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, len(z))
 
 
-def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, rnd: int, row: np.ndarray,
-               live: _Lanes, flip: np.ndarray, ionized: np.ndarray, at: np.ndarray,
-               n_end: np.ndarray) -> None:
-    """Set ``flip`` of each lane at ``at`` to its first sample from live.n to
-    n_end that noise flips away from the noiseless outcome, if it has one.
+def _next_flip(amp: AmplifierParams, noise_std: float, uniforms, lane: np.ndarray, rnd: int,
+               search: tuple[np.ndarray, np.ndarray], segments, last: np.ndarray, need: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Find the samples that noise flips away from their noiseless outcome in
+    the pass's (k, lanes) segments, from each one's next start up to its
+    end, a search lane per (segment j, lane i) whose start is at most
+    ``last[i]``.  Returns the flat (j, i) index and the sample of each flip
+    found, and leaves in ``search`` = (start, row) where each search stopped.
 
-    Sample k flips with p_k = Q(|m_k - S_th| / noise_std), m_k its noiseless
-    output.  Candidates lie a geometric gap apart at a bound r on p: p at
-    the gap's start once m is past the threshold toward where it settles (p
-    only falls from there), 1/2 before.  A candidate is kept with
-    probability p / r.  r is at least _MIN_BOUND, so that the gap stays
-    finite; any r >= p keeps the thinning exact.  The searching lanes step
-    together, one candidate each per step, and each step reads one (u_gap,
-    u_accept) pair per lane from ``uniforms(lane, rnd, row)`` and moves that
-    lane's row pointer on.
+    Sample n flips with p_n = Q(|m_n - S_th| / noise_std), m_n its
+    noiseless output.  Candidates lie a geometric gap apart at a bound r on
+    p: p at the gap's start once m is past the threshold toward where it
+    settles (p only falls from there), 1/2 before.  A candidate is kept
+    with probability p / r.  r is at least _MIN_BOUND, so that the gap
+    stays finite; any r >= p keeps the thinning exact.  A search lane moves
+    on past each flip while the sample after it is at most its bound,
+    ``last[i]`` at first, and stops at its segment's end.  A flip to a blip
+    at or before the bound restarts the count, so it moves the bound to
+    ``need`` (the last threshold) samples past the flip.  The search lanes
+    step together, one candidate each per step, and each step reads one
+    (u_gap, u_accept) pair per search lane from ``uniforms(lane, round,
+    row)``, segment j being the pass's round ``rnd + j``, and moves that
+    search lane's row pointer on.  ``segments`` = (level, seg_start,
+    ionized, n_end, split, first_blip): each segment's amplifier output at
+    its start, its start time, whether the donor is ionized in it, its last
+    sample and its noiseless runs (_noiseless_runs).
     """
     ts, s_th, omega = amp.sample_period, amp.threshold, amp.angular_cutoff
     scale = noise_std * math.sqrt(2.0)
-    n = live.n[at]
-    while True:
-        go = n <= n_end[at]
-        at, n = at[go], n[go]
-        if not len(at):
-            return
-        rising = ionized[at]
-        m = _output(rising, live.level[at], omega, n * ts - live.seg_start[at])
+    width = len(lane)
+    start, row = (a.reshape(-1) for a in search)
+    level, seg_start, ionized, n_end, split, first_blip = segments
+    at = (search[0] <= np.minimum(n_end, last)).ravel().nonzero()[0]
+    seg, i = np.divmod(at, width)
+    # Each search lane's (level, seg_start, rising) and (n_end, last, lane,
+    # round, split, first_blip).
+    floats = np.stack([a.ravel()[at] for a in (level, seg_start, ionized)])
+    ints = np.stack((n_end.ravel()[at], last[i], lane[i], rnd + seg, split.ravel()[at],
+                     first_blip.ravel()[at]))
+    n = start[at]
+    found = [(at[:0], n[:0])]  # (flat index, sample) of each flip
+    while len(at):
+        (level, t0, rising), (end, stop, shot, rounds, cut, blip_first) = floats, ints
+        m = _output(rising, level, omega, n * ts - t0)
         z = np.abs(m - s_th) / scale * ((m > s_th) == rising)  # 0: r = 1/2
         bound = np.maximum(_half_erfc(z), _MIN_BOUND)
-        u_gap, u_accept = uniforms(live.lane[at], rnd, row[at])
+        u_gap, u_accept = uniforms(shot, rounds, row[at])
         row[at] += 1
         gap = np.log1p(-u_gap) / np.log1p(-bound)  # geometric, by inversion
-        go = gap < n_end[at] - n + 1
-        at, bound, u_accept = at[go], bound[go], u_accept[go]
-        n = n[go] + gap[go].astype(np.int64)
-        m = _output(ionized[at], live.level[at], omega, n * ts - live.seg_start[at])
-        kept = u_accept * bound < _half_erfc(np.abs(m - s_th) / scale)
-        flip[at[kept]] = n[kept]
-        at, n = at[~kept], n[~kept] + 1
+        inside = (gap < end - n + 1).nonzero()[0]
+        cand = n[inside] + gap[inside].astype(np.int64)
+        m = _output(rising[inside], level[inside], omega, cand * ts - t0[inside])
+        kept = inside[u_accept[inside] * bound[inside] < _half_erfc(np.abs(m - s_th) / scale)]
+        n = end + 1  # where the search resumes: past its end, or past the candidate
+        n[inside] = cand + 1
+        found.append((at[kept], n[kept] - 1))
+        # A flip to a blip at or before the bound restarts the count there, so
+        # the last threshold fires no sooner than ``need`` samples after it.
+        reset = kept[((n[kept] - 1 < cut[kept]) != blip_first[kept]) & (n[kept] - 1 <= stop[kept])]
+        stop[reset] = n[reset] - 1 + need
+        start[at] = n
+        go = n <= end
+        go[kept] &= n[kept] <= stop[kept]
+        go = go.nonzero()[0]  # take, not a mask, for the (3 | 4, lanes) arrays
+        at, n, floats, ints = at[go], n[go], floats.take(go, axis=1), ints.take(go, axis=1)
+    return tuple(np.concatenate(a) for a in zip(*found))
 
 
 def _event_counts(live: _Lanes, ionized, ionizes, subrise, b_end):
@@ -597,17 +676,27 @@ def run_detection(
     and a call's long tail of few lanes costs passes, not events.
 
     Every pass feeds its rows in one loop.  Without noise the loop runs
-    once.  With noise a pass takes one event while any lane still counts,
-    and the loop runs once per wave of flips: ``_next_flip`` finds each
-    counting lane's next sample that noise flips, searching its segment up
-    to its event or the last threshold's horizon, and the wave feeds the
-    closed-form runs up to that sample, then the flipped sample as one more
-    row.  ``noise(lane, round, row)`` returns the (u_gap, u_accept) arrays
-    of the lanes at positions ``lane`` in round ``round``, each at its own
-    ``row``: a lane's row pointer starts at 0 every round and moves on by
-    one with each pair it reads.  A lane reads pairs up to the first flip
-    after its last trigger, or to its segment's end, so what it reads
-    depends neither on the other lanes nor on the thresholds below its last.
+    once.  With noise it runs once per wave of flips, from each counting
+    lane's trigger bound: live.n - 1 - counter + the last threshold, the
+    earliest sample at which that threshold can fire.  ``_next_flip``
+    searches each of the pass's segments whose next sample lies at or
+    before the bound, a search lane per (segment, lane), and each search
+    lane moves on past a flip while the sample after it is within the
+    bound; a flip to a blip within the bound restarts the count, and moves
+    the bound to the last threshold's need past it.  The wave then feeds
+    each lane's runs up to its first sample not yet searched, cut at every
+    flip found, each flipped sample a row of its own (_flip_runs), and the
+    next wave starts from the new bounds, until every lane has triggered
+    its last threshold or searched the whole pass.  No trigger of the last
+    threshold comes before the bound, so every search that a wave makes,
+    the one-lane scalar loop makes as well.
+    ``noise(lane, round, row)`` returns the (u_gap, u_accept) arrays of the
+    lanes at positions ``lane``, each in its own ``round`` and at its own
+    ``row``: a lane's row pointer starts at 0 in every round and moves on
+    by one with each pair it reads in that round.  A lane reads pairs up to
+    the first flip after its last trigger, or to its segment's end, so what
+    it reads depends neither on the other lanes nor on the pass length nor
+    on the thresholds below its last.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -626,8 +715,7 @@ def run_detection(
                      *(np.zeros((K, lanes), np.int64) for _ in _COUNTS), None)
     rnd = 0
     while len(live.lane):
-        searching = noisy and np.count_nonzero(live.need)
-        k = 1 if searching else max(1, min(_PASS_EVENTS // len(live.lane), rnd, _PASS_MAX))
+        k = max(1, min(_PASS_EVENTS // len(live.lane), rnd, _PASS_MAX))
         t_event, new_state = events(live.lane, live.state, live.seg_start, k)
         # Row j of each (k, lanes) array is segment j, closed by event j.
         state = _before(live.state, new_state)
@@ -654,26 +742,34 @@ def run_detection(
             amp, detector, n_first, n_last, ionized, None if level is None else level[:-1],
             seg_start, None if latched is None else _before(live.latched_until, latched))
         ionizes, subrise = ~ionized & (new_state == _IONIZED), dt < t_rise_det
-        row = np.zeros(len(live.lane), np.int64)  # each lane's next noise row
+        fed, flips = n_last[-1], None
+        if noisy:  # each search lane's next start and noise row, each segment's blips
+            search = n_first.copy(), np.zeros(n_first.shape, np.int64)
+            b_end = np.broadcast_to(live.blips, n_first.shape)
         while True:  # once, or once per wave of flips
-            flip = n_last[-1] + 1  # each lane's next flipped sample
             if noisy:
-                _next_flip(amp, noise_std, noise, rnd, row, live, flip, ionized[0],
-                           live.need.nonzero()[0], n_last[-1])
-            flipped = flip <= n_last[-1]
-            n, cut = np.maximum(n_first, live.n), np.minimum(n_last, flip - 1)
-            fed = cut[-1] + flipped
-            runs = (n, np.minimum(np.maximum(split, n), cut + 1), cut, first_blip)
-            if flipped.any():  # the flipped sample as one more row, the other way
-                runs = (np.concatenate((a, b[None])) for a, b in zip(runs, (
-                    cut[-1] + 1, fed + 1, fed, (fed < split[-1]) != first_blip[-1])))
-            runs = _run_pairs(*runs)
-            # The last k rows end the k segments.
-            b_end = _scan(np.add, runs[4].copy())[-k:] + live.blips
+                # No trigger of the last threshold comes before this bound.
+                counting = live.need > 0
+                need = required[K - 1]
+                last = np.where(counting, live.n - 1 - live.counter + need, -1)
+                flips = _next_flip(amp, noise_std, noise, live.lane, rnd, search,
+                                   (level[:-1], seg_start, ionized, n_last, split, first_blip),
+                                   last, need)
+                # Each counting lane feeds up to the first sample not yet searched.
+                start = search[0]
+                fed = np.where(counting, np.where(start <= n_last, start - 1, n_last[-1]).min(
+                    axis=0), n_last[-1])
+            runs, last_row = _flip_runs(flips, live.n, fed, n_first, n_last, split, first_blip)
+            blips = _scan(np.add, runs[4].copy())  # fed by the end of each row
+            if last_row is not None:
+                blips = np.take_along_axis(blips, last_row, 0)
+            blips += live.blips
+            # With noise, segments fed in full by an earlier wave keep their blips.
+            b_end = np.where(n_last < live.n, b_end, blips) if noisy else blips
             counts = _event_counts(live, ionized, ionizes, subrise, b_end)
             _feed(live, det, runs, fed, (t_event, ionized, counts), limits)
             live.n = np.maximum(live.n, fed + 1)
-            if not np.count_nonzero(flipped & (live.need > 0)):
+            if not (noisy and np.count_nonzero((live.need > 0) & (live.n <= n_last[-1]))):
                 break
 
         # A threshold ends at once when abandoned, and at the first event
@@ -765,37 +861,51 @@ def _block_noise(master_seed: int, indices: range):
     shot ``indices[k]``.
 
     Round r of block b reads ``shot_rng(master_seed, b, r)``, built when a
-    lane of the block first asks for a pair in that round.  Its j-th (2,
-    _SEED_BLOCK) draw is row j, and a lane reads its pair from its shot's
-    column of the row it asks for.  A call draws only the columns from its
-    first to its last lane's: the generator (PCG64, of period 2**128)
+    lane of the block first asks for a pair in that round and kept while
+    the call may read that round again: a pass reads only its own rounds,
+    at most _PASS_MAX of them.  Its j-th (2, _SEED_BLOCK) draw is row j,
+    and a lane reads its pair from its shot's column of the row it asks
+    for, each lane in its own round.  A call draws only the columns from
+    its first to its last lane's: the generator (PCG64, of period 2**128)
     advances past the others, or back to a row behind it.
     """
     first = indices[0] // _SEED_BLOCK
     block, column = np.divmod(np.arange(indices.start, indices.stop) - first * _SEED_BLOCK,
                               _SEED_BLOCK)
     blocks = int(block[-1]) + 1
-    streams = {}  # block -> [round, its generator, draws made]
+    c0 = int(column.min())
+    width = int(column.max()) - c0 + 1
+    streams = {}  # (round, block) -> [its generator, draws made]
 
-    def uniforms(lane: np.ndarray, rnd: int, row: np.ndarray):
-        col = column[lane]
-        c0 = int(col.min())
-        key = row * blocks + block[lane]  # one key per (row, block)
-        present = np.bincount(key) > 0
-        drawn = np.empty((np.count_nonzero(present), 2, int(col.max()) - c0 + 1))
-        for k, out in zip(np.flatnonzero(present).tolist(), drawn):
-            j, b = divmod(k, blocks)
-            if (stream := streams.get(b)) is None or stream[0] != rnd:
-                stream = streams[b] = [rnd, shot_rng(master_seed, first + b, rnd), 0]
-            gen, at = stream[1], 2 * j * _SEED_BLOCK + c0
-            gen.bit_generator.advance((at - stream[2]) % 2**128)
+    def uniforms(lane: np.ndarray, rnd, row: np.ndarray):
+        rows = int(row.max()) + 1
+        key = (rnd * rows + row) * blocks + block[lane]
+        order = key.argsort()  # groups the asks by key
+        key = key[order]
+        head = np.empty(len(key), bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        drawn = np.empty((np.count_nonzero(head), 2, width))
+        for k, out in zip(key[head].tolist(), drawn):
+            k, b = divmod(k, blocks)
+            r, j = divmod(k, rows)
+            if (stream := streams.get((r, b))) is None:
+                stream = streams[r, b] = [shot_rng(master_seed, first + b, r), 0]
+            gen, at = stream[0], 2 * j * _SEED_BLOCK + c0
+            gen.bit_generator.advance((at - stream[1]) % 2**128)
             gen.random(out=out[0])
-            gen.bit_generator.advance(_SEED_BLOCK - out.shape[1])
+            gen.bit_generator.advance(_SEED_BLOCK - width)
             gen.random(out=out[1])
-            stream[2] = at + _SEED_BLOCK + out.shape[1]
-        width = drawn.shape[2]
-        at = (np.cumsum(present) - 1)[key] * (2 * width) + col - c0  # in drawn, flat
-        return drawn.ravel()[at], drawn.ravel()[at + width]
+            stream[1] = at + _SEED_BLOCK + width
+        if len(streams) > 2 * _PASS_MAX * blocks:  # drop the rounds of earlier passes
+            newest = max(r for r, _ in streams)
+            for old in [old for old in streams if old[0] <= newest - _PASS_MAX]:
+                del streams[old]
+        at = np.empty(len(key), np.int64)  # each ask's pair in drawn, flat
+        at[order] = (np.cumsum(head) - 1) * (2 * width)
+        at += column[lane] - c0
+        drawn = drawn.ravel()
+        return drawn[at], drawn[at + width]
 
     return uniforms
 

@@ -13,8 +13,8 @@ The views here are independent routes to the same numbers:
 - explicit per-lane transition streams as an event source of the lane
   engine, and the per-shot streams the engine drew before its events were
   keyed by block;
-- one noise generator per lane as a noise source of the lane engine, the
-  stream the scalar loop draws its flips from;
+- one noise generator per (lane, round) as a noise source of the lane
+  engine, the streams the scalar loop draws its flips from;
 - the runs of samples the lane engine feeds each counter, recorded by
   wrapping its feed;
 - a t_obs sweep run one grid point at a time, as the program ran it before
@@ -28,6 +28,8 @@ The views here are independent routes to the same numbers:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from itertools import takewhile
@@ -414,16 +416,16 @@ def _flip_probability(amp, noise_std, x, level, seg_start, n):
     return p, (m > amp.threshold) == (x == 1.0)
 
 
-def next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last):
+def next_flip(draw, amp, noise_std, x, level, seg_start, n, n_last):
     """First sample from n to n_last that noise flips, or n_last + 1: a
     Bernoulli process at a bound r on the flip probability, thinned by
     p / r, with r re-bounded after each candidate and kept at least
-    ``harness._MIN_BOUND``.  Each candidate draws one (u_gap, u_accept)
-    pair, as each step of the engine's search does."""
+    ``harness._MIN_BOUND``.  Each candidate takes one (u_gap, u_accept)
+    pair from ``draw()``, as each step of the engine's search does."""
     while n <= n_last:
         p, past = _flip_probability(amp, noise_std, x, level, seg_start, n)
         bound = max(p, harness._MIN_BOUND) if past else 0.5
-        u_gap, u_accept = rng.random(2).tolist()
+        u_gap, u_accept = draw().tolist()
         gap = _log1p(-u_gap) / _log1p(-bound)
         if gap >= n_last - n + 1:
             return n_last + 1
@@ -434,30 +436,65 @@ def next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last):
     return n_last + 1
 
 
-def lane_uniforms(gens):
+class RoundStreams:
+    """Noise keyed as the engine keys it, by (lane, round): lane k's round-r
+    pairs are the successive pairs of draws of its own generator
+    ``default_rng([*seeds[k], r])``, made when the lane first reads in that
+    round, so a round's pairs are read in row order.  ``reads`` counts the
+    pairs read of each (lane, round)."""
+
+    def __init__(self, seeds):
+        self.seeds = [np.atleast_1d(seed).tolist() for seed in seeds]
+        self.gens, self.reads = {}, {}
+
+    def pair(self, lane: int, rnd: int, row: int | None = None) -> np.ndarray:
+        """The next (u_gap, u_accept) pair of lane ``lane`` in round ``rnd``,
+        which must be row ``row`` of that round when it is given."""
+        key = lane, rnd
+        if key not in self.gens:
+            self.gens[key] = np.random.default_rng([*self.seeds[lane], rnd])
+            self.reads[key] = 0
+        assert row in (None, self.reads[key]), (key, row, self.reads[key])
+        self.reads[key] += 1
+        return self.gens[key].random(2)
+
+    def lane(self, k: int):
+        """Lane k's noise for ``scalar_detection``: round -> its next pair."""
+        return functools.partial(self.pair, k)
+
+    def states(self) -> dict:
+        """The state of every (lane, round) generator made so far."""
+        return {key: gen.bit_generator.state for key, gen in self.gens.items()}
+
+
+def lane_uniforms(streams: RoundStreams):
     """Noise source for ``spindemon.harness.run_detection`` in which lane k
-    reads each (u_gap, u_accept) pair as the next two draws of its own
-    generator ``gens[k]``, whatever round and row it asks for: the stream
-    that ``scalar_detection`` draws from one generator."""
+    reads its round-r pairs from the (k, r) generator of ``streams``, each
+    at the row it asks for, which must be the next of that round: the
+    streams that ``scalar_detection`` draws from."""
 
     def uniforms(lane, rnd, row):
-        pairs = np.array([gens[k].random(2) for k in lane.tolist()]).reshape(-1, 2)
+        rnd = np.broadcast_to(rnd, np.shape(lane))
+        pairs = np.array([streams.pair(k, r, j) for k, r, j in zip(
+            lane.tolist(), rnd.tolist(), row.tolist())]).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
 
     return uniforms
 
 
 def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector="amplifier",
-                     noise_std=0.0, rng=None, record_runs=False) -> ShotDetection:
+                     noise_std=0.0, noise=None, record_runs=False) -> ShotDetection:
     """One shot through the trigger logic, event by event in Python numbers.
 
     The same rules as ``spindemon.harness.run_detection`` for a single
     lane: each segment between events is split in closed form into
     (start_sample, length, is_blip) runs, and the runs drive the
-    silent-sample counter one at a time.  With noise, ``rng`` finds the
-    segment's first flipped sample (``next_flip``); the runs stop before
-    it, the flipped sample is a run of its own, and the search restarts
-    after it, until the trigger.
+    silent-sample counter one at a time.  With noise, ``noise(r)`` gives
+    the next (u_gap, u_accept) pair of round r, segment r being the one
+    that event r closes (``RoundStreams.lane``), and ``next_flip`` finds
+    the segment's first flipped sample from them; the runs stop before it,
+    the flipped sample is a run of its own, and the search restarts after
+    it, until the trigger.
     """
     ts = amp.sample_period
     omega = amp.angular_cutoff
@@ -477,13 +514,14 @@ def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector=
     runs = [] if record_runs else None
 
     events = iter(events)
-    while True:
+    for rnd in itertools.count():
         item = next(events, None)
         n_last = _last_sample(horizon if item is None else min(item[0], horizon), ts)
         x = 1.0 if state is DonorState.IONIZED else 0.0
         flip = n_last + 1
+        draw = functools.partial(noise, rnd) if noisy else None
         if noisy:
-            flip = next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last)
+            flip = next_flip(draw, amp, noise_std, x, level, seg_start, n, n_last)
         while n <= n_last and trigger_sample is None:
             stop = min(n_last, flip - 1)
             chunk = _noiseless_runs(amp, detector, x, level, seg_start, latched_until, n, stop)
@@ -509,7 +547,7 @@ def scalar_detection(events, *, amp, n_required, horizon, latency=0.0, detector=
             n = stop + 1
             if stop < n_last and trigger_sample is None:
                 n = flip + 1
-                flip = next_flip(rng, amp, noise_std, x, level, seg_start, n, n_last)
+                flip = next_flip(draw, amp, noise_std, x, level, seg_start, n, n_last)
         if trigger_sample is not None or item is None or item[0] >= horizon:
             break
         event_time, new_state = item

@@ -109,6 +109,24 @@ class TestNuclearHistogram:
         assert result.overlap == 0.0
         assert result.f_low == 1.0 and result.f_high == 1.0
 
+    def test_one_degenerate_mode(self):
+        # Only one side of the threshold is a delta: that side's fidelity is
+        # exactly 1 and the other's comes from its own fitted mode, as when
+        # neither side is degenerate; a delta overlaps nothing.
+        rng = np.random.default_rng(46)
+        spread = np.clip(rng.normal(0.5, 0.05, 400), 0.36, 0.64)
+        for threshold, delta, mode, side in ((0.35, 0.0, spread, -1.0),
+                                             (0.45, 1.0, spread - 0.2, 1.0)):
+            result = visibility(np.concatenate([np.full(300, delta), mode]), threshold)
+            mean, std = float(np.mean(mode)), float(np.std(mode))
+            expected = 0.5 * (1.0 + side * math.erf((threshold - mean) / (std * math.sqrt(2.0))))
+            assert 0.9 < expected < 1.0
+            degenerate, fitted = ((result.f_low, result.f_high) if side < 0
+                                  else (result.f_high, result.f_low))
+            assert degenerate == 1.0
+            assert fitted == pytest.approx(expected, rel=1e-12)
+            assert result.overlap == 0.0 and result.visibility == 1.0
+
     def test_two_resolved_modes(self):
         hist = simulate_nuclear_histogram(reads=100000, seed=43, **WELL_SEPARATED)
         centers, counts = hist.histogram()

@@ -11,6 +11,7 @@ from scipy.stats import binom, chi2_contingency, kstest, norm
 import spindemon.harness as harness
 from oracles import (
     EventTimeline,
+    RoundStreams,
     digitize,
     first_trigger,
     ideal_blips,
@@ -195,7 +196,7 @@ def noisy_chain_draws(lanes=10_000):
         det = run_detection(
             list_events([tl.events] * lanes), lanes, amp=AMP, n_required=[n_req],
             horizon=[60 * AMP.sample_period], noise_std=noise_std,
-            noise=lane_uniforms([np.random.default_rng([case, k]) for k in range(lanes)]),
+            noise=lane_uniforms(RoundStreams([[case, k] for k in range(lanes)])),
         )
         samples = noiseless_samples(tl)
         noisy = samples + np.random.default_rng(case).normal(0.0, noise_std, (lanes, len(samples)))
@@ -252,7 +253,7 @@ class TestEngineMatchesReferenceChain:
                 n_required=n_req,
                 horizon=60 * amp.sample_period,
                 noise_std=noise_std,
-                noise=lane_uniforms([np.random.default_rng(case)]),
+                noise=lane_uniforms(RoundStreams([case])),
             ), 0)
             assert det.trigger_sample == first_trigger(tiled_blips(det, 60), n_req), case
             n_triggered += det.trigger_sample is not None
@@ -270,7 +271,7 @@ class TestEngineMatchesReferenceChain:
             det = run_recorded(
                 list_events([tl.events] * lanes), lanes, amp=AMP, n_required=61,
                 horizon=60 * AMP.sample_period, noise_std=noise_std,
-                noise=lane_uniforms([np.random.default_rng([case, k]) for k in range(lanes)]),
+                noise=lane_uniforms(RoundStreams([[case, k] for k in range(lanes)])),
             )
             blips = np.array([tiled_blips(lane_detection(det, k), 60) for k in range(lanes)])
             p = norm.sf((AMP.threshold - noiseless_samples(tl)) / noise_std)
@@ -333,7 +334,7 @@ class TestEngineMatchesReferenceChain:
                     list_events([transitions(np.random.default_rng(seed), rates,
                                              DonorState.IONIZED) for rates, seed in lanes]),
                     len(lanes), noise_std=noise_std,
-                    noise=lane_uniforms([np.random.default_rng([seed, 1]) for _, seed in lanes]),
+                    noise=lane_uniforms(RoundStreams([[seed, 1] for _, seed in lanes])),
                     **kwargs)
 
             noisy, quiet = run(1e-9), run(0.0)
@@ -366,8 +367,9 @@ class TestEngineMatchesReferenceChain:
         # shared by the lanes of a call, so they are fixed here, and each
         # lane's oracle is recomputed with them.  The lanes must still match
         # their oracles one by one, and the scalar loop field by field and,
-        # with noise, in the generator state left behind.  A noisy lane's
-        # oracle is its own runs: they must tile samples 1 .. trigger.
+        # with noise, in the state left behind in every (lane, round) noise
+        # generator.  A noisy lane's oracle is its own runs: they must tile
+        # samples 1 .. trigger.
         n_req, noise_std, horizon = 15, 0.1, 60 * AMP.sample_period
         if path == "amplifier":
             # About half of all draws of the 120 random trajectories trigger
@@ -381,7 +383,7 @@ class TestEngineMatchesReferenceChain:
             lanes = [(tl, None) for tl, _ in ideal_cases()]
         detector = "ideal" if path == "ideal" else "amplifier"
         sigma = noise_std if path == "noisy" else 0.0
-        gens = [np.random.default_rng(seed) for _, seed in lanes] if sigma else None
+        streams, ref_streams = (RoundStreams([seed for _, seed in lanes]) for _ in range(2))
         det = run_recorded(
             list_events([tl.events for tl, _ in lanes]), len(lanes),
             amp=AMP,
@@ -389,7 +391,7 @@ class TestEngineMatchesReferenceChain:
             horizon=horizon,
             detector=detector,
             noise_std=sigma,
-            noise=lane_uniforms(gens) if sigma else None,
+            noise=lane_uniforms(streams) if sigma else None,
         )
         rounds = set()
         for k, (tl, seed) in enumerate(lanes):
@@ -402,16 +404,14 @@ class TestEngineMatchesReferenceChain:
                 blips = tiled_blips(lane, 60)
             assert lane.trigger_sample == first_trigger(blips, n_req), k
             assert_runs_match(lane, blips)
-            ref_gen = np.random.default_rng(seed) if sigma else None
             assert lane == scalar_detection(
                 tl.events, amp=AMP, n_required=n_req, horizon=horizon, detector=detector,
-                noise_std=sigma, rng=ref_gen, record_runs=True,
+                noise_std=sigma, noise=ref_streams.lane(k) if sigma else None, record_runs=True,
             ), k
-            if sigma:
-                assert gens[k].bit_generator.state == ref_gen.bit_generator.state, k
             if lane.trigger_sample is not None:
                 trigger_time = lane.trigger_sample * AMP.sample_period
                 rounds.add(sum(t <= trigger_time for t, _ in tl.events) + 1)
+        assert streams.states() == ref_streams.states()
         # Mixed lane lengths, triggers in several rounds, and abandoned lanes.
         assert len({len(tl.events) for tl, _ in lanes}) > 5
         assert len(rounds) > 3
@@ -421,9 +421,10 @@ class TestEngineMatchesReferenceChain:
         # 12 000 random lanes in 120 calls, 40 per detector path: each call
         # draws its own amplifier, n_required (1-59), latency (up to 1 ms) and
         # horizon (20-400 samples), and each lane its own rates.  A lane's
-        # events and its noise come from two generators, as in a shot.
-        # Every field of every lane, and the noise generator left behind,
-        # must equal the scalar loop's.
+        # events come from one generator and its noise from one per round,
+        # as in a shot.  Every field of every lane, and the state left
+        # behind in every (lane, round) noise generator, must equal the
+        # scalar loop's.
         rng = np.random.default_rng(8)
         paths = ("amplifier", "ideal", "noisy")
         outcomes = {path: set() for path in paths}
@@ -436,23 +437,23 @@ class TestEngineMatchesReferenceChain:
             noise_std = rng.uniform(0.01, 0.3) if path == "noisy" else 0.0
             detector = "ideal" if path == "ideal" else "amplifier"
             lanes = [(_random_rates(rng), int(rng.integers(2**31))) for _ in range(100)]
-            gens = [np.random.default_rng([seed, 1]) for _, seed in lanes]
+            streams, ref_streams = (RoundStreams([[seed, 1] for _, seed in lanes])
+                                    for _ in range(2))
             kwargs = dict(amp=amp, n_required=n_req, horizon=horizon, latency=latency,
                           detector=detector, noise_std=noise_std, record_runs=True)
             det = run_recorded(
                 list_events([transitions(np.random.default_rng(seed), rates, DonorState.IONIZED)
                              for rates, seed in lanes]),
-                len(lanes), noise=lane_uniforms(gens), **kwargs,
+                len(lanes), noise=lane_uniforms(streams), **kwargs,
             )
             for k, (rates, seed) in enumerate(lanes):
-                ref_gen = np.random.default_rng([seed, 1])
                 ref = scalar_detection(
                     transitions(np.random.default_rng(seed), rates, DonorState.IONIZED),
-                    rng=ref_gen, **kwargs
+                    noise=ref_streams.lane(k), **kwargs
                 )
                 assert lane_detection(det, k) == ref, (group, k)
-                assert gens[k].bit_generator.state == ref_gen.bit_generator.state, (group, k)
                 outcomes[path].add(ref.trigger_sample is not None)
+            assert streams.states() == ref_streams.states(), group
         assert all(seen == {True, False} for seen in outcomes.values())
 
 
@@ -514,7 +515,7 @@ class TestSharedThresholds:
                 return run_detection(
                     list_events(events), len(lanes), amp=amp, n_required=n_required,
                     horizon=horizon, latency=latency, detector=detector, noise_std=noise_std,
-                    noise=lane_uniforms([np.random.default_rng([seed, 1]) for _, seed in lanes]),
+                    noise=lane_uniforms(RoundStreams([[seed, 1] for _, seed in lanes])),
                 )
 
             shared = run(thresholds, horizons)
@@ -536,19 +537,6 @@ class TestSharedThresholds:
                               horizon=horizon)
 
 
-class _CountingRng:
-    """Generator stand-in that counts its draws, one (u_gap, u_accept) pair
-    per call under lane_uniforms."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.calls = 0
-
-    def random(self, size=None):
-        self.calls += 1
-        return self.rng.random(size)
-
-
 class TestNoiseDraws:
     def test_draws_stop_at_trigger_whatever_the_horizon(self):
         # One spin-down load and no further event: the last segment runs to
@@ -559,17 +547,17 @@ class TestNoiseDraws:
         for seed in range(5):
             counts = []
             for factor in (2, 1000):
-                rng = _CountingRng(seed)
+                streams = RoundStreams([seed])
                 det = lane_detection(run_detection(
                     list_events([[(3.5e-5, DonorState.DOWN)]]), 1,
                     amp=AMP,
                     n_required=[n_req],
                     horizon=[factor * n_req * AMP.sample_period],
                     noise_std=0.05,
-                    noise=lane_uniforms([rng]),
+                    noise=lane_uniforms(streams),
                 ), 0)
                 assert det.trigger_sample is not None
-                counts.append(rng.calls)
+                counts.append(sum(streams.reads.values()))
             assert 0 < counts[0] == counts[1] < 10, seed
 
     def test_event_in_latency_window_draws_no_noise_past_trigger(self):
@@ -585,25 +573,25 @@ class TestNoiseDraws:
             probe = lane_detection(run_detection(
                 list_events([[(t_load, DonorState.DOWN), (1.0, DonorState.IONIZED)]]), 1,
                 amp=AMP, n_required=[n_req], horizon=[2.0], latency=latency,
-                noise_std=0.05, noise=lane_uniforms([np.random.default_rng(seed)]),
+                noise_std=0.05, noise=lane_uniforms(RoundStreams([seed])),
             ), 0)
             trigger = probe.trigger_sample
             t_next = (trigger + 10.5) * ts  # inside the latency window
-            rng = np.random.default_rng(seed)
+            streams = RoundStreams([seed])
             det = lane_detection(run_detection(
                 list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED),
                               (t_next + 2 * ts, DonorState.UP), (t_next + 1e-3, DonorState.DOWN)]]),
                 1, amp=AMP, n_required=[n_req], horizon=[2.0], latency=latency,
-                noise_std=0.05, noise=lane_uniforms([rng]),
+                noise_std=0.05, noise=lane_uniforms(streams),
             ), 0)
             assert det.trigger_sample == trigger
             assert det.state_at_trigger is DonorState.UP
             assert det.n_ionizations == probe.n_ionizations
-            drawn = np.random.default_rng(seed)
+            drawn = RoundStreams([seed])
             run_detection(list_events([[(t_load, DonorState.DOWN), (t_next, DonorState.IONIZED)]]),
                           1, amp=AMP, n_required=[n_req], horizon=[2.0], noise_std=0.05,
-                          noise=lane_uniforms([drawn]))
-            assert rng.bit_generator.state == drawn.bit_generator.state
+                          noise=lane_uniforms(drawn))
+            assert streams.states() == drawn.states()
 
     def test_n_required_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="n_required"):
@@ -1138,6 +1126,38 @@ class TestPasses:
         calls = counted_events(monkeypatch)
         harness._shot_block(args)
         assert rounds > 200 and calls[0] <= rounds / 8, (rounds, calls[0])
+
+    def test_noise_takes_the_noiseless_passes(self, monkeypatch):
+        # The benchmark's noisy-detector call: 1 000 operating-point shots at
+        # a 2 000-sample threshold, seed 5's master seed.  At sigma = 0.05 a
+        # noisy pass takes as many events as a noiseless one, so the call
+        # makes at most one event-source call more than at sigma = 0 (12
+        # against 5 when a noisy pass took one event while a lane counted).
+        seed = int(np.random.SeedSequence(5).generate_state(3)[0] & 0x7FFFFFFF)
+        counts = []
+        for noise_std in (0.0, 0.05):
+            cfg = make_config(n_required=2000, shots=1000, seed=seed, noise_std=noise_std)
+            calls = counted_events(monkeypatch)
+            det = harness._shot_block((cfg, cfg.rates, [2000], range(1000)))
+            monkeypatch.undo()
+            assert np.count_nonzero(det.trigger_sample >= 0) > 990
+            counts.append(calls[0])
+        assert counts[1] <= counts[0] + 1, counts
+
+    def test_dense_noise_feeds_many_flips_at_once(self, monkeypatch):
+        # tobs-noisier at sigma = 0.15 and a 500-sample threshold: the counter
+        # restarts about every 40 samples, and most of the 20 shots are
+        # abandoned after a thousand resets each.  A wave feeds every flip up
+        # to each lane's trigger bound, so the call makes at most a fifth of
+        # the 4 761 feeds it made when each wave fed one flip a lane.
+        cfg, _ = load_config(Path(__file__).resolve().parent / "golden" / "tobs-noisier.cfg")
+        cfg = replace(cfg, noise_std=0.15, shots=20, abandon_factor=100.0, sweep=None)
+        feeds, feed = [], harness._feed
+        monkeypatch.setattr(harness, "_feed", lambda *args: feeds.append(1) or feed(*args))
+        det = harness._shot_block((cfg, cfg.rates, [500], range(20)))
+        assert np.count_nonzero(det.trigger_sample < 0) > 10
+        assert det.n_resets.sum() > 10_000
+        assert len(feeds) <= 4761 // 5, len(feeds)
 
 
 class TestArrayHelpers:
