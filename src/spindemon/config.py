@@ -172,7 +172,7 @@ def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str]:
         raw: dict[str, str] = {}
     else:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is no key
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         raw = parse_config_text(text)

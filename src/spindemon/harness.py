@@ -20,11 +20,14 @@ runs of samples, resolved for every lane with cumulative sums, so a call's
 long tail of few lanes costs passes, not events.  A call's lanes are up to
 _LANE_BLOCKS aligned blocks of 1024 shots.  Block b owns the generator
 ``default_rng([master_seed, _EVENT_STREAM, b])``; each pass in which it has
-a live lane draws a (k, 2, 1024) array of uniforms from it, the same values
-as k draws of (2, 1024), and an array Gillespie step turns column i % 1024
-of round r into the r-th event of shot i.  A shot's events therefore depend
-on nothing but the master seed and its index: not on how shots are grouped
-into calls or passes, on the worker or on the order.  Sensor noise only
+a live lane reads the (k, 2, 1024) array of uniforms that k draws of (2,
+1024) from it give, and an array Gillespie step turns column i % 1024 of
+round r into the r-th event of shot i.  A block with many live lanes draws
+that array; one with few computes only its live lanes' columns, by
+jump-ahead in the generator's PCG64 stream, to the same bits.  A shot's
+events therefore depend on nothing but the master seed and its index: not
+on how shots are grouped into calls or passes, on the worker or on the
+order.  Sensor noise only
 flips samples away from their noiseless outcome, each independently, and
 the lanes find their flips together by thinning (Lewis & Shedler 1979).  A
 noisy pass takes as many events as a noiseless one, and feeds once per
@@ -99,6 +102,26 @@ _POOL_MIN_LANES = 2 ** 17
 # same time at mu_D = +50 ueV.
 _PASS_EVENTS = 8192
 _PASS_MAX = 256
+# A block with fewer live lanes than _SEED_BLOCK / _SPARSE_COST in a pass
+# computes only their columns of its draw (_read_columns), which costs about
+# _SPARSE_COST native draws a uniform, plus _SPARSE_SETUP native draws a
+# pass (about 75 us); a denser block draws every uniform, and so do all
+# blocks of a pass that would save fewer draws than that.  In-process
+# medians of interleaved runs (2 vCPU, Python 3.11, numpy 2.4) with
+# _SPARSE_COST at 0 (every block computed), 2, 4, 8, 11, 16, 24, 48 and
+# 10**6 (none): op-point 87.9, 70.2, 67.7, 68.5, 68.9, 68.6, 67.6, 67.1 and
+# 70.0 ms (31 runs each); the 7-point mu_D sweep at 5 000 shots a point
+# 81.6, 79.3, 77.4, 78.5, 77.5, 77.9, 77.4, 79.1 and 83.7 ms (21); mu_D =
+# +50 ueV, 100 shots, 223, 215, 215, 215, 222, 220, 228, 242 and 253 ms (7).
+# With _SPARSE_SETUP at 0, 8 000, 16 000, 32 000, 64 000 and 128 000,
+# noisy-detector's 1 000-shot sweep took 5.99, 5.86, 5.78, 5.78, 5.76 and
+# 5.76 ms (31), and the three runs above did not move beyond their noise.
+_SPARSE_COST = 11
+_SPARSE_SETUP = 32_000
+# numpy's PCG64 steps its 128-bit state s to s * _PCG_MULT + inc mod 2**128,
+# and each output is the XSL-RR permutation of the new state.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW64, _MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
 
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_BATCH_DIVISOR = 20
@@ -814,35 +837,126 @@ def shot_rng(master_seed: int, block: int, rnd: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, _NOISE_STREAM, block, rnd])
 
 
+def _limbs(rows: list[list[int]]) -> np.ndarray:
+    """The high and low uint64 halves of rows of 128-bit ints, as a (limb,
+    row, column) array."""
+    return np.array([[[v >> 64 for v in row] for row in rows],
+                     [[v & _LOW64 for v in row] for row in rows]], np.uint64)
+
+
+def _jumps(step: tuple[int, int], n: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Powers 0 to n - 1 of the PCG64 jump ``step`` as a (limb, A or G, power)
+    array, and power n.  A jump (A, G) takes a state s to A * s + G * inc
+    mod 2**128; one step is (_PCG_MULT, 1)."""
+    (a_step, g_step), a, g, powers = step, 1, 0, ([], [])
+    for _ in range(n):
+        powers[0].append(a)
+        powers[1].append(g)
+        a, g = a_step * a & _MASK128, (a_step * g + g_step) & _MASK128
+    return _limbs(powers), (a, g)
+
+
+# The jumps of 0 to _SEED_BLOCK - 1 steps and of _SEED_BLOCK * m steps for
+# every row m that a pass draws.
+_COLUMN_JUMPS, _BLOCK_JUMP = _jumps((_PCG_MULT, 1), _SEED_BLOCK)
+_ROW_A, _ROW_G = _jumps(_BLOCK_JUMP, 2 * _PASS_MAX)[0].transpose(1, 0, 2)[..., None]
+
+
+def _mul128(a, b):
+    """a * b mod 2**128 for (high, low) pairs of uint64 arrays, broadcast."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1, b0, b1 = a_lo & 0xFFFFFFFF, a_lo >> 32, b_lo & 0xFFFFFFFF, b_lo >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    carry = ((a0 * b0) >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    return (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (carry >> 32) + a_hi * b_lo + a_lo * b_hi,
+            a_lo * b_lo)
+
+
+def _add128(a, b):
+    """a + b mod 2**128 for (high, low) pairs of uint64 arrays, broadcast."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _read_columns(gens: list[np.random.Generator], owner: np.ndarray, column: np.ndarray,
+                  k: int) -> np.ndarray:
+    """``gens[owner[i]].random((k, 2, _SEED_BLOCK))[:, :, column[i]]`` for
+    every i, as a (2, k, len(owner)) array, computed without drawing the
+    other columns.  Every generator then stands where that draw leaves it.
+
+    PCG64's j-th output is the XSL-RR permutation of its state j steps on
+    (O'Neill 2014), and a jump reaches any state in one step (Brown 1994).
+    Uniform (r, i, c) of the draw is output _SEED_BLOCK * m + c + 1, m =
+    2r + i: row m's jump of _SEED_BLOCK * m steps from the lane's state
+    c + 1 steps on.  The 128-bit arithmetic runs on uint64 limbs, and each
+    output becomes (out >> 11) * 2**-53, as in Generator.random.
+    """
+    rows = 2 * k
+    states = [gen.bit_generator.state["state"] for gen in gens]
+    s_inc = _limbs([[st["state"] * _PCG_MULT + st["inc"] & _MASK128 for st in states],
+                    [st["inc"] for st in states]])  # (limb, state one step on or inc, block)
+    with np.errstate(over="ignore"):
+        hi, lo = _mul128(_COLUMN_JUMPS.take(column, -1), s_inc.take(owner, -1))
+        hi, lo = _add128((hi[0], lo[0]), (hi[1], lo[1]))  # each lane's state c + 1 steps on
+        offset = _mul128(_ROW_G[:, :rows], s_inc[:, 1])  # G_{1024 m} inc, (rows, blocks)
+        if len(gens) > 1:
+            offset = offset[0].take(owner, -1), offset[1].take(owner, -1)
+        hi, lo = _add128(_mul128(_ROW_A[:, :rows], (hi, lo)), offset)
+        rot = hi >> 58  # XSL-RR: the xor of the halves, rotated right by rot
+        hi ^= lo
+        out = (hi >> rot) | (hi << ((64 - rot) & 63))
+    u = (out >> 11) * 2.0 ** -53
+    for gen in gens:
+        gen.bit_generator.advance(rows * _SEED_BLOCK)
+    return u.reshape(k, 2, len(owner)).transpose(1, 0, 2)
+
+
 def _block_events(master_seed: int, rates: RateSet, indices: range):
     """Event source of the shots ``indices`` for run_detection: lane k is
     shot ``indices[k]``, and ``lane`` ascends.
 
-    A call for k events draws (k, 2, _SEED_BLOCK) uniforms once from the
-    generator of every block with a live lane, the same values as k rounds
-    of (2, _SEED_BLOCK) draws: event r of shot i is the Gillespie step of
-    column i % _SEED_BLOCK of round r.  One gillespie_step call steps each
-    of the three states with every lane's k columns, and each lane then
-    follows its chain through that table, k = 1 included.  A block whose
-    lanes have ended draws no more, which leaves the other blocks' streams
-    as they were.  The (t_event, new_state) arrays are (k, lanes).
+    A call for k events reads, from the generator of every block with a
+    live lane, the (k, 2, _SEED_BLOCK) uniforms that k rounds of (2,
+    _SEED_BLOCK) draws give: event r of shot i is the Gillespie step of
+    column i % _SEED_BLOCK of round r.  A block with at least _SEED_BLOCK /
+    _SPARSE_COST live lanes draws the array and keeps their columns (all of
+    it, with no copy by column, when every lane is live).  A block with
+    fewer computes only their columns (_read_columns), so that a pass costs
+    what its live lanes read, unless the pass would save fewer than
+    _SPARSE_SETUP draws that way.  Either way the generator moves past the
+    whole array.  One gillespie_step call steps each of the three states
+    with every lane's k columns, and each lane then follows its chain
+    through that table, k = 1 included.  A block whose lanes have ended
+    reads no more, which leaves the other blocks' streams as they were.
+    The (t_event, new_state) arrays are (k, lanes).
     """
     first = indices[0] // _SEED_BLOCK
     gens = [np.random.default_rng([master_seed, _EVENT_STREAM, b])
             for b in range(first, indices[-1] // _SEED_BLOCK + 1)]
-    block, column = np.divmod(np.arange(indices.start, indices.stop) - first * _SEED_BLOCK,
-                              _SEED_BLOCK)
+    column = np.arange(indices.start, indices.stop) % _SEED_BLOCK
     states = np.arange(len(DonorState))[:, None]
+    # Each block's first lane: the lanes of block b are edges[b]:edges[b + 1].
+    starts = np.maximum(np.arange(len(gens) + 1) * _SEED_BLOCK - column[0], 0)
 
     def events(lane: np.ndarray, state: np.ndarray, t: np.ndarray, k: int):
         width = len(lane)
         u = np.empty((2, k, width))
-        lo = 0
-        for b, hi in enumerate(np.bincount(block[lane], minlength=len(gens)).cumsum().tolist()):
-            if hi > lo:
-                u[..., lo:hi] = gens[b].random((k, 2, _SEED_BLOCK)).take(
-                    column[lane[lo:hi]], axis=-1).transpose(1, 0, 2)
-            lo = hi
+        edges = np.searchsorted(lane, starts).tolist()
+        spans = [(b, lo, hi) for b, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo]
+        sparse = [(b, lo, hi) for b, lo, hi in spans if (hi - lo) * _SPARSE_COST < _SEED_BLOCK]
+        if 2 * k * sum(_SEED_BLOCK - (hi - lo) * _SPARSE_COST for _, lo, hi in sparse) \
+                < _SPARSE_SETUP:
+            sparse = []  # too few draws saved to pay for the reader
+        for b, lo, hi in spans:
+            if (b, lo, hi) not in sparse:
+                drawn = gens[b].random((k, 2, _SEED_BLOCK))
+                if hi - lo < _SEED_BLOCK:
+                    drawn = drawn.take(column[lane[lo:hi]], axis=-1)
+                u[..., lo:hi] = drawn.transpose(1, 0, 2)
+        if sparse:
+            at = np.concatenate([np.arange(lo, hi) for _, lo, hi in sparse])
+            owner = np.repeat(np.arange(len(sparse)), [hi - lo for _, lo, hi in sparse])
+            u[..., at] = _read_columns([gens[b] for b, _, _ in sparse], owner, column[lane[at]], k)
         step, to = (a.ravel() for a in gillespie_step(states, rates, u[0].ravel(), u[1].ravel()))
         times, path = np.empty((k, width)), np.empty((k, width), np.int64)
         at = np.arange(width)

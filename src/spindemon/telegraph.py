@@ -74,16 +74,21 @@ def gillespie_step(state, rates, u_time, u_choice):
     holding time is -ln(1 - u_time) / total rate, and the first channel is
     taken when u_choice * total < its rate.  Returns (holding_time,
     next_state) arrays; where a state has no exit channel the holding time
-    is inf and the state stays.
+    is inf and the state stays.  The rates and destinations are looked up
+    per state and broadcast, so a (3, 1) ``state`` steps each of the three
+    states with every uniform; the no-exit selects run only where some
+    state lacks an exit.
     """
     state = np.asarray(state)
-    rate = np.array([[getattr(rates, name) for name, _ in ch] for ch in _CHANNELS])[state]
-    total = rate[..., 0] + rate[..., 1]
-    exits = total > 0.0
+    first, second = np.array([[getattr(rates, name) for name, _ in ch]
+                              for ch in _CHANNELS]).T[:, state]
+    total = first + second
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dt = np.where(exits, -np.log1p(-np.asarray(u_time)) / total, math.inf)
-    dest = _DESTINATIONS[state, (u_choice * total >= rate[..., 0]).astype(np.intp)]
-    return dt, np.where(exits, dest, state)
+        dt = -np.log1p(-np.asarray(u_time)) / total
+    dest = np.where(u_choice * total >= first, _DESTINATIONS[state, 1], _DESTINATIONS[state, 0])
+    if not (exits := total > 0.0).all():
+        dt, dest = np.where(exits, dt, math.inf), np.where(exits, dest, state)
+    return dt, dest
 
 
 def rise_time(cutoff: float, threshold: float) -> float:

@@ -13,6 +13,8 @@ The views here are independent routes to the same numbers:
 - explicit per-lane transition streams as an event source of the lane
   engine, and the per-shot streams the engine drew before its events were
   keyed by block;
+- the array Gillespie step in its earlier form, with 2-D lookups and
+  unconditional no-exit selects;
 - one noise generator per (lane, round) as a noise source of the lane
   engine, the streams the scalar loop draws its flips from;
 - the runs of samples the lane engine feeds each counter, recorded by
@@ -259,6 +261,22 @@ _PER_SHOT_CHANNELS = {
     DonorState.DOWN: (("out_down", DonorState.IONIZED), ("excite", DonorState.UP)),
     DonorState.IONIZED: (("in_up", DonorState.UP), ("in_down", DonorState.DOWN)),
 }
+
+
+def reference_gillespie_step(state, rates, u_time, u_choice):
+    """``telegraph.gillespie_step`` as it read before its lean form, which
+    must equal it bit for bit: the channels' rates and destinations looked
+    up per entry with 2-D indexing, and both no-exit selects always made."""
+    table = [_PER_SHOT_CHANNELS[s] for s in DonorState]
+    destinations = np.array([[dest for _, dest in channels] for channels in table])
+    state = np.asarray(state)
+    rate = np.array([[getattr(rates, name) for name, _ in ch] for ch in table])[state]
+    total = rate[..., 0] + rate[..., 1]
+    exits = total > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dt = np.where(exits, -np.log1p(-np.asarray(u_time)) / total, math.inf)
+    dest = destinations[state, (u_choice * total >= rate[..., 0]).astype(np.intp)]
+    return dt, np.where(exits, dest, state)
 
 
 def per_shot_transitions(rng: np.random.Generator, rates) -> Iterator[tuple[float, DonorState]]:

@@ -88,6 +88,16 @@ class TestConfigParsing:
         assert config_hash({}) == config_hash({})
         assert config_hash({}) != config_hash({"run.shots": "7"})
 
+    def test_load_config_skips_a_byte_order_mark(self, tmp_path):
+        # Editors on some platforms save UTF-8 with a leading byte-order
+        # mark; it must not become part of the first key, nor of the hash.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(FAST_CONFIG, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbfrun.shots = 40\n" + FAST_CONFIG.replace(
+            "run.shots = 40\n", "").encode("utf-8"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfrun.shots")
+        assert load_config(marked) == load_config(plain)
+
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.txt")

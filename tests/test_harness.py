@@ -1160,6 +1160,57 @@ class TestPasses:
         assert len(feeds) <= 4761 // 5, len(feeds)
 
 
+class TestSparseReads:
+    """A block with few live lanes computes their columns of its pass's
+    draw by PCG64 jump-ahead (_read_columns) instead of drawing it."""
+
+    @pytest.mark.parametrize("seed", [0, 31, 2**31 - 1])
+    def test_reader_equals_numpy_across_passes(self, seed):
+        # Three blocks, each read sparsely or natively pass by pass: every
+        # sparse read must equal numpy's (k, 2, 1024) draw of its block at
+        # the columns asked for, first and last column included, and leave
+        # each generator where that draw leaves it.
+        rng = np.random.default_rng([seed, 0x5EAD])
+        blocks = [0, 3, 17]
+        gens, refs = ([np.random.default_rng([seed, harness._EVENT_STREAM, b]) for b in blocks]
+                      for _ in range(2))
+        passes = [(1, ()), (7, (0,)), (harness._PASS_MAX, (1,)), (7, (0, 2)), (1, ()),
+                  (harness._PASS_MAX, ())]
+        for p, (k, native) in enumerate(passes):
+            wanted = [ref.random((k, 2, 1024)) for ref in refs]
+            sparse = [b for b in range(len(blocks)) if b not in native]
+            cols = [np.arange(1024) if p == 4 and b == 0 else
+                    np.unique(np.r_[0, 1023, rng.integers(0, 1024, int(rng.integers(0, 90)))])
+                    for b in sparse]
+            owner = np.repeat(np.arange(len(sparse)), [len(c) for c in cols])
+            got = harness._read_columns([gens[b] for b in sparse], owner, np.concatenate(cols), k)
+            expected = np.concatenate([wanted[b][..., c] for b, c in zip(sparse, cols)], axis=-1)
+            assert np.array_equal(got, expected.transpose(1, 0, 2)), p
+            for b in native:
+                assert np.array_equal(gens[b].random((k, 2, 1024)), wanted[b]), p
+        for gen, ref in zip(gens, refs):
+            assert np.array_equal(gen.random(5), ref.random(5))
+
+    @pytest.mark.parametrize("case", ["amplifier", "noisy", "abandoned"])
+    def test_crossover_never_changes_a_shot(self, case, monkeypatch):
+        # Every field of every lane must be the same whether every block is
+        # read sparsely (_SPARSE_COST = 0), none is (10**6), or the default
+        # crossover splits them.
+        if case == "abandoned":
+            args = TestPasses.long_tail()
+        else:
+            cfg = make_config(n_required=20, shots=1, seed=41, abandon_factor=3.0,
+                              noise_std=0.1 if case == "noisy" else 0.0)
+            args = (cfg, cfg.rates, [20], range(900, 2200))
+        default = harness._shot_block(args)
+        for cost in (0, 10**6):
+            monkeypatch.setattr(harness, "_SPARSE_COST", cost)
+            other = harness._shot_block(args)
+            for f in fields(default):
+                assert np.array_equal(getattr(other, f.name), getattr(default, f.name)), (
+                    cost, f.name)
+
+
 class TestArrayHelpers:
     """_scan, _before and _rows_where against the plain numpy forms they
     stand for, at row counts around the powers of two that _scan's shifted

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import EventTimeline, digitize, render_sensor_trace, sample_trajectory
+from oracles import (
+    EventTimeline,
+    digitize,
+    reference_gillespie_step,
+    render_sensor_trace,
+    sample_trajectory,
+)
 from spindemon.physics import RateSet
 from spindemon.telegraph import (
     AmplifierParams,
     DonorState,
+    gillespie_step,
     missed_blip_probability,
     rise_time,
 )
@@ -100,6 +107,49 @@ class TestSampleTrajectory:
         mean = np.mean(waits)
         sigma = (1.0 / 2700.0) / math.sqrt(len(waits))
         assert abs(mean - 1.0 / 2700.0) < 3.0 * sigma
+
+
+def assert_same_step(state, rates, u_time, u_choice):
+    """gillespie_step equals the reference step bit for bit."""
+    (dt, to), (ref_dt, ref_to) = (step(state, rates, u_time, u_choice)
+                                  for step in (gillespie_step, reference_gillespie_step))
+    assert dt.shape == ref_dt.shape and to.shape == ref_to.shape
+    assert np.array_equal(dt.view(np.uint64), ref_dt.view(np.uint64))
+    assert np.array_equal(to, ref_to)
+    return dt, to
+
+
+class TestGillespieStep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_reference_step(self, seed):
+        rng = np.random.default_rng([seed, 0x57E9])
+        rates = RateSet(*rng.uniform(1.0, 5e3, 4), relax=rng.uniform(1.0, 100.0),
+                        excite=rng.uniform(1.0, 100.0))
+        u_time, u_choice = rng.random((2, 4096))
+        # One state per entry, and each of the three states with every entry.
+        assert_same_step(rng.integers(0, 3, 4096), rates, u_time, u_choice)
+        assert_same_step(np.arange(3)[:, None], rates, u_time, u_choice)
+        for state in DonorState:
+            assert_same_step(int(state), rates, u_time[0], u_choice[0])
+
+    def test_a_state_without_exit_stays_forever(self):
+        rates = RateSet(out_up=3e3, out_down=800.0, in_up=0.0, in_down=0.0,
+                        relax=50.0, excite=20.0)
+        u_time, u_choice = np.random.default_rng(3).random((2, 1000))
+        dt, to = assert_same_step(np.arange(3)[:, None], rates, u_time, u_choice)
+        assert np.all(dt[DonorState.IONIZED] == math.inf)
+        assert np.all(to[DonorState.IONIZED] == DonorState.IONIZED)
+        assert np.all(np.isfinite(dt[:DonorState.IONIZED]))
+
+    def test_zero_uniform(self):
+        # -log1p(-0) / 0 is nan: a state without exit must still read inf
+        # and stay, and a state with exits leaves at once.
+        rates = RateSet(out_up=3e3, out_down=800.0, in_up=0.0, in_down=0.0)
+        u = np.array([0.0, 0.5, 0.0])
+        dt, to = assert_same_step(np.arange(3)[:, None], rates, u, u)
+        assert dt[DonorState.IONIZED].tolist() == [math.inf] * 3
+        assert to[DonorState.IONIZED].tolist() == [DonorState.IONIZED] * 3
+        assert dt[DonorState.UP, 0] == 0.0 and to[DonorState.UP, 0] == DonorState.IONIZED
 
 
 class TestRiseTimeAndMisses:
